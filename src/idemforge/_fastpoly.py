@@ -2,12 +2,15 @@
 
 Coefficient vectors are int64 numpy arrays, ascending exponents, values
 reduced into [0, q).  The zero polynomial is the empty array.  These
-routines back the hot paths (splitting-field arithmetic, irreducibility
-scans, coset products); the classes in `fields` and `polys` wrap them.
+routines back the hot paths (extension-field arithmetic, irreducibility
+scans, residues modulo the factors of x^n - 1); the classes in `fields`
+and `polys` wrap them.
 
-Exactness constraints: q must stay below MAX_KERNEL_MODULUS so that
-int64 convolutions (len * q^2 < 2^63) and float64 BLAS reductions
-(len * q^2 < 2^53) never round.
+Exactness constraints: a sum of `length` products of residues stays exact
+in int64 while length * (q-1)^2 < 2^63 (`check_int64_exact` enforces it
+wherever residues are multiplied in int64).  `ReducedRing` keeps q below
+MAX_KERNEL_MODULUS so that its float64 BLAS reductions (len * q^2 < 2^53)
+never round.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ MAX_KERNEL_DEGREE = 1 << 12
 
 
 def as_vec(coeffs) -> np.ndarray:
-    return np.array(coeffs, dtype=np.int64)
+    try:
+        return np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        raise UsageError(
+            "coefficients exceed int64; the kernels need length*(q-1)^2 < 2^63"
+        ) from None
 
 
 def trim(vec: np.ndarray) -> np.ndarray:
@@ -31,14 +39,26 @@ def trim(vec: np.ndarray) -> np.ndarray:
     return vec[: nz[-1] + 1]
 
 
+def check_int64_exact(length: int, q: int) -> None:
+    """Reject a sum of `length` products of residues mod q that could
+    overflow int64: exactness needs length * (q-1)^2 < 2^63."""
+    if length * (q - 1) ** 2 >= 1 << 63:
+        raise UsageError(
+            f"q={q} is too large for exact int64 arithmetic on length {length}: "
+            f"needs length*(q-1)^2 < 2^63"
+        )
+
+
 def poly_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         return a[:0]
+    check_int64_exact(min(a.size, b.size), q)
     return np.convolve(a, b) % q
 
 
 def poly_divmod(a: np.ndarray, b: np.ndarray, q: int):
     """Return (quotient, remainder) with deg(remainder) < deg(b)."""
+    check_int64_exact(1, q)  # each step subtracts a product of two residues
     b = trim(b % q)
     if b.size == 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -279,17 +299,21 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
 def residue_matrix(mod_vec, n: int, q: int) -> np.ndarray:
     """Rows x^i mod M for i < n, so reducing a length-n coefficient vector v
     modulo M is the single product v @ matrix (entries < q keep the int64
-    accumulation exact for n * q^2 < 2^63)."""
-    ring = ReducedRing(q, mod_vec)
-    df = ring.deg
-    rows = np.zeros((n, df), dtype=np.int64)
-    cur = ring.one()
+    accumulation exact for n * (q-1)^2 < 2^63)."""
+    mod = trim(as_vec(mod_vec)) % q
+    deg = mod.size - 1
+    if deg < 1 or int(mod[-1]) != 1:
+        raise UsageError("modulus must be monic of degree >= 1")
+    xd = (-mod[:deg]) % q  # x^deg mod M
+    rows = np.zeros((n, deg), dtype=np.int64)
+    cur = np.zeros(deg, dtype=np.int64)
+    cur[0] = 1
     for i in range(n):
         rows[i] = cur
         lead = int(cur[-1])
         shifted = np.concatenate(([0], cur[:-1]))
         if lead:
-            shifted = (shifted + lead * ring._xd) % q
+            shifted = (shifted + lead * xd) % q
         cur = shifted
     return rows
 
@@ -360,75 +384,3 @@ def ints_xgcd(a: list[int], b: list[int], q: int):
         u0 = [(c * scale) % q for c in u0]
         v0 = [(c * scale) % q for c in v0]
     return r0, u0, v0
-
-
-# --- 2-D kernels for coset products over an extension field -----------------
-
-
-def conv2d_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """Full 2-D convolution of nonnegative int arrays reduced mod q.
-
-    Uses a real FFT when the exact-rounding bound allows it, otherwise an
-    exact row-by-row fallback.
-    """
-    ra, ca = A.shape
-    rb, cb = B.shape
-    rows, cols = ra + rb - 1, ca + cb - 1
-    bound = min(ra, rb) * min(ca, cb) * (q - 1) ** 2
-    sr = 1 << (rows - 1).bit_length()
-    sc = 1 << (cols - 1).bit_length()
-    if bound * sr * sc < (1 << 50):  # rounding error provably < 0.25
-        fa = np.fft.rfft2(A, s=(sr, sc))
-        fb = np.fft.rfft2(B, s=(sr, sc))
-        full = np.fft.irfft2(fa * fb, s=(sr, sc))[:rows, :cols]
-        return np.rint(full).astype(np.int64) % q
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(ra):
-        row = A[i]
-        if not row.any():
-            continue
-        for j in range(rb):
-            out[i + j] = (out[i + j] + np.convolve(row, B[j])) % q
-    return out
-
-
-def _reduce_rows(ring: ReducedRing, C: np.ndarray) -> np.ndarray:
-    """Reduce every row of C (a y-polynomial per row) modulo the ring modulus."""
-    D = ring.deg
-    if C.shape[1] <= D:
-        if C.shape[1] < D:
-            pad = np.zeros((C.shape[0], D - C.shape[1]), dtype=np.int64)
-            C = np.hstack((C, pad))
-        return C
-    lo, hi = C[:, :D], C[:, D:]
-    folded = np.rint(hi.astype(np.float64) @ ring._tbl_f[: hi.shape[1]]).astype(np.int64)
-    return (lo + folded) % ring.q
-
-
-def product_of_linear_factors(ring: ReducedRing, neg_roots: list[np.ndarray]) -> np.ndarray:
-    """Product over (x - root) with extension-field coefficients.
-
-    Each entry of neg_roots is the coefficient vector of -root (width = ring
-    degree).  Returns a (s+1, deg) array: row i is the coefficient of x^i.
-    Computed as a balanced product tree so intermediate widths stay reduced.
-    """
-    D = ring.deg
-    nodes = []
-    for nr in neg_roots:
-        leaf = np.zeros((2, D), dtype=np.int64)
-        leaf[0] = nr
-        leaf[1, 0] = 1
-        nodes.append(leaf)
-    if not nodes:
-        one = np.zeros((1, D), dtype=np.int64)
-        one[0, 0] = 1
-        return one
-    while len(nodes) > 1:
-        merged = []
-        for i in range(0, len(nodes) - 1, 2):
-            C = conv2d_mod(nodes[i], nodes[i + 1], ring.q)
-            merged.append(_reduce_rows(ring, C))
-        if len(nodes) % 2:
-            merged.append(nodes[-1])
-        nodes = merged
-    return nodes[0]

@@ -18,7 +18,6 @@ from .fields import get_prime_field
 from .polys import CyclicRingElement
 from .structure import (
     DEFAULT_MAX_N,
-    DEFAULT_MAX_SPLITTING_DEGREE,
     cyclotomic_cosets,
     expected_idempotent_count,
     factor_xn_minus_1,
@@ -96,13 +95,19 @@ def records_from_document(doc: dict):
         entries = doc["idempotents"]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed document: {exc}") from exc
+    if not isinstance(entries, list):
+        raise UsageError("malformed document: 'idempotents' must be a list")
     instance = instance_parameters(q, p, k)
     field = get_prime_field(q)
     records = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise UsageError("each idempotent entry must be a JSON object")
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != instance.n:
             raise UsageError("entry coefficient list must have exactly n entries")
+        if any(type(c) is not int for c in coeffs):
+            raise UsageError("entry coefficients must be integers")
         value = CyclicRingElement.from_ints(field, coeffs)
         params = entry.get("params")
         if isinstance(params, dict):
@@ -121,8 +126,11 @@ def records_from_document(doc: dict):
 
 def _write_out(text: str, out: str | None) -> None:
     if out and out != "-":
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -133,14 +141,10 @@ def _instance_from_args(args):
 
 def cmd_gen(args) -> int:
     instance = _instance_from_args(args)
-    records = dispatch(
-        instance, args.method, max_splitting_degree=args.max_splitting_degree
-    )
+    records = dispatch(instance, args.method)
     report = None
     if args.verify:
-        report = verify_system(
-            records, instance, max_splitting_degree=args.max_splitting_degree
-        )
+        report = verify_system(records, instance)
     doc = build_document(instance, records)
     if report is not None:
         doc["verification"] = {
@@ -182,8 +186,11 @@ def cmd_verify(args) -> int:
         if args.input == "-":
             text = sys.stdin.read()
         else:
-            with open(args.input, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.input, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise UsageError(f"cannot read {args.input}: {exc}") from exc
         try:
             doc = parse_document(text)
         except json.JSONDecodeError as exc:
@@ -193,15 +200,12 @@ def cmd_verify(args) -> int:
         if args.q is None or args.p is None or args.k is None:
             raise UsageError("verify needs --q/--p/--k or --in")
         instance = _instance_from_args(args)
-        records = dispatch(
-            instance, args.method, max_splitting_degree=args.max_splitting_degree
-        )
+        records = dispatch(instance, args.method)
     report = verify_system(
         records,
         instance,
         with_primitivity=True,
         against_oracle=(args.against == "euclid"),
-        max_splitting_degree=args.max_splitting_degree,
     )
     if args.format == "json":
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -212,7 +216,7 @@ def cmd_verify(args) -> int:
 
 def cmd_factors(args) -> int:
     instance = _instance_from_args(args)
-    factors = factor_xn_minus_1(instance, max_splitting_degree=args.max_splitting_degree)
+    factors = factor_xn_minus_1(instance)
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
@@ -243,9 +247,7 @@ def cmd_params(args) -> int:
 
 def cmd_code(args) -> int:
     instance = _instance_from_args(args)
-    records = dispatch(
-        instance, args.method, max_splitting_degree=args.max_splitting_degree
-    )
+    records = dispatch(instance, args.method)
     matches = [r for r in records if r.label == args.label]
     if not matches:
         known = ", ".join(r.label for r in records)
@@ -290,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=_env_int("IDEMFORGE_MAX_N", DEFAULT_MAX_N),
             help="reject instances with n beyond this cap",
-        )
-        sp.add_argument(
-            "--max-splitting-degree",
-            type=int,
-            default=_env_int("IDEMFORGE_MAX_SPLITTING_DEGREE", DEFAULT_MAX_SPLITTING_DEGREE),
-            help="reject factorizations whose splitting field degree exceeds this cap",
         )
 
     gen = sub.add_parser("gen", help="generate the primitive idempotents")

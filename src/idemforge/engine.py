@@ -23,7 +23,6 @@ from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import get_extension_field, get_prime_field, primitive_element
 from .polys import CyclicRingElement, Poly, extended_gcd
 from .structure import (
-    DEFAULT_MAX_SPLITTING_DEGREE,
     ProblemInstance,
     cyclotomic_cosets,
     factor_xn_minus_1,
@@ -112,13 +111,9 @@ def euclid_idempotent(
     return IdempotentRecord(value=e, label=label, kind=KIND_GENERIC, params=params, method="euclid")
 
 
-def all_idempotents_euclid(
-    instance: ProblemInstance,
-    *,
-    max_splitting_degree: int = DEFAULT_MAX_SPLITTING_DEGREE,
-) -> tuple[IdempotentRecord, ...]:
+def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord, ...]:
     """One record per irreducible factor of x^n - 1: the oracle set."""
-    factors = factor_xn_minus_1(instance, max_splitting_degree=max_splitting_degree)
+    factors = factor_xn_minus_1(instance)
     cosets = cyclotomic_cosets(instance.q, instance.n).cosets
     records = []
     for (d, f), coset in zip(factors, cosets):
@@ -312,7 +307,6 @@ def dispatch(
     *,
     modulus_skip: int = 0,
     generator_skip: int = 0,
-    max_splitting_degree: int = DEFAULT_MAX_SPLITTING_DEGREE,
 ) -> tuple[IdempotentRecord, ...]:
     """Pick the applicable closed form (t = 1 -> split case, t > 1 -> general
     case) or force a specific route.  Forcing `euclid` works even where the
@@ -321,7 +315,7 @@ def dispatch(
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
     if method == "euclid":
-        return all_idempotents_euclid(instance, max_splitting_degree=max_splitting_degree)
+        return all_idempotents_euclid(instance)
     if method == "fully-split":
         return fully_split_idempotents(q, n)
     if method == "primitive-root":

@@ -362,6 +362,7 @@ class CyclicRingElement:
         n = self.n
         if self.field.degree == 1:
             q = self.field.q
+            fp.check_int64_exact(n, q)  # each folded coefficient sums n products
             full = np.convolve(self._int_arr(), other._int_arr())
             folded = full[:n].copy()
             if full.size > n:

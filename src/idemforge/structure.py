@@ -1,7 +1,7 @@
 """Number-theoretic structure of a problem instance: orders, the (t, m)
 parameters, q-cyclotomic cosets mod p^k, and the full irreducible
-factorization of x^(p^k) - 1 over F_q via coset products in the splitting
-field."""
+factorization of x^(p^k) - 1 over F_q from minimal polynomials of roots of
+unity in F_{q^t}, inflated for the levels above m."""
 
 from __future__ import annotations
 
@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fastpoly as fp
-from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
+from .errors import InvariantViolation, UsageError
 from .fields import (
     DEFAULT_ORDER_BUDGET_BITS,
-    ExtensionField,
     element_by_index,
     get_extension_field,
     get_prime_field,
@@ -25,7 +24,6 @@ from .fields import (
 from .polys import Poly, inflate
 
 DEFAULT_MAX_N = 10_000
-DEFAULT_MAX_SPLITTING_DEGREE = 512
 
 
 def multiplicative_order(q: int, d: int) -> int:
@@ -41,6 +39,15 @@ def multiplicative_order(q: int, d: int) -> int:
         acc = (acc * q) % d
         s += 1
     return s
+
+
+def p_adic_valuation(value: int, p: int) -> int:
+    """Largest e with p^e dividing the positive integer value."""
+    e = 0
+    while value % p == 0:
+        value //= p
+        e += 1
+    return e
 
 
 def euler_phi_prime_power(p: int, j: int) -> int:
@@ -92,12 +99,7 @@ def instance_parameters(
         raise UsageError(
             f"q^t - 1 needs {(q ** t - 1).bit_length()} bits; budget is {power_budget_bits}"
         )
-    qt1 = q**t - 1
-    m = 0
-    while qt1 % p == 0:
-        m += 1
-        qt1 //= p
-    return ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=m)
+    return ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=p_adic_valuation(q**t - 1, p))
 
 
 @dataclass(frozen=True)
@@ -168,13 +170,13 @@ def expected_idempotent_count(instance: ProblemInstance) -> int:
 
 
 def _nth_root_of_unity(field, n: int, p: int):
-    """Deterministic primitive n-th root of unity in the splitting field:
-    first enumerated element u with u^((q^D-1)/n) of exact order n = p^k."""
+    """Deterministic primitive n-th root of unity, n = p^k: the first
+    enumerated element u with u^((|F| - 1)/n) of exact order n."""
     if n == 1:
         return field.one()
     group = field.order - 1
     if group % n:
-        raise InvariantViolation("splitting field does not contain the requested roots")
+        raise InvariantViolation("field does not contain the requested roots")
     exp = group // n
     one = field.one()
     for index in range(2, min(field.order, 1 << 20)):
@@ -184,86 +186,57 @@ def _nth_root_of_unity(field, n: int, p: int):
     raise InvariantViolation("no primitive root of unity found")
 
 
-def _splitting_field_with_root(q: int, p: int, k: int, t: int, m: int, max_deg: int):
-    """The splitting field F_{q^D} of x^(p^k) - 1 (D = ord_{p^k} q) together
-    with a primitive p^k-th root of unity in it.
-
-    For k > m the modulus is built structurally: inflate the minimal
-    polynomial over F_q of a primitive p^m-th root of unity (computed in
-    F_{q^t}) by x^(p^(k-m)); the residue class of x is then itself a
-    primitive p^k-th root.  Irreducibility is re-verified at construction.
-    """
-    n = p**k
-    big_d = multiplicative_order(q, n)
-    if big_d > max_deg:
-        raise UnsupportedInstanceError(
-            f"splitting field degree {big_d} exceeds the cap {max_deg} "
-            f"(raise --max-splitting-degree to proceed)"
-        )
-    structural = (
-        k > m
-        and (p != 2 or q % 4 == 1)
-        and (q**t - 1).bit_length() <= DEFAULT_ORDER_BUDGET_BITS
-    )
-    if structural:
-        small = get_extension_field(q, t)
-        conj = root_of_unity(small, p**m)
-        min_poly = Poly.one(small)
-        for _ in range(t):
-            min_poly = min_poly * Poly(small, (-conj, small.one()))
-            conj = conj**q
-        try:
-            ints = [c.as_int() for c in min_poly.coeffs]
-        except UsageError as exc:
-            raise InvariantViolation(f"minimal polynomial left the base field: {exc}") from exc
-        base = get_prime_field(q)
-        modulus = inflate(Poly.from_ints(base, ints), p ** (k - m))
-        field = ExtensionField(base, modulus)
-        zeta = field.gen()
-    else:
-        field = get_extension_field(q, big_d)
-        zeta = _nth_root_of_unity(field, n, p)
-    if field.degree != big_d:
-        raise InvariantViolation("splitting field has the wrong degree")
-    if zeta**n != field.one() or zeta ** (n // p) == field.one():
-        raise InvariantViolation("splitting-field root has the wrong order")
-    return field, zeta
-
-
 @functools.lru_cache(maxsize=None)
-def _factor_cached(q: int, p: int, k: int, max_splitting_degree: int):
-    n = p**k
-    field_q = get_prime_field(q)
+def _factor_cached(instance: ProblemInstance):
+    q, p, k, n = instance.q, instance.p, instance.k, instance.n
+    base = get_prime_field(q)
     if n == 1:
-        return ((1, Poly.from_ints(field_q, [-1, 1])),)
-    partition = cyclotomic_cosets(q, n)
-    t = 1 if k == 0 else multiplicative_order(q, p)
-    qt1 = q**t - 1
-    m = 0
-    while qt1 % p == 0:
-        m += 1
-        qt1 //= p
-    splitting, zeta = _splitting_field_with_root(q, p, k, t, m, max_splitting_degree)
-    big_d = splitting.degree
-    ring = splitting._ring
-    powers = [ring.one()]
-    zeta_vec = fp.as_vec(zeta.coeffs)
-    for _ in range(n - 1):
-        powers.append(ring.mul(powers[-1], zeta_vec))
+        return ((1, Poly.from_ints(base, [-1, 1])),)
+    # F_{q^T} holds a primitive p^M-th root of unity, and the factors of
+    # Phi_{p^s} for s > M are those of Phi_{p^M} with x -> x^(p^(s-M))
+    # (Lidl-Niederreiter, Thm 3.35).  For p = 2 that needs q^T = 1 (mod 4).
+    if p == 2 and q % 4 == 3:
+        big_t, big_m = 2, p_adic_valuation(q * q - 1, 2)
+    else:
+        big_t, big_m = instance.t, instance.m
+    m_eff = min(big_m, k)
+    pm = p**m_eff
+    field = base if big_t == 1 else get_extension_field(q, big_t)
+    # zeta fixes which factor each coset receives; these two deterministic
+    # rules keep the factor lists (and the oracle's record order) stable.
+    zeta = _nth_root_of_unity(field, n, p) if k <= big_m else root_of_unity(field, pm)
+    minpolys: dict[int, Poly] = {}
+
+    def minpoly(j: int) -> Poly:
+        """Minimal polynomial over F_q of zeta^j: the product of (x - zeta^i)
+        over the orbit of j under multiplication by q mod p^m'."""
+        orbit = [j % pm]
+        while (orbit[-1] * q) % pm != orbit[0]:
+            orbit.append((orbit[-1] * q) % pm)
+        key = min(orbit)
+        if key not in minpolys:
+            prod = Poly.one(field)
+            for i in orbit:
+                prod = prod * Poly(field, (-(zeta**i), field.one()))
+            try:
+                ints = [c.as_int() for c in prod.coeffs]
+            except UsageError as exc:
+                raise InvariantViolation(f"minimal polynomial left the base field: {exc}") from exc
+            minpolys[key] = Poly.from_ints(base, ints)
+        return minpolys[key]
+
     factors = []
-    for coset in partition.cosets:
-        neg_roots = [(-powers[i]) % q for i in coset.elements]
-        rows = fp.product_of_linear_factors(ring, neg_roots)
-        if rows.shape[0] != coset.size + 1:
-            raise InvariantViolation("coset product has the wrong degree")
-        if big_d > 1 and rows[:, 1:].any():
+    for coset in cyclotomic_cosets(q, n).cosets:
+        s = p_adic_valuation(coset.divisor, p)
+        if s <= m_eff:
+            f = minpoly(coset.rep // p ** (k - m_eff))
+        else:
+            f = inflate(minpoly(coset.rep // p ** (k - s)), p ** (s - m_eff))
+        if f.degree != coset.size or f.lead != base.one():
             raise InvariantViolation(
-                f"coset product for rep {coset.rep} has a coefficient outside F_{q}"
+                f"factor for coset {coset.rep} is not monic of degree {coset.size}"
             )
-        ints = rows[:, 0].tolist()
-        if ints[-1] != 1:
-            raise InvariantViolation("coset product is not monic")
-        factors.append((coset.divisor, Poly.from_ints(field_q, ints)))
+        factors.append((coset.divisor, f))
     product = np.array([1], dtype=np.int64)
     for _, f in factors:
         product = fp.poly_mul(product, f._vec(), q)
@@ -274,13 +247,12 @@ def _factor_cached(q: int, p: int, k: int, max_splitting_degree: int):
     return tuple(factors)
 
 
-def factor_xn_minus_1(
-    instance: ProblemInstance,
-    *,
-    max_splitting_degree: int = DEFAULT_MAX_SPLITTING_DEGREE,
-) -> tuple[tuple[int, Poly], ...]:
+def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]:
     """Irreducible factorization of x^n - 1 over F_q, one monic factor per
-    q-cyclotomic coset (same order as `cyclotomic_cosets`), each computed as
-    the product of (x - zeta^i) over the coset in the splitting field and
-    mapped down after a base-subfield membership check."""
-    return _factor_cached(instance.q, instance.p, instance.k, max_splitting_degree)
+    q-cyclotomic coset (same order as `cyclotomic_cosets`).  Each factor is
+    the minimal polynomial of a root of unity of order p^s <= p^m computed
+    in F_{q^t} (F_{q^2} when p = 2 and q = 3 mod 4), inflated by x -> x^(p^(s-m)) above level m.  Monic factors
+    of the coset degrees whose product is the squarefree x^n - 1 are
+    necessarily its irreducible factors, so the product check certifies
+    irreducibility."""
+    return _factor_cached(instance)

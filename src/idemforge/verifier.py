@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 from .engine import IdempotentRecord, all_idempotents_euclid
 from .errors import UsageError
 from .polys import CyclicRingElement
-from .structure import (
-    DEFAULT_MAX_SPLITTING_DEGREE,
-    ProblemInstance,
-    cyclotomic_cosets,
-    factor_xn_minus_1,
-)
+from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
 
 
 def _element(item) -> CyclicRingElement:
@@ -104,16 +99,14 @@ def _completeness_detail(records):
     return True, None
 
 
-def check_primitivity(records, instance: ProblemInstance, **kw) -> bool:
+def check_primitivity(records, instance: ProblemInstance) -> bool:
     """Cardinality equals the number of irreducible factors of x^n - 1 and
     each record is = 1 modulo exactly one factor and = 0 modulo the rest."""
-    return _primitivity_detail(records, instance, **kw)[0]
+    return _primitivity_detail(records, instance)[0]
 
 
-def _primitivity_detail(
-    records, instance: ProblemInstance, *, max_splitting_degree=DEFAULT_MAX_SPLITTING_DEGREE
-):
-    factors = factor_xn_minus_1(instance, max_splitting_degree=max_splitting_degree)
+def _primitivity_detail(records, instance: ProblemInstance):
+    factors = factor_xn_minus_1(instance)
     if len(records) != len(factors):
         return False, f"{len(records)} records but {len(factors)} irreducible factors"
     import numpy as np
@@ -121,6 +114,7 @@ def _primitivity_detail(
     from . import _fastpoly as fp
 
     q, n = instance.q, instance.n
+    fp.check_int64_exact(n, q)  # values @ reducer sums n products per entry
     values = np.array([_element(r).int_coeffs() for r in records], dtype=np.int64)
     one_count = np.zeros(len(records), dtype=np.int64)
     for _, f in factors:
@@ -153,7 +147,6 @@ def verify_system(
     *,
     with_primitivity: bool = True,
     against_oracle: bool = False,
-    max_splitting_degree: int = DEFAULT_MAX_SPLITTING_DEGREE,
 ) -> VerificationReport:
     """Run the full battery on a claimed idempotent system."""
     checks: list[CheckResult] = []
@@ -194,13 +187,11 @@ def verify_system(
     )
 
     if with_primitivity:
-        ok, detail = _primitivity_detail(
-            records, instance, max_splitting_degree=max_splitting_degree
-        )
+        ok, detail = _primitivity_detail(records, instance)
         checks.append(CheckResult("primitivity", ok, detail))
 
     if against_oracle:
-        oracle = all_idempotents_euclid(instance, max_splitting_degree=max_splitting_degree)
+        oracle = all_idempotents_euclid(instance)
         ok = sets_equal(records, oracle)
         checks.append(
             CheckResult(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from idemforge.cli import (
     build_document,
     main,
@@ -176,10 +178,11 @@ def test_env_override_max_n(capsys, monkeypatch):
 
 
 def test_env_override_max_splitting_degree(capsys, monkeypatch):
+    # the splitting-degree cap is gone and its environment variable is ignored
     monkeypatch.setenv("IDEMFORGE_MAX_SPLITTING_DEGREE", "2")
-    code, _, err = run_cli(capsys, "factors", "--q", "2", "--p", "7", "--k", "1")
-    assert code == 1
-    assert "splitting field degree" in err
+    code, out, _ = run_cli(capsys, "factors", "--q", "2", "--p", "7", "--k", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 3
 
 
 def test_gen_text_matches_fixture_coefficients(capsys):
@@ -207,12 +210,97 @@ def test_gen_embeds_optional_report_and_codes(capsys):
 
 
 def test_factors_splitting_cap_exits_1(capsys):
+    # there is no splitting-degree cap, so its flag is an unknown argument
     code, _, err = run_cli(
         capsys,
         "factors", "--q", "2", "--p", "3", "--k", "5", "--max-splitting-degree", "100",
     )
     assert code == 1
-    assert "splitting field degree" in err
+    assert "unrecognized arguments: --max-splitting-degree" in err
+    # and (2, 3, 7), with splitting degree 1458, factors: one line per level
+    code, out, _ = run_cli(capsys, "factors", "--q", "2", "--p", "3", "--k", "7")
+    assert code == 0
+    assert len(out.splitlines()) == 8
+
+
+def test_verify_beyond_former_splitting_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--q", "2", "--p", "3", "--k", "7", "--against", "euclid"
+    )
+    assert code == 0
+    assert "overall: pass" in out
+    # splitting degrees 1458 and 729; one line per q-cyclotomic coset
+    for q, cosets in (("5", 8), ("13", 15)):
+        code, out, _ = run_cli(capsys, "factors", "--q", q, "--p", "3", "--k", "7")
+        assert code == 0, q
+        assert len(out.splitlines()) == cosets
+
+
+def test_verify_rejects_q_beyond_int64_bound(capsys):
+    code, _, err = run_cli(capsys, "verify", "--q", "2147483647", "--p", "3", "--k", "2")
+    assert code == 1
+    assert "length*(q-1)^2 < 2^63" in err
+
+
+def test_code_rejects_q_beyond_int64_bound(capsys):
+    # (q-1)^2 >= 2^63: polynomial division would wrap around in int64
+    code, _, err = run_cli(
+        capsys, "code", "--q", "4294967311", "--p", "3", "--k", "1", "--label", "e_j:1"
+    )
+    assert code == 1
+    assert "length*(q-1)^2 < 2^63" in err
+
+
+def test_factors_rejects_q_beyond_int64_range(capsys):
+    code, _, err = run_cli(capsys, "factors", "--q", "1180591620717411303529", "--p", "3", "--k", "1")
+    assert code == 1
+    assert "length*(q-1)^2 < 2^63" in err
+
+
+def test_verify_large_q_within_int64_bound(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--q", "1000003", "--p", "3", "--k", "2", "--against", "euclid"
+    )
+    assert code == 0
+    assert "overall: pass" in out
+
+
+def _float_coeffs(entry):
+    entry["coeffs"] = [float(c) for c in entry["coeffs"]]
+    return entry
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_float_coeffs, "coefficients must be integers"),
+        (lambda entry: entry["coeffs"], "must be a JSON object"),
+    ],
+    ids=["float-coefficients", "non-object-entry"],
+)
+def test_verify_rejects_malformed_entry(capsys, monkeypatch, mutate, message):
+    _, out, _ = run_cli(capsys, "gen", "--q", "2", "--p", "7", "--k", "1", "--format", "json")
+    doc = json.loads(out)
+    doc["idempotents"][0] = mutate(doc["idempotents"][0])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, _, err = run_cli(capsys, "verify", "--in", "-")
+    assert code == 1
+    assert message in err
+
+
+def test_gen_out_into_missing_directory_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, _, err = run_cli(
+        capsys, "gen", "--q", "7", "--p", "3", "--k", "1", "--format", "json", "--out", str(target)
+    )
+    assert code == 1
+    assert err.startswith("error: cannot write")
+
+
+def test_verify_missing_input_file_exits_1(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "verify", "--in", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert err.startswith("error: cannot read")
 
 
 def test_gen_out_file(capsys, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from idemforge import (
     Poly,
-    UnsupportedInstanceError,
     UsageError,
     cyclotomic_cosets,
     expected_idempotent_count,
@@ -142,9 +141,40 @@ def test_factor_trivial_ring():
 
 
 def test_splitting_degree_cap():
-    inst = instance_parameters(2, 3, 5)  # splitting degree 162
-    with pytest.raises(UnsupportedInstanceError):
-        factor_xn_minus_1(inst, max_splitting_degree=100)
+    # ord_{3^7} 2 = 1458: the splitting field is never built, so no cap applies
+    inst = instance_parameters(2, 3, 7)
+    factors = factor_xn_minus_1(inst)
+    cosets = cyclotomic_cosets(2, inst.n).cosets
+    assert [f.degree for _, f in factors] == [c.size for c in cosets]
+    field = get_prime_field(2)
+    prod = Poly.one(field)
+    for _, f in factors:
+        prod = prod * f
+    assert prod == Poly.x_pow_minus_one(field, inst.n)
+
+
+@pytest.mark.parametrize(
+    "q, p, k",
+    [
+        (2, 3, 5),  # levels s > m are inflated
+        (3, 5, 3),
+        (17, 13, 2),
+        (2, 5, 3),
+        (19, 7, 2),  # k <= m: no inflation
+        (3, 2, 5),  # p = 2, q = 3 (mod 4): the factors live in F_{q^2}
+        (7, 2, 6),
+    ],
+)
+def test_factors_match_sympy(q, p, k):
+    sympy = pytest.importorskip("sympy")
+    inst = instance_parameters(q, p, k)
+    x = sympy.symbols("x")
+    _, expected = sympy.Poly(x**inst.n - 1, x, modulus=q).factor_list()
+    want = sorted(
+        tuple(c % q for c in reversed(f.all_coeffs())) for f, mult in expected if mult == 1
+    )
+    assert len(want) == len(expected)
+    assert sorted(f.int_coeffs() for _, f in factor_xn_minus_1(inst)) == want
 
 
 def test_expected_counts():

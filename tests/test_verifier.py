@@ -4,6 +4,7 @@ import pytest
 
 from idemforge import (
     CyclicRingElement,
+    UsageError,
     check_completeness,
     check_idempotency,
     check_orthogonality,
@@ -141,3 +142,11 @@ def test_oracle_set_verifies_on_assorted_instances():
         inst = instance_parameters(q, p, k)
         recs = dispatch(inst, "euclid")
         assert verify_system(recs, inst).passed
+
+
+def test_int64_bound_rejects_large_q():
+    # 9 * (2^31 - 2)^2 overflows int64: the products must be refused, not
+    # reported as failed checks on a correct system
+    inst = instance_parameters(2147483647, 3, 2)
+    with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
+        verify_system(dispatch(inst), inst, with_primitivity=False)
