@@ -43,8 +43,6 @@ from .fields import (
 from .polys import (
     CyclicRingElement,
     Poly,
-    coefficient_map,
-    cyclic_mul,
     cyclotomic_poly,
     extended_gcd,
     inflate,

@@ -8,9 +8,8 @@ and `polys` wrap them.
 
 Exactness constraints: a sum of `length` products of residues stays exact
 in int64 while length * (q-1)^2 < 2^63 (`check_int64_exact` enforces it
-wherever residues are multiplied in int64).  `ReducedRing` keeps q below
-MAX_KERNEL_MODULUS so that its float64 BLAS reductions (len * q^2 < 2^53)
-never round.
+wherever residues are multiplied in int64).  `ReducedRing` requires
+deg * (q-1)^2 < 2^52 so that its float64 BLAS reductions never round.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 
 from .errors import InvariantViolation, UsageError
 
-MAX_KERNEL_MODULUS = 1 << 20
 MAX_KERNEL_DEGREE = 1 << 12
 
 
@@ -106,10 +104,13 @@ class ReducedRing:
         deg = mod.size - 1
         if deg < 1 or int(mod[-1]) != 1:
             raise UsageError("modulus must be monic of degree >= 1")
-        if q > MAX_KERNEL_MODULUS or deg > MAX_KERNEL_DEGREE:
-            raise UsageError("modulus size outside kernel limits")
+        if deg > MAX_KERNEL_DEGREE:
+            raise UsageError(f"modulus degree {deg} exceeds the kernel limit {MAX_KERNEL_DEGREE}")
         if deg * (q - 1) ** 2 >= (1 << 52):
-            raise UsageError("q too large for exact float64 reduction")
+            raise UsageError(
+                f"q={q} is too large for exact float64 reduction in degree {deg}: "
+                f"needs deg*(q-1)^2 < 2^52"
+            )
         self.q = q
         self.deg = deg
         self.mod = mod

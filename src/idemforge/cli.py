@@ -81,23 +81,28 @@ def render_document(doc: dict) -> str:
 
 
 def parse_document(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+        raise UsageError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise UsageError(f"document does not carry schema {SCHEMA!r}")
     return doc
 
 
-def records_from_document(doc: dict):
+def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
     from .engine import IdempotentRecord
 
     try:
-        q, p, k = int(doc["q"]), int(doc["p"]), int(doc["k"])
+        q, p, k = doc["q"], doc["p"], doc["k"]
         entries = doc["idempotents"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed document: {exc}") from exc
+    if any(type(v) is not int for v in (q, p, k)):
+        raise UsageError("malformed document: 'q', 'p' and 'k' must be integers")
     if not isinstance(entries, list):
         raise UsageError("malformed document: 'idempotents' must be a list")
-    instance = instance_parameters(q, p, k)
+    instance = instance_parameters(q, p, k, max_n=max_n)
     field = get_prime_field(q)
     records = []
     for entry in entries:
@@ -191,11 +196,8 @@ def cmd_verify(args) -> int:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise UsageError(f"cannot read {args.input}: {exc}") from exc
-        try:
-            doc = parse_document(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"input is not valid JSON: {exc}") from exc
-        instance, records = records_from_document(doc)
+        doc = parse_document(text)
+        instance, records = records_from_document(doc, args.max_n)
     else:
         if args.q is None or args.p is None or args.k is None:
             raise UsageError("verify needs --q/--p/--k or --in")

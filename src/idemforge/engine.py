@@ -94,7 +94,7 @@ def euclid_idempotent(
     field = get_prime_field(q)
     if f.field != field:
         raise UsageError("factor polynomial must live over F_q")
-    if f.is_zero() or f.lead != field.one():
+    if f.is_zero() or f.lead != 1:
         raise UsageError("factor must be monic")
     xn1 = Poly.x_pow_minus_one(field, n)
     quotient, rem = xn1.divrem(f)
@@ -135,16 +135,28 @@ def _power_table(q: int, z: int, length: int) -> list[int]:
     return out
 
 
-def _records_from_table(
-    instance: ProblemInstance, pm: int, table: list[int], method: str
-) -> tuple[IdempotentRecord, ...]:
-    """Shared assembly for the split and general cases.
+def _root_table(
+    instance: ProblemInstance, modulus_skip: int = 0, generator_skip: int = 0
+) -> tuple[list[int], str]:
+    """(table, method) for the split and general cases: table[i] holds the
+    F_q value attached to the i-th power of a primitive p^min(m,k)-th root of
+    unity, the power itself when t = 1 (the root lives in F_q) and its trace
+    from F_{q^t} when t > 1."""
+    q = instance.q
+    pm = instance.p**instance.effective_m
+    if instance.t == 1:
+        g = primitive_element(get_prime_field(q), generator_skip)
+        return _power_table(q, pow(g.coeffs[0], (q - 1) // pm, q), pm), "split-case"
+    return _sigma_table(instance, pm, modulus_skip, generator_skip), "general-case"
 
-    table[i] holds the F_q value attached to the i-th power of the chosen
-    root of unity (the power itself when it lives in F_q, its trace when it
-    lives in the extension)."""
+
+def _records_from_table(
+    instance: ProblemInstance, table: list[int], method: str
+) -> tuple[IdempotentRecord, ...]:
+    """Shared assembly for the split and general cases from `_root_table`."""
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
     m_eff = instance.effective_m
+    pm = p**m_eff
     inv_n = pow(n % q, -1, q)
     records = [
         _record_from_ints(q, [inv_n] * n, "e_0", KIND_UNIT_SUM, None, method)
@@ -182,11 +194,7 @@ def split_case_idempotents(
             "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
             "of x^(2^s) - zeta needs q = 1 (mod 4)"
         )
-    pm = p**instance.effective_m
-    g = primitive_element(get_prime_field(q), generator_skip)
-    z = pow(g.coeffs[0], (q - 1) // pm, q)
-    table = _power_table(q, z, pm)
-    return _records_from_table(instance, pm, table, "split-case")
+    return _records_from_table(instance, *_root_table(instance, generator_skip=generator_skip))
 
 
 def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generator_skip: int) -> list[int]:
@@ -224,9 +232,7 @@ def general_case_idempotents(
         raise UsageError("p = 2 never reaches the general case (t is always 1)")
     if k == 0:
         return (_record_from_ints(q, [1], "e_0", KIND_UNIT_SUM, None, "general-case"),)
-    pm = p**instance.effective_m
-    table = _sigma_table(instance, pm, modulus_skip, generator_skip)
-    return _records_from_table(instance, pm, table, "general-case")
+    return _records_from_table(instance, *_root_table(instance, modulus_skip, generator_skip))
 
 
 def second_type_idempotent(
@@ -238,13 +244,7 @@ def second_type_idempotent(
     pm = instance.p**instance.effective_m
     if not 0 < j < pm:
         raise UsageError(f"index must lie in (0, {pm})")
-    if instance.t == 1:
-        g = primitive_element(get_prime_field(q), generator_skip)
-        table = _power_table(q, pow(g.coeffs[0], (q - 1) // pm, q), pm)
-        method = "split-case"
-    else:
-        table = _sigma_table(instance, pm, modulus_skip, generator_skip)
-        method = "general-case"
+    table, method = _root_table(instance, modulus_skip, generator_skip)
     inv_n = pow(n % q, -1, q)
     ints = [(inv_n * table[(-j * l) % pm]) % q for l in range(n)]
     return _record_from_ints(q, ints, f"e_j:{j}", KIND_SECOND, (j,), method)

@@ -382,12 +382,14 @@ def element_by_index(field, index: int) -> FieldElement:
     return field.element(digits)
 
 
+@functools.lru_cache(maxsize=None)
 def primitive_element(
     field, skip: int = 0, *, order_budget_bits: int = DEFAULT_ORDER_BUDGET_BITS
 ) -> FieldElement:
     """First element (in canonical enumeration order) of multiplicative
     order q^t - 1; `skip` asks for a later one.  Requires factoring
-    q^t - 1, guarded by the order budget."""
+    q^t - 1, guarded by the order budget.  For t > 1 the walk starts at
+    index q: the constants before it have orders dividing q - 1."""
     n = field.order - 1
     if n.bit_length() > order_budget_bits:
         raise BudgetExceededError(
@@ -397,7 +399,7 @@ def primitive_element(
     prime_divisors = list(factor_integer(n)) if n > 1 else []
     one = field.one()
     remaining = skip
-    for index in range(1, field.order):
+    for index in range(1 if field.degree == 1 else field.q, field.order):
         g = element_by_index(field, index)
         if all(g ** (n // r) != one for r in prime_divisors):
             if remaining == 0:

@@ -91,9 +91,13 @@ def instance_parameters(
         raise UsageError("q and p must be distinct primes")
     if k < 0:
         raise UsageError("k must be >= 0")
-    n = p**k
+    n = 1
+    for _ in range(k):  # stop once past the cap: p^k itself may be huge
+        if n > max_n:
+            break
+        n *= p
     if n > max_n:
-        raise UsageError(f"n = {p}^{k} = {n} exceeds the cap {max_n}")
+        raise UsageError(f"n = {p}^{k} exceeds the cap {max_n}")
     t = 1 if k == 0 else multiplicative_order(q, p)
     if t > 1 and (q**t - 1).bit_length() > power_budget_bits:
         raise UsageError(
@@ -179,7 +183,9 @@ def _nth_root_of_unity(field, n: int, p: int):
         raise InvariantViolation("field does not contain the requested roots")
     exp = group // n
     one = field.one()
-    for index in range(2, min(field.order, 1 << 20)):
+    # a constant has order dividing q - 1, so it can serve only if n | q - 1
+    start = 2 if (field.q - 1) % n == 0 else field.q
+    for index in range(start, min(field.order, start + (1 << 20))):
         zeta = element_by_index(field, index) ** exp
         if zeta != one and zeta ** (n // p) != one:
             return zeta
@@ -215,11 +221,12 @@ def _factor_cached(instance: ProblemInstance):
             orbit.append((orbit[-1] * q) % pm)
         key = min(orbit)
         if key not in minpolys:
-            prod = Poly.one(field)
+            zero, prod = field.zero(), [field.one()]  # ascending, in F_{q^T}
             for i in orbit:
-                prod = prod * Poly(field, (-(zeta**i), field.one()))
+                root = zeta**i
+                prod = [a - root * b for a, b in zip([zero] + prod, prod + [zero])]
             try:
-                ints = [c.as_int() for c in prod.coeffs]
+                ints = [c.as_int() for c in prod]
             except UsageError as exc:
                 raise InvariantViolation(f"minimal polynomial left the base field: {exc}") from exc
             minpolys[key] = Poly.from_ints(base, ints)
@@ -232,7 +239,7 @@ def _factor_cached(instance: ProblemInstance):
             f = minpoly(coset.rep // p ** (k - m_eff))
         else:
             f = inflate(minpoly(coset.rep // p ** (k - s)), p ** (s - m_eff))
-        if f.degree != coset.size or f.lead != base.one():
+        if f.degree != coset.size or f.lead != 1:
             raise InvariantViolation(
                 f"factor for coset {coset.rep} is not monic of degree {coset.size}"
             )

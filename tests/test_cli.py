@@ -124,9 +124,12 @@ def test_verify_document_from_file(capsys, tmp_path):
 
 
 def test_verify_rejects_garbage_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
-    code, _, err = run_cli(capsys, "verify", "--in", "-")
-    assert code == 1
+    # also an int past Python's digit limit and nesting past the recursion limit
+    for text in ("not json", '{"q": 1' + "0" * 5000 + "}", "[" * 100000):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_cli(capsys, "verify", "--in", "-")
+        assert code == 1
+        assert err.startswith("error: input is not valid JSON")
 
 
 def test_verify_q_equals_p_exits_1(capsys):
@@ -263,6 +266,46 @@ def test_verify_large_q_within_int64_bound(capsys):
     )
     assert code == 0
     assert "overall: pass" in out
+
+
+def test_large_q_extension_field_runs_to_the_float64_bound(capsys):
+    # q > 2^20 with t = 2: F_{q^2} arithmetic is exact while 2*(q-1)^2 < 2^52
+    for k in ("1", "2"):
+        code, out, _ = run_cli(capsys, "gen", "--q", "1048583", "--p", "3", "--k", k, "--verify")
+        assert code == 0, k
+        assert "overall: pass" in out
+        code, out, _ = run_cli(
+            capsys, "verify", "--q", "1048583", "--p", "3", "--k", k, "--against", "euclid"
+        )
+        assert code == 0, k
+        assert "overall: pass" in out
+    code, _, err = run_cli(capsys, "gen", "--q", "1000000007", "--p", "3", "--k", "1")
+    assert code == 1
+    assert "deg*(q-1)^2 < 2^52" in err
+
+
+def test_huge_k_is_rejected_without_building_p_to_the_k(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "10000")
+    assert code == 1
+    assert err == "error: n = 3^10000 exceeds the cap 10000\n"
+    _, out, _ = run_cli(capsys, "gen", "--q", "2", "--p", "3", "--k", "1", "--format", "json")
+    doc = json.loads(out)
+    doc["k"] = 10000
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, _, err = run_cli(capsys, "verify", "--in", "-")
+    assert code == 1
+    assert "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("value", [7.9, "7"], ids=["float", "string"])
+def test_verify_rejects_non_integer_instance_fields(capsys, monkeypatch, value):
+    _, out, _ = run_cli(capsys, "gen", "--q", "7", "--p", "3", "--k", "1", "--format", "json")
+    doc = json.loads(out)
+    doc["q"] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "verify", "--in", "-")
+    assert code == 1 and out == ""
+    assert "'q', 'p' and 'k' must be integers" in err
 
 
 def _float_coeffs(entry):

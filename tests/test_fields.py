@@ -113,6 +113,27 @@ def test_primitive_element_examples(f7, f8):
     assert primitive_element(f8) == f8.gen()
 
 
+def test_primitive_element_matches_walk_over_all_elements():
+    # the walk starts past the constants of F_{q^t}; a walk over every
+    # nonzero element, counting multiplicative orders, finds the same ones
+    for q, t in [(2, 2), (3, 2), (5, 2), (2, 4), (3, 3), (7, 2)]:
+        field = get_extension_field(q, t)
+        one = field.one()
+
+        def order(g):
+            e, acc = 1, g
+            while acc != one:
+                acc, e = acc * g, e + 1
+            return e
+
+        walk = [
+            g
+            for g in (element_by_index(field, i) for i in range(1, field.order))
+            if order(g) == field.order - 1
+        ][:3]
+        assert [primitive_element(field, s) for s in range(len(walk))] == walk
+
+
 def test_primitive_element_skip_differs(f8):
     g0 = primitive_element(f8)
     g1 = primitive_element(f8, skip=1)

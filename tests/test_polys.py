@@ -8,12 +8,13 @@ from idemforge import (
     CyclicRingElement,
     Poly,
     UsageError,
-    coefficient_map,
+    all_idempotents_euclid,
     cyclotomic_poly,
     extended_gcd,
     get_extension_field,
     get_prime_field,
     inflate,
+    instance_parameters,
     root_of_unity,
     trace_sigma1,
 )
@@ -185,29 +186,36 @@ def test_reduce_wraps_xn(f7):
 
 
 def test_coefficient_map_identity(f7):
+    # coefficients are ints in [0, q): they round-trip, and others are reduced
     a = CyclicRingElement.from_ints(f7, [1, 2, 3])
-    assert coefficient_map(a, lambda c: c) == a
+    assert a.int_coeffs() == (1, 2, 3)
+    assert CyclicRingElement.from_ints(f7, a.int_coeffs()) == a
+    assert CyclicRingElement.from_ints(f7, [8, -5, 10]) == a
+    p = Poly.from_ints(f7, [-1, 14, 7 * 10**30 + 3, 0, 7])
+    assert p.int_coeffs() == (6, 0, 3)
+    assert Poly.from_ints(f7, p.int_coeffs()) == p
 
 
 def test_coefficient_map_trace_recovers_real_idempotent():
-    # the DFT character over F_8 maps down to 1 + x + x^2 + x^4 over F_2
+    # the trace of the DFT character over F_8 is 1 + x + x^2 + x^4 over F_2,
+    # a member of the (2, 7, 1) system
     f8 = get_extension_field(2, 3)
     zeta = root_of_unity(f8, 7)
-    coeffs = [zeta ** ((-l) % 7) for l in range(7)]
-    e = CyclicRingElement(f8, 7, coeffs)
-    mapped = coefficient_map(e, trace_sigma1)
-    f2 = get_prime_field(2)
-    assert mapped == CyclicRingElement.from_ints(f2, [1, 1, 1, 0, 1, 0, 0])
+    traced = [trace_sigma1(zeta ** ((-l) % 7)).as_int() for l in range(7)]
+    assert traced == [1, 1, 1, 0, 1, 0, 0]
+    expected = CyclicRingElement.from_ints(get_prime_field(2), traced)
+    records = all_idempotents_euclid(instance_parameters(2, 7, 1))
+    assert any(r.value == expected for r in records)
 
 
 def test_generic_arithmetic_over_extension_field():
+    # Poly and CyclicRingElement are over F_q only
     f4 = get_extension_field(2, 2)
-    y = f4.gen()
-    a = Poly(f4, (y, f4.one()))  # x + y
-    b = Poly(f4, (y * y, f4.one()))  # x + y^2
-    prod = a * b
-    quot, rem = prod.divrem(a)
-    assert quot == b and rem.is_zero()
-    g, u, v = extended_gcd(a, b)
-    assert u * a + v * b == g
-    assert g == Poly.one(f4)  # distinct linear factors are coprime
+    with pytest.raises(UsageError):
+        Poly.from_ints(f4, [1, 1])
+    with pytest.raises(UsageError):
+        Poly.one(f4)
+    with pytest.raises(UsageError):
+        CyclicRingElement.from_ints(f4, [1, 0, 1])
+    with pytest.raises(UsageError):
+        CyclicRingElement.identity(f4, 3)
