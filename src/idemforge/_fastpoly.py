@@ -262,6 +262,10 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
             raise UsageError(f"fewer than {skip + 1} monic irreducibles of degree 1 over F_{q}")
         return (skip, 1)
     digits = [0] * t
+    if any((q - 1) % r for r in _small_prime_factors(t)) or (t % 4 == 0 and q % 4 == 3):
+        # no binomial y^t + c is irreducible (Lidl-Niederreiter, Thm 3.75),
+        # so start past them, at y^t + y
+        digits[1] = 1
     points = np.arange(1, q, dtype=np.int64) if q <= 4096 else None
     prefilter_bound = 8 if t > 17 else 0
     remaining = skip
@@ -297,26 +301,26 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
             raise InvariantViolation("exhausted candidates without finding an irreducible")
 
 
-def residue_matrix(mod_vec, n: int, q: int) -> np.ndarray:
-    """Rows x^i mod M for i < n, so reducing a length-n coefficient vector v
-    modulo M is the single product v @ matrix (entries < q keep the int64
-    accumulation exact for n * (q-1)^2 < 2^63)."""
-    mod = trim(as_vec(mod_vec)) % q
-    deg = mod.size - 1
-    if deg < 1 or int(mod[-1]) != 1:
-        raise UsageError("modulus must be monic of degree >= 1")
-    xd = (-mod[:deg]) % q  # x^deg mod M
-    rows = np.zeros((n, deg), dtype=np.int64)
-    cur = np.zeros(deg, dtype=np.int64)
-    cur[0] = 1
+def residue_matrix(mods, n: int, q: int) -> np.ndarray:
+    """Table T[i, j] = x^i mod M_j for i < n, over a stack of monic moduli
+    of one degree d (`mods` is m x (d+1), ascending), built in one walk of
+    n steps.  Reducing a length-n coefficient vector v modulo every M_j is
+    the single product v @ T.reshape(n, m*d) (entries < q keep the int64
+    accumulation exact for n * (q-1)^2 < 2^63).  Shape (n, m, d)."""
+    mods = as_vec(mods) % q
+    if mods.ndim != 2 or mods.shape[1] < 2 or (mods[:, -1] != 1).any():
+        raise UsageError("moduli must be monic of one degree >= 1")
+    m, deg = mods.shape[0], mods.shape[1] - 1
+    xd = (-mods[:, :deg]) % q  # x^deg mod M_j
+    table = np.zeros((n, m, deg), dtype=np.int64)
+    cur = np.zeros((m, deg), dtype=np.int64)
+    cur[:, 0] = 1
     for i in range(n):
-        rows[i] = cur
-        lead = int(cur[-1])
-        shifted = np.concatenate(([0], cur[:-1]))
-        if lead:
-            shifted = (shifted + lead * xd) % q
-        cur = shifted
-    return rows
+        table[i] = cur
+        shifted = np.zeros_like(cur)
+        shifted[:, 1:] = cur[:, :-1]
+        cur = (shifted + cur[:, -1:] * xd) % q
+    return table
 
 
 # --- pure-int helpers (ascending coefficient lists) -------------------------

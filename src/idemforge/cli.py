@@ -1,7 +1,8 @@
 """Command-line surface: generate, verify, inspect factors/parameters, and
 export minimal-code summaries, with stable text and JSON formats.
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure.
+Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 internal
+invariant violated (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 1
+        return 3
     except IdemforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

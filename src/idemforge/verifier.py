@@ -1,5 +1,6 @@
-"""Independent validation of a claimed idempotent system: algebraic
-identities, primitivity through the factor correspondence, and set equality
+"""Independent validation of a claimed idempotent system: idempotency and
+completeness on the coefficients, orthogonality and primitivity through the
+residues modulo the irreducible factors of x^n - 1, and set equality
 against the Euclid oracle.  Reports name the first counterexample so
 regressions stay debuggable."""
 
@@ -7,10 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import _fastpoly as fp
 from .engine import IdempotentRecord, all_idempotents_euclid
 from .errors import UsageError
 from .polys import CyclicRingElement
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
+
+# Cap on the int64 entries of one residue table (32 MB).
+TABLE_ENTRIES = 1 << 22
 
 
 def _element(item) -> CyclicRingElement:
@@ -64,18 +71,61 @@ def check_idempotency(e) -> bool:
     return v * v == v
 
 
-def check_orthogonality(records) -> bool:
-    """e_i * e_j = 0 for every pair i != j."""
-    return _orthogonality_detail(records)[0]
+def check_orthogonality(records, instance: ProblemInstance) -> bool:
+    """e_i * e_j = 0 for every pair i != j, read from the residues modulo
+    the irreducible factors of x^n - 1."""
+    return _orthogonality_detail(_nonzero_pattern(_residues(records, instance)))[0]
 
 
-def _orthogonality_detail(records):
+def _residues(records, instance: ProblemInstance):
+    """(f, R_f) for every irreducible factor f of x^n - 1, in
+    `factor_xn_minus_1` order, where row i of R_f is record i mod f.
+
+    The factorization is certified, so e -> (e mod f)_f is a ring
+    isomorphism onto a product of fields: a product of records is zero iff
+    no factor sees a nonzero residue in both.  Factors of one degree are
+    reduced together, one table walk per distinct degree, in slices of at
+    most TABLE_ENTRIES table entries unless one factor alone needs more."""
+    q, n = instance.q, instance.n
     values = [_element(r) for r in records]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if not (values[i] * values[j]).is_zero():
-                return False, f"records {i} and {j} have a nonzero product"
-    return True, None
+    if any(v.n != n for v in values):
+        raise UsageError(f"every record must have n={n} coefficients")
+    fp.check_int64_exact(n, q)  # matrix @ table sums n products per entry
+    matrix = np.array([v.int_coeffs() for v in values], dtype=np.int64).reshape(len(values), n)
+    factors = [f for _, f in factor_xn_minus_1(instance)]
+    by_degree: dict[int, list[int]] = {}
+    for index, f in enumerate(factors):
+        by_degree.setdefault(f.degree, []).append(index)
+    out = [None] * len(factors)
+    for degree, indices in by_degree.items():
+        step = max(1, TABLE_ENTRIES // (n * degree))
+        for start in range(0, len(indices), step):
+            chunk = indices[start : start + step]
+            table = fp.residue_matrix([factors[i].int_coeffs() for i in chunk], n, q)
+            stacked = (matrix @ table.reshape(n, -1)) % q
+            del table  # freed before the next walk allocates another
+            stacked = stacked.reshape(len(values), len(chunk), degree)
+            for pos, i in enumerate(chunk):
+                out[i] = (factors[i], stacked[:, pos])
+    return out
+
+
+def _nonzero_pattern(residues) -> np.ndarray:
+    """N[i, j]: record i has a nonzero residue modulo factor j."""
+    return np.stack([block.any(axis=1) for _, block in residues], axis=1)
+
+
+def _orthogonality_detail(pattern: np.ndarray):
+    """The first pair i < j with (N @ N.T)[i, j] > 0, found from the
+    factors that see more than one nonzero record, without the r x r
+    product."""
+    shared = pattern[:, pattern.sum(axis=0) > 1]
+    rows = np.flatnonzero(shared.any(axis=1))
+    if not rows.size:
+        return True, None
+    i = int(rows[0])
+    j = i + 1 + int(np.flatnonzero(shared[i + 1 :] @ shared[i])[0])
+    return False, f"records {i} and {j} have a nonzero product"
 
 
 def check_completeness(records) -> bool:
@@ -102,26 +152,17 @@ def _completeness_detail(records):
 def check_primitivity(records, instance: ProblemInstance) -> bool:
     """Cardinality equals the number of irreducible factors of x^n - 1 and
     each record is = 1 modulo exactly one factor and = 0 modulo the rest."""
-    return _primitivity_detail(records, instance)[0]
+    return _primitivity_detail(_residues(records, instance))[0]
 
 
-def _primitivity_detail(records, instance: ProblemInstance):
-    factors = factor_xn_minus_1(instance)
-    if len(records) != len(factors):
-        return False, f"{len(records)} records but {len(factors)} irreducible factors"
-    import numpy as np
-
-    from . import _fastpoly as fp
-
-    q, n = instance.q, instance.n
-    fp.check_int64_exact(n, q)  # values @ reducer sums n products per entry
-    values = np.array([_element(r).int_coeffs() for r in records], dtype=np.int64)
-    one_count = np.zeros(len(records), dtype=np.int64)
-    for _, f in factors:
-        reducer = fp.residue_matrix(fp.as_vec(f.int_coeffs()), n, q)
-        residues = (values @ reducer) % q
-        is_one = (residues[:, 0] == 1) & ~residues[:, 1:].any(axis=1)
-        is_zero = ~residues.any(axis=1)
+def _primitivity_detail(residues):
+    count = residues[0][1].shape[0]
+    if count != len(residues):
+        return False, f"{count} records but {len(residues)} irreducible factors"
+    one_count = np.zeros(count, dtype=np.int64)
+    for f, block in residues:
+        is_one = (block[:, 0] == 1) & ~block[:, 1:].any(axis=1)
+        is_zero = ~block.any(axis=1)
         mixed = np.nonzero(~is_one & ~is_zero)[0]
         if mixed.size:
             return (
@@ -148,7 +189,10 @@ def verify_system(
     with_primitivity: bool = True,
     against_oracle: bool = False,
 ) -> VerificationReport:
-    """Run the full battery on a claimed idempotent system."""
+    """Run the full battery on a claimed idempotent system.  Nonzero,
+    idempotency and completeness are computed on the coefficients;
+    orthogonality and primitivity are read from one pass of residues
+    modulo the certified factorization of x^n - 1."""
     checks: list[CheckResult] = []
 
     zero_idx = [i for i, r in enumerate(records) if _element(r).is_zero()]
@@ -169,7 +213,8 @@ def verify_system(
         )
     )
 
-    ok, detail = _orthogonality_detail(records)
+    residues = _residues(records, instance)
+    ok, detail = _orthogonality_detail(_nonzero_pattern(residues))
     checks.append(CheckResult("orthogonality", ok, detail))
 
     ok, detail = _completeness_detail(records)
@@ -187,7 +232,7 @@ def verify_system(
     )
 
     if with_primitivity:
-        ok, detail = _primitivity_detail(records, instance)
+        ok, detail = _primitivity_detail(residues)
         checks.append(CheckResult("primitivity", ok, detail))
 
     if against_oracle:

@@ -284,6 +284,25 @@ def test_large_q_extension_field_runs_to_the_float64_bound(capsys):
     assert "deg*(q-1)^2 < 2^52" in err
 
 
+@pytest.mark.parametrize("p", ["5", "7"])  # t = 4 and t = 3, no irreducible binomial
+def test_large_q_finds_extension_modulus_past_the_binomials(capsys, p):
+    code, out, _ = run_cli(capsys, "gen", "--q", "1048583", "--p", p, "--k", "1", "--verify")
+    assert code == 0
+    assert "overall: pass" in out
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    from idemforge import InvariantViolation
+
+    def broken(instance):
+        raise InvariantViolation("factor product does not reconstruct x^n - 1")
+
+    monkeypatch.setattr("idemforge.cli.factor_xn_minus_1", broken)
+    code, _, err = run_cli(capsys, "factors", "--q", "2", "--p", "7", "--k", "1")
+    assert code == 3
+    assert err.startswith("internal invariant violated")
+
+
 def test_huge_k_is_rejected_without_building_p_to_the_k(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "10000")
     assert code == 1

@@ -77,6 +77,21 @@ def test_find_irreducible_degree_one_is_y():
     assert find_irreducible(11, 1).int_coeffs() == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "q, t",
+    [(4099, 4), (4127, 3)],  # q = 3 (mod 4), and q = 2 (mod 3): no binomial is irreducible
+)
+def test_find_irreducible_skips_binomials_above_the_prefilter(q, t):
+    from idemforge._fastpoly import is_irreducible, lex_irreducible
+
+    assert q > 4096  # the root-free prefilter is off here
+    assert not any(is_irreducible(q, [c] + [0] * (t - 1) + [1]) for c in range(q))
+    first = next(
+        c for c in range(q) if is_irreducible(q, [c, 1] + [0] * (t - 2) + [1])
+    )
+    assert lex_irreducible(q, t) == (first, 1) + (0,) * (t - 2) + (1,)
+
+
 def _powmod(base, e, mod):
     acc_field = base.field
     from idemforge.polys import Poly

@@ -57,15 +57,15 @@ def test_unit_sum_idempotent_over_f2():
 
 
 def test_orthogonality_and_completeness(golden):
-    _, recs = golden
-    assert check_orthogonality(recs)
+    inst, recs = golden
+    assert check_orthogonality(recs, inst)
     assert check_completeness(recs)
 
 
 def test_singleton_identity_system():
     inst = instance_parameters(5, 3, 0)
     recs = dispatch(inst)
-    assert check_orthogonality(recs)  # vacuous
+    assert check_orthogonality(recs, inst)  # vacuous
     assert check_completeness(recs)
     assert check_primitivity(recs, inst)
 
@@ -150,3 +150,91 @@ def test_int64_bound_rejects_large_q():
     inst = instance_parameters(2147483647, 3, 2)
     with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
         verify_system(dispatch(inst), inst, with_primitivity=False)
+
+
+def test_records_of_another_length_are_rejected():
+    inst = instance_parameters(7, 3, 2)
+    recs = dispatch(instance_parameters(7, 3, 1))
+    with pytest.raises(UsageError, match="n=9 coefficients"):
+        check_orthogonality(recs, inst)
+
+
+def _cyclic_product(a, b, q):
+    """Reference product in F_q[x]/(x^n - 1), pure Python."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % n] = (out[(i + j) % n] + x * y) % q
+    return out
+
+
+def _first_nonorthogonal_pair(values, q):
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if any(_cyclic_product(values[i], values[j], q)):
+                return i, j
+    return None
+
+
+def _tampered_systems(recs, q):
+    field = get_prime_field(q)
+    coeffs = [list(r.value.int_coeffs()) for r in recs]
+    last = len(recs) - 1
+
+    def with_value(index, ints):
+        out = list(recs)
+        out[index] = _replace_value(recs[index], CyclicRingElement.from_ints(field, ints))
+        return out
+
+    def flip(i):
+        out = list(coeffs[1])
+        out[i] = (out[i] + 1) % q
+        return out
+
+    # the first single-coefficient change that leaves record 1 non-idempotent
+    flipped = next(
+        flip(i)
+        for i in range(len(coeffs[1]))
+        if not check_idempotency(CyclicRingElement.from_ints(field, flip(i)))
+    )
+    return {
+        "sum": with_value(1, [(a + b) % q for a, b in zip(coeffs[1], coeffs[last])]),
+        "duplicate": with_value(last, coeffs[0]),
+        "flipped": with_value(1, flipped),
+        "zero": with_value(0, [0] * len(coeffs[0])),
+    }
+
+
+@pytest.mark.parametrize("q, p, k", [(2, 7, 1), (7, 3, 2), (13, 3, 3), (17, 13, 2)])
+def test_orthogonality_matches_pairwise_products(q, p, k):
+    inst = instance_parameters(q, p, k)
+    recs = dispatch(inst)
+    systems = {"untouched": list(recs), **_tampered_systems(recs, q)}
+    for name, system in systems.items():
+        pair = _first_nonorthogonal_pair([list(r.value.int_coeffs()) for r in system], q)
+        report = verify_system(system, inst)
+        check = next(c for c in report.checks if c.name == "orthogonality")
+        assert check.passed == (pair is None), name
+        if pair is not None:
+            assert check.detail == f"records {pair[0]} and {pair[1]} have a nonzero product", name
+        assert check_orthogonality(system, inst) == (pair is None), name
+
+
+def test_verify_makes_no_pairwise_products(monkeypatch):
+    # orthogonality comes from residues: only the r idempotency squares (and
+    # at most one more product) may go through the cyclic multiplication
+    inst = instance_parameters(251, 5, 3)
+    recs = dispatch(inst)
+    assert len(recs) == 125
+    calls = []
+    multiply = CyclicRingElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(CyclicRingElement, "__mul__", counted)
+    assert verify_system(recs, inst).passed
+    assert len(calls) <= len(recs) + 1
