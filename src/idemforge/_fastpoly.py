@@ -2,7 +2,8 @@
 
 Coefficient vectors are int64 numpy arrays, ascending exponents, values
 reduced into [0, q).  The zero polynomial is the empty array.  These
-routines back the hot paths (extension-field arithmetic, irreducibility
+routines are the one implementation of polynomial arithmetic over F_q
+(products, division, gcds, extension-field arithmetic, irreducibility
 scans, residues modulo the factors of x^n - 1); the classes in `fields`
 and `polys` wrap them.
 
@@ -115,16 +116,7 @@ class ReducedRing:
         self.deg = deg
         self.mod = mod
         self._xd = (-mod[:deg]) % q  # x^deg mod M
-        rows = np.zeros((max(deg - 1, 0), deg), dtype=np.int64)
-        cur = self._xd
-        for i in range(deg - 1):
-            rows[i] = cur
-            shifted = np.concatenate(([0], cur[:-1]))
-            c = int(cur[-1])
-            if c:
-                shifted = (shifted + c * self._xd) % q
-            cur = shifted
-        self._tbl_f = rows.astype(np.float64)
+        self._tbl_f = residue_matrix(mod[None], 2 * deg - 1, q)[deg:, 0].astype(np.float64)
 
     def one(self) -> np.ndarray:
         v = np.zeros(self.deg, dtype=np.int64)
@@ -321,71 +313,3 @@ def residue_matrix(mods, n: int, q: int) -> np.ndarray:
         shifted[:, 1:] = cur[:, :-1]
         cur = (shifted + cur[:, -1:] * xd) % q
     return table
-
-
-# --- pure-int helpers (ascending coefficient lists) -------------------------
-
-
-def ints_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def ints_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return ints_trim(out)
-
-
-def ints_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q
-    return ints_trim(out)
-
-
-def ints_divmod(a: list[int], b: list[int], q: int):
-    b = ints_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = ints_trim([c % q for c in a])
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], rem
-    inv_lead = pow(b[-1], -1, q)
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            f = (c * inv_lead) % q
-            quot[i - db] = f
-            for j in range(db + 1):
-                rem[i - db + j] = (rem[i - db + j] - f * b[j]) % q
-    return ints_trim(quot), ints_trim(rem[:db])
-
-
-def ints_xgcd(a: list[int], b: list[int], q: int):
-    """Extended Euclid over F_q[x]: returns (g, u, v), g monic, u*a + v*b = g."""
-    r0, r1 = ints_trim([c % q for c in a]), ints_trim([c % q for c in b])
-    if not r0 and not r1:
-        raise UsageError("extended gcd of two zero polynomials")
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        quot, r2 = ints_divmod(r0, r1, q)
-        r0, r1 = r1, r2
-        u0, u1 = u1, ints_sub(u0, ints_mul(quot, u1, q), q)
-        v0, v1 = v1, ints_sub(v0, ints_mul(quot, v1, q), q)
-    scale = pow(r0[-1], -1, q)
-    if scale != 1:
-        r0 = [(c * scale) % q for c in r0]
-        u0 = [(c * scale) % q for c in u0]
-        v0 = [(c * scale) % q for c in v0]
-    return r0, u0, v0

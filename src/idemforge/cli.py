@@ -335,12 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse: --help or a bad flag
+            return 0 if exc.code in (0, None) else 1
         return args.func(args)
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

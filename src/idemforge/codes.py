@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import IdempotentRecord
+from .engine import IdempotentRecord, _element
 from .errors import BudgetExceededError, UsageError
-from .polys import CyclicRingElement, Poly
+from .polys import Poly
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
@@ -26,14 +26,6 @@ class CyclicCodeSummary:
         if self.min_distance is None:
             return f"[{self.n},{self.dimension}]"
         return f"[{self.n},{self.dimension},{self.min_distance}]"
-
-
-def _element(e) -> CyclicRingElement:
-    if isinstance(e, IdempotentRecord):
-        return e.value
-    if isinstance(e, CyclicRingElement):
-        return e
-    raise UsageError("expected an IdempotentRecord or CyclicRingElement")
 
 
 def generator_polynomial(e, n: int) -> Poly:

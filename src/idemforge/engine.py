@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import get_extension_field, get_prime_field, primitive_element
-from .polys import CyclicRingElement, Poly, extended_gcd
+from .polys import CyclicRingElement, Poly
 from .structure import (
     ProblemInstance,
     cyclotomic_cosets,
@@ -49,6 +49,14 @@ class IdempotentRecord:
 
     def key(self):
         return self.value.key()
+
+
+def _element(item) -> CyclicRingElement:
+    if isinstance(item, IdempotentRecord):
+        return item.value
+    if isinstance(item, CyclicRingElement):
+        return item
+    raise UsageError("expected an IdempotentRecord or CyclicRingElement")
 
 
 def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[int]:
@@ -87,23 +95,25 @@ def _record_from_ints(q: int, ints, label: str, kind: str, params, method: str) 
 def euclid_idempotent(
     f: Poly, n: int, q: int, *, label: str | None = None, params=None
 ) -> IdempotentRecord:
-    """Idempotent attached to one monic irreducible factor f of x^n - 1:
-    e = P*h with P = (x^n-1)/f and h the inverse of P modulo f, found by the
-    extended Euclidean algorithm.  Then e = 1 mod f and e = 0 modulo every
-    other irreducible factor."""
+    """Idempotent attached to one monic factor f of x^n - 1 (q not dividing
+    n): e = P*h with P = (x^n-1)/f and h the inverse of P modulo f, of
+    degree < deg f.  Differentiating x^n - 1 = P*f gives P*(x*f') = n
+    (mod f), so h = (x*f' - d*f)/n with d = deg f, and no gcd is needed.
+    Then e = 1 mod f and e = 0 modulo every other irreducible factor."""
     field = get_prime_field(q)
     if f.field != field:
         raise UsageError("factor polynomial must live over F_q")
     if f.is_zero() or f.lead != 1:
         raise UsageError("factor must be monic")
     xn1 = Poly.x_pow_minus_one(field, n)
-    quotient, rem = xn1.divrem(f)
+    if n % q == 0:
+        raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
+    cofactor, rem = xn1.divrem(f)
     if not rem.is_zero():
         raise UsageError(f"{f!r} does not divide x^{n} - 1")
-    g, u, _ = extended_gcd(quotient % f, f)
-    if g.degree != 0:
-        raise InvariantViolation("cofactor and factor are not coprime")
-    e = CyclicRingElement.from_poly(quotient * u, n)
+    d, inv_n = f.degree, pow(n, -1, q)
+    h = Poly(field, [(i - d) * c * inv_n for i, c in enumerate(f.coeffs[:d])])
+    e = CyclicRingElement.from_poly(cofactor * h, n)
     if e * e != e:
         raise InvariantViolation("Euclid construction produced a non-idempotent")
     if label is None:

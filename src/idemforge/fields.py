@@ -18,7 +18,7 @@ import functools
 
 from . import _fastpoly as fp
 from .errors import BudgetExceededError, InvariantViolation, UsageError
-from .polys import Poly
+from .polys import Poly, extended_gcd
 
 #: Default bit-size guard on q^t - 1 for operations that must factor it.
 DEFAULT_ORDER_BUDGET_BITS = 96
@@ -320,12 +320,10 @@ class ExtensionField:
         return tuple(int(v) for v in self._ring.mul(fp.as_vec(a), fp.as_vec(b)))
 
     def _inv(self, a):
-        g, u, _ = fp.ints_xgcd(list(a), list(self._mod_ints), self.q)
-        if len(g) != 1:
+        g, u, _ = extended_gcd(Poly(self.base, a), self.modulus)
+        if g.degree != 0:
             raise InvariantViolation("modulus shares a factor with a nonzero element")
-        scaled = fp.ints_mul(u, [pow(g[0], -1, self.q)], self.q)
-        scaled.extend([0] * (self.t - len(scaled)))
-        return tuple(scaled)
+        return u.coeffs + (0,) * (self.t - len(u.coeffs))  # g = 1, so u = 1/a
 
     def _pow(self, a, e):
         if self.t == 1:

@@ -4,7 +4,7 @@ quotient ring F_q[x]/(x^n - 1).
 Coefficients are Python ints in [0, q), stored ascending (index = exponent)
 with the leading coefficient nonzero; the zero polynomial is the empty tuple
 and its degree is the distinguished NEG_INFINITY marker.  Products,
-divisions and gcds run through the int kernels in `_fastpoly`.  Extension
+divisions and gcds run through the numpy kernels in `_fastpoly`.  Extension
 fields are rejected: `fields` does its own arithmetic in F_{q^t}.
 """
 
@@ -174,8 +174,18 @@ def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """
     _same_field(a, b)
     field = a.field
-    g, u, v = fp.ints_xgcd(list(a.coeffs), list(b.coeffs), field.q)
-    return Poly(field, g), Poly(field, u), Poly(field, v)
+    if a.is_zero() and b.is_zero():
+        raise UsageError("extended gcd of two zero polynomials")
+    r0, r1 = a, b
+    u0, u1 = Poly.one(field), Poly.zero(field)
+    v0, v1 = Poly.zero(field), Poly.one(field)
+    while not r1.is_zero():
+        quot, rem = r0.divrem(r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, u0 - quot * u1
+        v0, v1 = v1, v0 - quot * v1
+    scale = Poly(field, (pow(r0.lead, -1, field.q),))
+    return r0 * scale, u0 * scale, v0 * scale
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,21 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fastpoly as fp
-from .engine import IdempotentRecord, all_idempotents_euclid
+from .engine import _element, all_idempotents_euclid
 from .errors import UsageError
 from .polys import CyclicRingElement
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
 
 # Cap on the int64 entries of one residue table (32 MB).
 TABLE_ENTRIES = 1 << 22
-
-
-def _element(item) -> CyclicRingElement:
-    if isinstance(item, IdempotentRecord):
-        return item.value
-    if isinstance(item, CyclicRingElement):
-        return item
-    raise UsageError("expected an IdempotentRecord or CyclicRingElement")
 
 
 @dataclass(frozen=True)

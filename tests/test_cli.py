@@ -180,6 +180,14 @@ def test_env_override_max_n(capsys, monkeypatch):
     assert code == 0
 
 
+def test_env_max_n_not_an_integer_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("IDEMFORGE_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: environment variable IDEMFORGE_MAX_N must be an integer\n"
+
+
 def test_env_override_max_splitting_degree(capsys, monkeypatch):
     # the splitting-degree cap is gone and its environment variable is ignored
     monkeypatch.setenv("IDEMFORGE_MAX_SPLITTING_DEGREE", "2")

@@ -11,6 +11,7 @@ from idemforge import (
     check_idempotency,
     dispatch,
     euclid_idempotent,
+    extended_gcd,
     factor_xn_minus_1,
     fully_split_idempotents,
     general_case_idempotents,
@@ -65,6 +66,43 @@ def test_euclid_requires_a_divisor():
     f7 = get_prime_field(7)
     with pytest.raises(UsageError):
         euclid_idempotent(Poly.from_ints(f7, [1, 1]), 9, 7)  # x+1 does not divide x^9-1
+
+
+def test_euclid_rejects_characteristic_dividing_n():
+    # x^4 - 1 = (x+1)^4 over F_2 is not squarefree
+    f2 = get_prime_field(2)
+    with pytest.raises(UsageError, match="not squarefree"):
+        euclid_idempotent(Poly.from_ints(f2, [1, 1]), 4, 2)
+
+
+def _gcd_reference_idempotent(f, n):
+    """P*u with P = (x^n-1)/f and u the inverse of P mod f by extended Euclid."""
+    cofactor = Poly.x_pow_minus_one(f.field, n) // f
+    g, u, _ = extended_gcd(cofactor % f, f)
+    assert g == Poly.one(f.field)
+    return CyclicRingElement.from_poly(cofactor * u, n)
+
+
+@pytest.mark.parametrize("q,p,k", [(2, 7, 1), (7, 3, 2), (17, 13, 2), (7, 2, 6), (2, 3, 7)])
+def test_euclid_derivative_identity_matches_gcd_reference(q, p, k):
+    inst = instance_parameters(q, p, k)
+    recs = all_idempotents_euclid(inst)
+    factors = factor_xn_minus_1(inst)
+    assert len(recs) == len(factors)
+    for rec, (_, f) in zip(recs, factors):
+        assert rec.value == _gcd_reference_idempotent(f, inst.n)
+
+
+def test_euclid_reducible_divisor_matches_gcd_reference():
+    # (x+1)(x^3+x+1) divides x^7 - 1 over F_2; its idempotent is the sum
+    # of the two primitive ones
+    f2 = get_prime_field(2)
+    f = Poly.from_ints(f2, [1, 1]) * Poly.from_ints(f2, [1, 1, 0, 1])
+    rec = euclid_idempotent(f, 7, 2)
+    assert rec.value == _gcd_reference_idempotent(f, 7)
+    lin = euclid_idempotent(Poly.from_ints(f2, [1, 1]), 7, 2)
+    cub = euclid_idempotent(Poly.from_ints(f2, [1, 1, 0, 1]), 7, 2)
+    assert rec.value == lin.value + cub.value
 
 
 def test_all_euclid_2_7_1():

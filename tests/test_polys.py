@@ -95,6 +95,19 @@ def test_extended_gcd_identical_inputs(f7):
     assert v == Poly.from_ints(f7, [pow(3, -1, 7)])
 
 
+def test_extended_gcd_zero_first_argument(f7):
+    b = Poly.from_ints(f7, [4, 0, 3])  # leading coefficient 3
+    g, u, v = extended_gcd(Poly.zero(f7), b)
+    assert g == b.monic()
+    assert u.is_zero()
+    assert v == Poly.from_ints(f7, [pow(3, -1, 7)])
+
+
+def test_extended_gcd_of_two_zeros_is_rejected(f7):
+    with pytest.raises(UsageError):
+        extended_gcd(Poly.zero(f7), Poly.zero(f7))
+
+
 def test_extended_gcd_bezout_and_degree_bound(f7):
     rng = random.Random(23)
     for _ in range(60):
