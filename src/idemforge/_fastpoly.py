@@ -7,10 +7,9 @@ routines are the one implementation of polynomial arithmetic over F_q
 scans, residues modulo the factors of x^n - 1); the classes in `fields`
 and `polys` wrap them.
 
-Exactness constraints: a sum of `length` products of residues stays exact
-in int64 while length * (q-1)^2 < 2^63 (`check_int64_exact` enforces it
-wherever residues are multiplied in int64).  `ReducedRing` requires
-deg * (q-1)^2 < 2^52 so that its float64 BLAS reductions never round.
+Exactness: a sum of `length` products of residues stays exact in int64
+while length * (q-1)^2 < 2^63, and `check_int64_exact` enforces that rule
+wherever residues are multiplied, extension-field arithmetic included.
 """
 
 from __future__ import annotations
@@ -94,11 +93,11 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 class ReducedRing:
     """Arithmetic in F_q[x] modulo a fixed monic polynomial of degree >= 1.
 
-    Precomputes the reduction table rows x^(deg+i) mod M (i < deg-1) kept
-    in float64 so reductions run as exact BLAS matmuls.
+    Precomputes the reduction table rows x^(deg+i) mod M (i < deg), so a
+    reduction is one int64 matmul.
     """
 
-    __slots__ = ("q", "deg", "mod", "_xd", "_tbl_f")
+    __slots__ = ("q", "deg", "mod", "_tbl")
 
     def __init__(self, q: int, mod_vec) -> None:
         mod = trim(as_vec(mod_vec)) % q
@@ -107,16 +106,11 @@ class ReducedRing:
             raise UsageError("modulus must be monic of degree >= 1")
         if deg > MAX_KERNEL_DEGREE:
             raise UsageError(f"modulus degree {deg} exceeds the kernel limit {MAX_KERNEL_DEGREE}")
-        if deg * (q - 1) ** 2 >= (1 << 52):
-            raise UsageError(
-                f"q={q} is too large for exact float64 reduction in degree {deg}: "
-                f"needs deg*(q-1)^2 < 2^52"
-            )
+        check_int64_exact(deg, q)
         self.q = q
         self.deg = deg
         self.mod = mod
-        self._xd = (-mod[:deg]) % q  # x^deg mod M
-        self._tbl_f = residue_matrix(mod[None], 2 * deg - 1, q)[deg:, 0].astype(np.float64)
+        self._tbl = residue_matrix(mod[None], 2 * deg, q)[deg:, 0]
 
     def one(self) -> np.ndarray:
         v = np.zeros(self.deg, dtype=np.int64)
@@ -124,12 +118,7 @@ class ReducedRing:
         return v
 
     def x(self) -> np.ndarray:
-        v = np.zeros(self.deg, dtype=np.int64)
-        if self.deg > 1:
-            v[1] = 1
-        else:
-            v[0] = int(self._xd[0])  # x reduces to a constant
-        return v
+        return self.reduce(np.array([0, 1], dtype=np.int64))
 
     def reduce(self, c: np.ndarray) -> np.ndarray:
         c = c % self.q
@@ -138,8 +127,9 @@ class ReducedRing:
                 c = np.concatenate((c, np.zeros(self.deg - c.size, dtype=np.int64)))
             return c
         lo, hi = c[: self.deg], c[self.deg :]
-        folded = np.rint(hi.astype(np.float64) @ self._tbl_f[: hi.size]).astype(np.int64)
-        return (lo + folded) % self.q
+        # a product of reduced operands leaves hi.size < deg, so the sum
+        # stays below deg*(q-1)^2, which __init__ checked
+        return (lo + hi @ self._tbl[: hi.size]) % self.q
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.reduce(np.convolve(a, b))
@@ -172,7 +162,7 @@ def _small_prime_factors(n: int) -> list[int]:
 
 
 def _frobenius_rows(ring: ReducedRing, q: int) -> np.ndarray:
-    """Rows F[i] = x^(i*q) mod M, as float64 (entries < q); needs deg >= 2."""
+    """Rows F[i] = x^(i*q) mod M (entries < q); needs deg >= 2."""
     t = ring.deg
     xq = ring.pow(ring.x(), q)
     rows = np.zeros((t, t), dtype=np.int64)
@@ -185,10 +175,10 @@ def _frobenius_rows(ring: ReducedRing, q: int) -> np.ndarray:
         else:
             cur = ring.mul(cur, xq)
         rows[i] = cur
-    return rows.astype(np.float64)
+    return rows
 
 
-def is_irreducible(q: int, vec, ring: ReducedRing | None = None) -> bool:
+def is_irreducible(q: int, vec) -> bool:
     """Exact irreducibility test for a monic polynomial over F_q.
 
     Criterion: x^(q^t) = x mod M and gcd(x^(q^(t/r)) - x, M) = 1 for
@@ -204,16 +194,14 @@ def is_irreducible(q: int, vec, ring: ReducedRing | None = None) -> bool:
         return True
     if int(vec[0]) == 0:
         return False
-    if ring is None:
-        ring = ReducedRing(q, vec)
-    frob = _frobenius_rows(ring, q)
+    frob = _frobenius_rows(ReducedRing(q, vec), q)
     x_vec = np.zeros(t, dtype=np.int64)
     x_vec[1] = 1
     checkpoints = {t // r for r in _small_prime_factors(t)}
-    tau = np.rint(x_vec.astype(np.float64) @ frob).astype(np.int64) % q  # x^q
+    tau = frob[1]  # x^q
     for i in range(1, t + 1):
         if i > 1:
-            tau = np.rint(tau.astype(np.float64) @ frob).astype(np.int64) % q
+            tau = (tau @ frob) % q
         if i in checkpoints:
             diff = trim((tau - x_vec) % q)
             if diff.size == 0:
@@ -223,24 +211,6 @@ def is_irreducible(q: int, vec, ring: ReducedRing | None = None) -> bool:
         if i == t:
             return bool(np.array_equal(tau, x_vec))
     raise InvariantViolation("unreachable")  # pragma: no cover
-
-
-def _passes_small_factor_filter(ring: ReducedRing, vec: np.ndarray, q: int, bound: int) -> bool:
-    """False when M provably has an irreducible factor of degree <= bound."""
-    t = ring.deg
-    x_vec = np.zeros(t, dtype=np.int64)
-    x_vec[1] = 1
-    tau = x_vec
-    acc = ring.one()
-    for i in range(1, bound + 1):
-        tau = ring.pow(tau, q)
-        diff = (tau - x_vec) % q
-        if not diff.any():
-            return False  # all factor degrees divide i < t
-        acc = ring.mul(acc, diff)
-        if not acc.any():
-            return False  # shares a factor with M
-    return poly_gcd(trim(acc), vec, q).size == 1
 
 
 def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
@@ -259,22 +229,16 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
         # so start past them, at y^t + y
         digits[1] = 1
     points = np.arange(1, q, dtype=np.int64) if q <= 4096 else None
-    prefilter_bound = 8 if t > 17 else 0
     remaining = skip
     while True:
         if digits[0] != 0:
-            vec = as_vec(digits + [1])
             ok = True
             if points is not None:
                 acc = np.full(points.size, 1, dtype=np.int64)  # leading coeff
                 for i in range(t - 1, -1, -1):
                     acc = (acc * points + digits[i]) % q
                 ok = not bool((acc == 0).any())
-            ring = None
-            if ok and prefilter_bound:
-                ring = ReducedRing(q, vec)
-                ok = _passes_small_factor_filter(ring, vec, q, prefilter_bound)
-            if ok and is_irreducible(q, vec, ring=ring):
+            if ok and is_irreducible(q, digits + [1]):
                 if remaining == 0:
                     return tuple(digits + [1])
                 remaining -= 1

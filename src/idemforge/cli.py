@@ -189,14 +189,14 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.input:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.input == "-":
+                text = sys.stdin.read()
+            else:
                 with open(args.input, encoding="utf-8") as fh:
                     text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise UsageError(f"cannot read {args.input}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {args.input}: {exc}") from exc
         doc = parse_document(text)
         instance, records = records_from_document(doc, args.max_n)
     else:
@@ -339,13 +339,19 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse: --help or a bad flag
-            return 0 if exc.code in (0, None) else 1
-        return args.func(args)
+            code = 0 if exc.code in (0, None) else 1
+        else:
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     except IdemforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # inputs are read under UsageError, so this is stdout
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

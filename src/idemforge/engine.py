@@ -16,7 +16,6 @@ second-type records by index, then third-type records by (level, index).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
@@ -64,25 +63,13 @@ def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[i
     residues mod `modulus`, ascending.  domain: "units" or "all-nonzero"."""
     if modulus < 1:
         raise UsageError("modulus must be positive")
-    if domain == "units":
-        members = [r for r in range(1, modulus) if math.gcd(r, modulus) == 1]
-    elif domain == "all-nonzero":
-        members = list(range(1, modulus))
-    else:
+    if domain not in ("units", "all-nonzero"):
         raise UsageError(f"unknown domain {domain!r}")
-    pending = set(members)
-    reps = []
-    for r in members:
-        if r not in pending:
-            continue
-        orbit = []
-        cur = r
-        while cur in pending:
-            pending.discard(cur)
-            orbit.append(cur)
-            cur = (cur * q) % modulus
-        reps.append(min(orbit))
-    return sorted(reps)
+    return sorted(
+        c.rep
+        for c in cyclotomic_cosets(q, modulus).cosets
+        if c.rep and (domain == "all-nonzero" or c.divisor == modulus)
+    )
 
 
 def _record_from_ints(q: int, ints, label: str, kind: str, params, method: str) -> IdempotentRecord:

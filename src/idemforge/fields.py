@@ -250,7 +250,7 @@ class ExtensionField:
     The modulus is re-verified irreducible at construction.
     """
 
-    __slots__ = ("base", "t", "modulus", "_mod_ints", "_ring")
+    __slots__ = ("base", "t", "modulus", "_ring")
 
     def __init__(self, base: PrimeField, modulus: Poly):
         if modulus.field != base:
@@ -266,7 +266,6 @@ class ExtensionField:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_mod_ints", mod_ints)
         object.__setattr__(self, "_ring", fp.ReducedRing(base.q, mod_ints))
 
     def __setattr__(self, name, value):
@@ -315,8 +314,6 @@ class ExtensionField:
         return FieldElement(self, tuple(int(v) for v in self._ring.x()))
 
     def _mul(self, a, b):
-        if self.t == 1:
-            return ((a[0] * b[0]) % self.q,)
         return tuple(int(v) for v in self._ring.mul(fp.as_vec(a), fp.as_vec(b)))
 
     def _inv(self, a):
@@ -326,19 +323,17 @@ class ExtensionField:
         return u.coeffs + (0,) * (self.t - len(u.coeffs))  # g = 1, so u = 1/a
 
     def _pow(self, a, e):
-        if self.t == 1:
-            return (pow(a[0], e, self.q),)
         return tuple(int(v) for v in self._ring.pow(fp.as_vec(a), e))
 
     def __eq__(self, other):
         return (
             isinstance(other, ExtensionField)
             and other.q == self.q
-            and other._mod_ints == self._mod_ints
+            and other.modulus.coeffs == self.modulus.coeffs
         )
 
     def __hash__(self):
-        return hash(("ExtensionField", self.q, self._mod_ints))
+        return hash(("ExtensionField", self.q, self.modulus.coeffs))
 
     def __repr__(self):
         return f"F_{{{self.q}^{self.t}}}"

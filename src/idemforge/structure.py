@@ -74,14 +74,7 @@ class ProblemInstance:
         return f"q={self.q} p={self.p} k={self.k} n={self.n} t={self.t} m={self.m}"
 
 
-def instance_parameters(
-    q: int,
-    p: int,
-    k: int,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    power_budget_bits: int = DEFAULT_ORDER_BUDGET_BITS,
-) -> ProblemInstance:
+def instance_parameters(q: int, p: int, k: int, *, max_n: int = DEFAULT_MAX_N) -> ProblemInstance:
     """Validate (q, p, k) and compute t = ord_p q and m with p^m || q^t - 1."""
     if not is_prime(q):
         raise UsageError(f"q={q} is not prime")
@@ -99,10 +92,9 @@ def instance_parameters(
     if n > max_n:
         raise UsageError(f"n = {p}^{k} exceeds the cap {max_n}")
     t = 1 if k == 0 else multiplicative_order(q, p)
-    if t > 1 and (q**t - 1).bit_length() > power_budget_bits:
-        raise UsageError(
-            f"q^t - 1 needs {(q ** t - 1).bit_length()} bits; budget is {power_budget_bits}"
-        )
+    bits = (q**t - 1).bit_length()
+    if t > 1 and bits > DEFAULT_ORDER_BUDGET_BITS:
+        raise UsageError(f"q^t - 1 needs {bits} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}")
     return ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=p_adic_valuation(q**t - 1, p))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 
@@ -188,6 +189,28 @@ def test_env_max_n_not_an_integer_exits_1(capsys, monkeypatch):
     assert err == "error: environment variable IDEMFORGE_MAX_N must be an integer\n"
 
 
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen"],
+        ["verify"],
+        ["factors"],
+        ["params"],
+        ["code", "--label", "e_0"],
+    ],
+)
+def test_failed_stdout_write_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdout", _FullStdout())
+    code = main(argv[:1] + ["--q", "2", "--p", "3", "--k", "1"] + argv[1:])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"
+
+
 def test_env_override_max_splitting_degree(capsys, monkeypatch):
     # the splitting-degree cap is gone and its environment variable is ignored
     monkeypatch.setenv("IDEMFORGE_MAX_SPLITTING_DEGREE", "2")
@@ -277,19 +300,20 @@ def test_verify_large_q_within_int64_bound(capsys):
 
 
 def test_large_q_extension_field_runs_to_the_float64_bound(capsys):
-    # q > 2^20 with t = 2: F_{q^2} arithmetic is exact while 2*(q-1)^2 < 2^52
-    for k in ("1", "2"):
-        code, out, _ = run_cli(capsys, "gen", "--q", "1048583", "--p", "3", "--k", k, "--verify")
-        assert code == 0, k
+    # q > 2^20 with t = 2: F_{q^2} arithmetic is exact in int64 while
+    # 2*(q-1)^2 < 2^63, i.e. q < 2^31
+    for q, k in (("1048583", "1"), ("1048583", "2"), ("1000000007", "2")):
+        code, out, _ = run_cli(capsys, "gen", "--q", q, "--p", "3", "--k", k, "--verify")
+        assert code == 0, (q, k)
         assert "overall: pass" in out
         code, out, _ = run_cli(
-            capsys, "verify", "--q", "1048583", "--p", "3", "--k", k, "--against", "euclid"
+            capsys, "verify", "--q", q, "--p", "3", "--k", k, "--against", "euclid"
         )
-        assert code == 0, k
+        assert code == 0, (q, k)
         assert "overall: pass" in out
-    code, _, err = run_cli(capsys, "gen", "--q", "1000000007", "--p", "3", "--k", "1")
+    code, _, err = run_cli(capsys, "gen", "--q", "2147483693", "--p", "3", "--k", "1")
     assert code == 1
-    assert "deg*(q-1)^2 < 2^52" in err
+    assert "length*(q-1)^2 < 2^63" in err
 
 
 @pytest.mark.parametrize("p", ["5", "7"])  # t = 4 and t = 3, no irreducible binomial

@@ -284,6 +284,8 @@ def test_orbit_representatives_examples():
 def test_orbit_representatives_rejects_unknown_domain():
     with pytest.raises(UsageError):
         orbit_representatives(7, 2, "everything")
+    with pytest.raises(UsageError):
+        orbit_representatives(9, 3, "all-nonzero")  # q shares a factor with the modulus
 
 
 # -- dispatcher -----------------------------------------------------------

@@ -92,6 +92,24 @@ def test_find_irreducible_skips_binomials_above_the_prefilter(q, t):
     assert lex_irreducible(q, t) == (first, 1) + (0,) * (t - 2) + (1,)
 
 
+@pytest.mark.parametrize(
+    "q, t", [(2, 18), (2, 24), (3, 18), (3, 20), (5, 19), (7, 10), (29, 12)]
+)
+def test_lex_irreducible_matches_sympy(q, t):
+    # the first candidate, in the same lex order (constant term as the least
+    # significant digit), that sympy finds irreducible
+    sympy = pytest.importorskip("sympy")
+    from idemforge._fastpoly import lex_irreducible
+
+    x = sympy.symbols("x")
+    for index in range(q**t):
+        digits = [(index // q**i) % q for i in range(t)]
+        expr = x**t + sum(c * x**i for i, c in enumerate(digits))
+        if sympy.Poly(expr, x, modulus=q).is_irreducible:
+            break
+    assert lex_irreducible(q, t) == tuple(digits) + (1,)
+
+
 def _powmod(base, e, mod):
     acc_field = base.field
     from idemforge.polys import Poly
@@ -240,6 +258,51 @@ def test_inverse_roundtrip_random_samples():
     for _ in range(30):
         a = element_by_index(field, rng.randrange(1, field.order))
         assert a * a.inverse() == one
+
+
+def _ref_mul(a, b, mod, q):
+    """Product in F_q[y]/(mod) with Python ints (no overflow possible)."""
+    t = len(mod) - 1
+    prod = [0] * (2 * t - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, t - 1, -1):  # y^t = -(mod[0] + ... + mod[t-1] y^(t-1))
+        c, prod[i] = prod[i], 0
+        for j in range(t):
+            prod[i - t + j] -= c * mod[j]
+    return tuple(c % q for c in prod[:t])
+
+
+def _ref_pow(a, e, mod, q):
+    acc, base = (1,) + (0,) * (len(a) - 1), a
+    while e:
+        if e & 1:
+            acc = _ref_mul(acc, base, mod, q)
+        base = _ref_mul(base, base, mod, q)
+        e >>= 1
+    return acc
+
+
+def test_quadratic_extension_exact_at_the_int64_edge():
+    # 2*(q-1)^2 sits just below 2^63: every int64 dot product is at the edge
+    q = 2147483579
+    assert 1 << 62 < 2 * (q - 1) ** 2 < 1 << 63
+    field = get_extension_field(q, 2)
+    mod = field.modulus.coeffs
+    rng = random.Random(2)
+    samples = [(q - 1, q - 1), (q - 1, 0), (0, q - 1), (q - 2, q - 1), (1, q - 1)]
+    samples += [(rng.randrange(q), rng.randrange(1, q)) for _ in range(6)]
+    one = field.one()
+    for a in samples:
+        x = field.element(a)
+        for b in samples:
+            assert (x * field.element(b)).coeffs == _ref_mul(a, b, mod, q)
+        for e in (2, q - 1, q, q + 1, rng.randrange(q * q)):
+            assert (x**e).coeffs == _ref_pow(a, e, mod, q)
+        inv = x.inverse()
+        assert _ref_mul(a, inv.coeffs, mod, q) == one.coeffs
+        assert inv.coeffs == _ref_pow(a, q * q - 2, mod, q)
 
 
 def test_modulus_must_be_irreducible():
