@@ -5,6 +5,7 @@ from .codes import (
     CyclicCodeSummary,
     code_summary,
     generator_polynomial,
+    min_distance,
     min_distance_exhaustive,
     summaries_for,
 )

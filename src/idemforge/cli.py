@@ -278,8 +278,15 @@ def _env_int(name: str, default: int) -> int:
         raise UsageError(f"environment variable {name} must be an integer") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write, so `--help >/dev/full` would exit 0
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idemforge",
         description="Primitive idempotents and minimal cyclic codes of F_q[x]/(x^(p^k)-1).",
     )
@@ -328,7 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     code.add_argument("--label", required=True)
     code.add_argument("--method", choices=METHODS, default="auto")
     code.add_argument("--min-distance", action="store_true")
-    code.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
+    code.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_DISTANCE_BUDGET,
+        help="most orbits of <x, F_q^*> the distance search walks on a minimal code, "
+        "or codewords it enumerates on any other",
+    )
     code.set_defaults(func=cmd_code)
 
     return parser

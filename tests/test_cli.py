@@ -163,6 +163,28 @@ def test_code_command(capsys):
     assert "[7,3,4]" in out
 
 
+@pytest.mark.parametrize(
+    "q,p,k,label,count",
+    [
+        ("2", "13", "2", "e_{s,l}:2,1", "(2^156 - 1)/169"),
+        ("3", "5", "2", "e_{s,l}:2,1", "(3^20 - 1)/50"),
+        ("101", "3", "8", "e_{s,l}:8,1", "(101^4374 - 1)/656100"),
+        ("2", "3", "8", "e_{s,l}:8,1", "(2^4374 - 1)/6561"),
+    ],
+)
+def test_code_over_budget_exits_1(capsys, q, p, k, label, count):
+    # 101^4374 has more decimal digits than int() will print
+    code, out, err = run_cli(
+        capsys, "code", "--q", q, "--p", p, "--k", k, "--label", label, "--min-distance"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: the minimum distance needs at least {count} orbits or codewords, "
+        "over the budget 16777216\n"
+    )
+
+
 def test_code_unknown_label(capsys):
     code, _, err = run_cli(
         capsys, "code", "--q", "2", "--p", "7", "--k", "1", "--label", "nope"
@@ -202,6 +224,7 @@ class _FullStdout(io.StringIO):
         ["factors"],
         ["params"],
         ["code", "--label", "e_0"],
+        ["--help"],
     ],
 )
 def test_failed_stdout_write_exits_1(capsys, monkeypatch, argv):

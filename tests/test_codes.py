@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from idemforge import codes
 from idemforge import (
     BudgetExceededError,
     Poly,
@@ -11,6 +12,7 @@ from idemforge import (
     generator_polynomial,
     get_prime_field,
     instance_parameters,
+    min_distance,
     min_distance_exhaustive,
     summaries_for,
 )
@@ -69,12 +71,73 @@ def test_min_distance_2_7_1_dimension_3(recs_2_7_1):
         assert min_distance_exhaustive(g, 7, 2) == 4
 
 
+def _code_generator(q, p, k, label):
+    inst = instance_parameters(q, p, k)
+    record = next(r for r in dispatch(inst) if r.label == label)
+    return generator_polynomial(record, inst.n), inst.n
+
+
 def test_min_distance_budget_refusal():
-    f2 = get_prime_field(2)
-    g = Poly.from_ints(f2, [1, 1])
-    with pytest.raises(BudgetExceededError) as err:
-        min_distance_exhaustive(g, 7, 2, budget=8)
-    assert err.value.required == 2**6
+    # [9,2,6] over F_11: x has order d = 3 < n and q - 1 = 10, so the walk
+    # covers (11^2 - 1)/lcm(3, 10) = 4 orbits, next to the bound
+    # (11^2 - 1)//lcm(9, 10) = 1 checked before anything is built
+    g, n = _code_generator(11, 3, 2, "e_j:1")
+    assert min_distance(g, n, 11, budget=4) == 6
+    for budget in (1, 3):  # the bound admits the code, its orbits do not
+        with pytest.raises(BudgetExceededError, match=r"\(11\^2 - 1\)/30 orbits") as err:
+            min_distance(g, n, 11, budget=budget)
+        assert err.value.required == 4
+    with pytest.raises(BudgetExceededError, match=r"at least \(11\^2 - 1\)/90") as err:
+        min_distance(g, n, 11, budget=0)
+    assert err.value.required == 1
+
+    # (x^7 - 1)/(x + 1) is reducible: the budget counts codewords
+    g = Poly.from_ints(get_prime_field(2), [1, 1])
+    assert min_distance(g, 7, 2, budget=64) == 2
+    for search in (min_distance, min_distance_exhaustive):
+        with pytest.raises(BudgetExceededError, match=r"2\^6 codewords") as err:
+            search(g, 7, 2, budget=63)
+        assert err.value.required == 2**6
+
+
+# The eight `codes` benchmark instances; instances where d and q - 1 both
+# shape the subgroup <x, F_q^*>; and (5,13,1) and (13,17,1), where one orbit
+# alone has the minimum weight, late in the walk (gamma^8 of 12 orbits for
+# e_j:4, gamma^110 of 140 for e_j:2).
+DIFFERENTIAL = (
+    (2, 7, 1), (2, 11, 1), (2, 23, 1), (2, 13, 2), (2, 3, 3), (2, 5, 2), (2, 41, 1),
+    (2, 7, 2), (3, 7, 1), (5, 3, 2), (7, 3, 2), (3, 11, 1), (13, 3, 1), (11, 3, 2),
+    (5, 13, 1), (13, 17, 1),
+)
+
+
+@pytest.mark.parametrize("block_entries", [None, 1, 1000])
+@pytest.mark.parametrize("q,p,k", DIFFERENTIAL)
+def test_min_distance_matches_exhaustive(monkeypatch, q, p, k, block_entries):
+    if block_entries is not None:  # one orbit per block, or a short last block
+        monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block_entries)
+    inst = instance_parameters(q, p, k)
+    for record in dispatch(inst):
+        g = generator_polynomial(record, inst.n)
+        if q ** (inst.n - g.degree) <= 1 << 16:
+            expected = min_distance_exhaustive(g, inst.n, q)
+            assert min_distance(g, inst.n, q) == expected, record.label
+
+
+def test_min_distance_reducible_takes_exhaustive_path(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return min_distance_exhaustive(*args)
+
+    monkeypatch.setattr(codes, "min_distance_exhaustive", spy)
+    g = Poly.from_ints(get_prime_field(2), [1, 1])  # x + 1 at n = 7
+    assert min_distance(g, 7, 2) == 2
+    assert len(calls) == 1
+    g, n = _code_generator(2, 7, 1, "e_j:1")  # minimal: no enumeration
+    assert min_distance(g, n, 2) == 4
+    assert len(calls) == 1
 
 
 def test_dimensions_partition_the_ring():
