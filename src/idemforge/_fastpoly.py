@@ -10,6 +10,10 @@ and `polys` wrap them.
 Exactness: a sum of `length` products of residues stays exact in int64
 while length * (q-1)^2 < 2^63, and `check_int64_exact` enforces that rule
 wherever residues are multiplied, extension-field arithmetic included.
+The product kernel (`mat_mul`, `conv_rows`, `poly_mul`) admits the same
+range: it runs in float64, where BLAS and the dot-product convolution
+apply, while length * (q-1)^2 < 2^53, and above that splits each operand
+into two limbs whose products stay below 2^53.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import numpy as np
 from .errors import InvariantViolation, UsageError
 
 MAX_KERNEL_DEGREE = 1 << 12
+FLOAT_EXACT = 1 << 53  # float64 represents every integer below this
+# Cap on the entries of one block of rows or one residue table (32 MB in int64).
+TABLE_ENTRIES = 1 << 22
 
 
 def as_vec(coeffs) -> np.ndarray:
@@ -47,11 +54,103 @@ def check_int64_exact(length: int, q: int) -> None:
         )
 
 
+def _exact_product(op, a: np.ndarray, b: np.ndarray, length: int, q: int) -> np.ndarray:
+    """op(a, b) mod q, for a bilinear op on residue arrays each of whose
+    outputs sums at most `length` products of one entry of each operand.
+
+    float64 holds every integer below 2^53 exactly, so while
+    length*(q-1)^2 < 2^53 the op runs once in float64.  Above that each
+    operand is split as lo + hi*2^s with s = ceil(bits(q-1)/2); each of the
+    four limb products then sums terms below 2^(2s), which stays under 2^53
+    for every length*(q-1)^2 < 2^63 with length < 2^39, and the limb
+    products are recombined mod q in int64."""
+    check_int64_exact(length, q)
+    if length * (q - 1) ** 2 < FLOAT_EXACT:
+        return _float_residues(op(a.astype(np.float64), b.astype(np.float64)), q)
+    s = ((q - 1).bit_length() + 1) // 2
+    mask = (1 << s) - 1
+    if length * mask**2 >= FLOAT_EXACT:
+        raise UsageError(f"length {length} is too long for exact limb products")
+    a_limbs = ((a & mask).astype(np.float64), (a >> s).astype(np.float64))
+    out = None
+    for j, b_limb in enumerate((b & mask, b >> s)):
+        b_limb = b_limb.astype(np.float64)
+        for i, a_limb in enumerate(a_limbs):
+            # each factor is below q, so the product stays below (q-1)^2 < 2^63
+            part = _float_residues(op(a_limb, b_limb), q) * pow(2, s * (i + j), q) % q
+            out = part if out is None else (out + part) % q
+    return out
+
+
+def _float_residues(x: np.ndarray, q: int) -> np.ndarray:
+    """Residues mod q of float64 entries that are exact integers >= 0."""
+    out = x.astype(np.int64)
+    out %= q
+    return out
+
+
+def mat_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q for residue matrices (each entry sums a.shape[-1] products)."""
+    return _exact_product(np.matmul, a, b, a.shape[-1], q)
+
+
+def _shift_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise full products, one shifted multiply-add per column of b."""
+    rows, la, lb = max(a.shape[0], b.shape[0]), a.shape[1], b.shape[1]
+    out = np.zeros((rows, la + lb - 1), dtype=a.dtype)
+    for j in range(lb):
+        out[:, j : j + la] += a * b[:, j : j + 1]
+    return out
+
+
+def conv_rows(a: np.ndarray, b: np.ndarray, q: int, n: int | None = None) -> np.ndarray:
+    """Row-wise products mod q of two stacks of coefficient rows (ascending;
+    a one-row stack is broadcast against the other).  Without `n` the rows
+    are full products of a.shape[1] + b.shape[1] - 1 coefficients; with `n`
+    they are folded mod x^n - 1 into n coefficients.  Each full coefficient
+    sums at most min(a.shape[1], b.shape[1]) products."""
+    la, lb = a.shape[1], b.shape[1]
+    if n is not None and max(la, lb) > n:
+        raise UsageError(f"cyclic operands need at most n={n} coefficients")
+    rows, length = max(a.shape[0], b.shape[0]), min(la, lb)
+    out = np.zeros((rows, la + lb - 1 if n is None else n), dtype=np.int64)
+    if rows <= length:  # one dot-product convolution per row
+        for i in range(rows):  # min(): a one-row stack serves every row
+            x, y = a[min(i, len(a) - 1)], b[min(i, len(b) - 1)]
+            _fold_into(out[i], _exact_product(np.convolve, x, y, length, q), q)
+    else:  # fewer terms than rows: shifted multiply-adds over blocks of rows
+        if la < lb:
+            a, b, la, lb = b, a, lb, la
+        step = max(1, TABLE_ENTRIES // (4 * (la + lb)))  # bounds the float64 copies
+        for start in range(0, rows, step):
+            block = slice(start, start + step)
+            full = _exact_product(
+                _shift_add,
+                a if a.shape[0] == 1 else a[block],
+                b if b.shape[0] == 1 else b[block],
+                length,
+                q,
+            )
+            _fold_into(out[block], full, q)
+    return out
+
+
+def _fold_into(dst: np.ndarray, full: np.ndarray, q: int) -> None:
+    """Write residues `full` into the zeroed `dst`, folding the coefficients
+    past dst's width w back mod x^w - 1."""
+    w = dst.shape[-1]
+    if full.shape[-1] <= w:
+        dst[..., : full.shape[-1]] = full
+        return
+    dst[...] = full[..., :w]
+    dst[..., : full.shape[-1] - w] += full[..., w:]
+    dst %= q
+
+
 def poly_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         return a[:0]
-    check_int64_exact(min(a.size, b.size), q)
-    return np.convolve(a, b) % q
+    return conv_rows(a[None], b[None], q)[0]
 
 
 def poly_divmod(a: np.ndarray, b: np.ndarray, q: int):
@@ -74,6 +173,39 @@ def poly_divmod(a: np.ndarray, b: np.ndarray, q: int):
             quot[i - db] = f
             rem[i - db : i + 1] = (rem[i - db : i + 1] - f * b) % q
     return trim(quot), trim(rem[:db])
+
+
+def divmod_rows(a: np.ndarray, mods: np.ndarray, q: int):
+    """Row-wise long division by monic moduli of one degree d >= 0: row i of
+    `a` (ascending, at least d columns) by row i of `mods` (d + 1 columns),
+    either stack of one row being broadcast over the other.  Returns
+    (quotients, remainders), shapes (rows, a.shape[1] - d) and (rows, d).
+
+    One walk of a.shape[1] - d steps serves the whole stack.  A step whose
+    leading column is zero in every row is skipped, and a step updates only
+    the columns where some modulus has a nonzero coefficient, so inflated
+    moduli g(x^r) and their sparse quotients cost few updates."""
+    check_int64_exact(1, q)  # each step subtracts a product of two residues
+    rows = max(a.shape[0], mods.shape[0])
+    rem = np.repeat(a % q, rows // a.shape[0], axis=0)
+    d = mods.shape[1] - 1
+    quot = np.zeros((rows, rem.shape[1] - d), dtype=np.int64)
+    cols = np.flatnonzero((mods[:, :d] % q).any(axis=0))
+    low = mods[:, cols] % q
+    dense = cols.size == d
+    for i in range(rem.shape[1] - 1, d - 1, -1):
+        c = rem[:, i : i + 1]
+        if not np.count_nonzero(c):
+            continue
+        quot[:, i - d] = c[:, 0]
+        if dense:
+            window = rem[:, i - d : i]
+            window -= c * low
+            window %= q
+        else:
+            at = cols + (i - d)
+            rem[:, at] = (rem[:, at] - c * low) % q
+    return quot, rem[:, :d]
 
 
 def poly_gcd(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -260,20 +392,20 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
 def residue_matrix(mods, n: int, q: int) -> np.ndarray:
     """Table T[i, j] = x^i mod M_j for i < n, over a stack of monic moduli
     of one degree d (`mods` is m x (d+1), ascending), built in one walk of
-    n steps.  Reducing a length-n coefficient vector v modulo every M_j is
-    the single product v @ T.reshape(n, m*d) (entries < q keep the int64
-    accumulation exact for n * (q-1)^2 < 2^63).  Shape (n, m, d)."""
+    n - d steps past the identity rows.  Reducing length-n coefficient rows
+    V modulo every M_j is the single product mat_mul(V, T.reshape(n, m*d)).
+    Shape (n, m, d)."""
     mods = as_vec(mods) % q
     if mods.ndim != 2 or mods.shape[1] < 2 or (mods[:, -1] != 1).any():
         raise UsageError("moduli must be monic of one degree >= 1")
     m, deg = mods.shape[0], mods.shape[1] - 1
     xd = (-mods[:, :deg]) % q  # x^deg mod M_j
     table = np.zeros((n, m, deg), dtype=np.int64)
-    cur = np.zeros((m, deg), dtype=np.int64)
-    cur[:, 0] = 1
-    for i in range(n):
-        table[i] = cur
-        shifted = np.zeros_like(cur)
-        shifted[:, 1:] = cur[:, :-1]
-        cur = (shifted + cur[:, -1:] * xd) % q
+    low = np.arange(min(n, deg))
+    table[low, :, low] = 1
+    for i in range(deg, n):
+        prev, row = table[i - 1], table[i]
+        np.multiply(prev[:, -1:], xd, out=row)
+        row[:, 1:] += prev[:, :-1]
+        row %= q
     return table

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import get_extension_field, get_prime_field, primitive_element
 from .polys import CyclicRingElement, Poly
@@ -84,44 +87,80 @@ def euclid_idempotent(
 ) -> IdempotentRecord:
     """Idempotent attached to one monic factor f of x^n - 1 (q not dividing
     n): e = P*h with P = (x^n-1)/f and h the inverse of P modulo f, of
-    degree < deg f.  Differentiating x^n - 1 = P*f gives P*(x*f') = n
-    (mod f), so h = (x*f' - d*f)/n with d = deg f, and no gcd is needed.
+    degree < deg f, computed by `_euclid_stack` on a stack of one.
     Then e = 1 mod f and e = 0 modulo every other irreducible factor."""
     field = get_prime_field(q)
     if f.field != field:
         raise UsageError("factor polynomial must live over F_q")
     if f.is_zero() or f.lead != 1:
         raise UsageError("factor must be monic")
-    xn1 = Poly.x_pow_minus_one(field, n)
+    if n < 1:
+        raise UsageError("exponent must be >= 1")
     if n % q == 0:
         raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    cofactor, rem = xn1.divrem(f)
-    if not rem.is_zero():
-        raise UsageError(f"{f!r} does not divide x^{n} - 1")
-    d, inv_n = f.degree, pow(n, -1, q)
-    h = Poly(field, [(i - d) * c * inv_n for i, c in enumerate(f.coeffs[:d])])
-    e = CyclicRingElement.from_poly(cofactor * h, n)
-    if e * e != e:
-        raise InvariantViolation("Euclid construction produced a non-idempotent")
+    e = CyclicRingElement(field, n, _euclid_stack([f], n, n, q)[0].tolist())
     if label is None:
         label = f"euclid:deg{f.degree}"
     return IdempotentRecord(value=e, label=label, kind=KIND_GENERIC, params=params, method="euclid")
 
 
+def _euclid_stack(factors: list[Poly], order: int, n: int, q: int) -> np.ndarray:
+    """Rows e_f = P_f*h_f (n coefficients each) for monic factors f of
+    x^order - 1 that share one degree d, where order divides n and
+    gcd(n, q) = 1.
+
+    With P_f = (x^n - 1)/f, differentiating x^n - 1 = P*f gives
+    P*(x*f') = n (mod f), so the inverse of P modulo f is
+    h = (x*f' - d*f)/n, of degree < d, and no gcd is needed.  The cofactors
+    C_f = (x^order - 1)/f come from one division walk of order - d steps
+    over the stack, and P = C*(1 + x^order + ... + x^(n - order)).  As
+    deg(C*h) < order, e is C*h repeated n/order times.  The guard e*e = e
+    runs over the whole stack."""
+    d = factors[0].degree
+    if d > order:
+        raise UsageError(f"{factors[0]!r} does not divide x^{order} - 1")
+    mods = fp.as_vec([f.coeffs for f in factors])
+    xo1 = np.zeros((1, order + 1), dtype=np.int64)
+    xo1[0, 0], xo1[0, order] = q - 1, 1
+    cofactors, rems = fp.divmod_rows(xo1, mods, q)
+    for f, rem in zip(factors, rems):
+        if rem.any():
+            raise UsageError(f"{f!r} does not divide x^{order} - 1")
+    del rems  # a view that keeps the whole walk array alive
+    inv_n = pow(n, -1, q)
+    scale = fp.as_vec([(i - d) * inv_n % q for i in range(d)])
+    e = np.tile(fp.conv_rows(cofactors, scale * mods[:, :d] % q, q), n // order)
+    if not np.array_equal(fp.conv_rows(e, e, q, n), e):
+        raise InvariantViolation("Euclid construction produced a non-idempotent")
+    return e
+
+
 def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord, ...]:
-    """One record per irreducible factor of x^n - 1: the oracle set."""
+    """One record per irreducible factor of x^n - 1: the oracle set.
+    Factors of one degree and one order (the coset divisor, so that they
+    divide x^order - 1) are computed together, in stacks whose working
+    arrays hold at most TABLE_ENTRIES coefficients."""
+    q, n = instance.q, instance.n
     factors = factor_xn_minus_1(instance)
-    cosets = cyclotomic_cosets(instance.q, instance.n).cosets
-    records = []
-    for (d, f), coset in zip(factors, cosets):
-        records.append(
-            euclid_idempotent(
-                f,
-                instance.n,
-                instance.q,
-                label=f"e_{{d,r}}:{d},{coset.rep}",
-            )
-        )
+    cosets = cyclotomic_cosets(q, n).cosets
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for index, (order, f) in enumerate(factors):
+        stacks.setdefault((f.degree, order), []).append(index)
+    field = get_prime_field(q)
+    records: list = [None] * len(factors)
+    step = max(1, fp.TABLE_ENTRIES // (16 * (n + 1)))  # about a dozen n-wide arrays a row
+    for (_, order), indices in stacks.items():
+        for start in range(0, len(indices), step):
+            chunk = indices[start : start + step]
+            block = _euclid_stack([factors[i][1] for i in chunk], order, n, q)
+            for i, row in zip(chunk, block):
+                records[i] = IdempotentRecord(
+                    value=CyclicRingElement(field, n, row.tolist()),
+                    label=f"e_{{d,r}}:{order},{cosets[i].rep}",
+                    kind=KIND_GENERIC,
+                    params=None,
+                    method="euclid",
+                )
     return tuple(records)
 
 

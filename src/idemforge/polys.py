@@ -287,13 +287,9 @@ class CyclicRingElement:
 
     def __mul__(self, other: "CyclicRingElement") -> "CyclicRingElement":
         self._check(other)
-        n, q = self.n, self.field.q
-        fp.check_int64_exact(n, q)  # each folded coefficient sums n products
-        full = np.convolve(fp.as_vec(self.coeffs), fp.as_vec(other.coeffs))
-        folded = full[:n].copy()
-        if full.size > n:
-            folded[: full.size - n] += full[n:]
-        return CyclicRingElement(self.field, n, (folded % q).tolist())
+        rows = fp.as_vec([self.coeffs, other.coeffs])
+        prod = fp.conv_rows(rows[:1], rows[1:], self.field.q, self.n)
+        return CyclicRingElement(self.field, self.n, prod[0].tolist())
 
     def _check(self, other) -> None:
         if not isinstance(other, CyclicRingElement):

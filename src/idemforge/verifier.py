@@ -11,13 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fastpoly as fp
+from ._fastpoly import TABLE_ENTRIES
 from .engine import _element, all_idempotents_euclid
 from .errors import UsageError
-from .polys import CyclicRingElement
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
-
-# Cap on the int64 entries of one residue table (32 MB).
-TABLE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,37 +63,56 @@ def check_idempotency(e) -> bool:
 def check_orthogonality(records, instance: ProblemInstance) -> bool:
     """e_i * e_j = 0 for every pair i != j, read from the residues modulo
     the irreducible factors of x^n - 1."""
-    return _orthogonality_detail(_nonzero_pattern(_residues(records, instance)))[0]
+    matrix = _record_matrix(records, instance.q, instance.n)
+    return _orthogonality_detail(_nonzero_pattern(_residues(matrix, instance)))[0]
 
 
-def _residues(records, instance: ProblemInstance):
+def _record_matrix(records, q: int, n: int) -> np.ndarray:
+    """The r x n int64 matrix of record coefficients over F_q."""
+    values = [_element(r) for r in records]
+    if any(v.n != n for v in values):
+        raise UsageError(f"every record must have n={n} coefficients")
+    if any(v.field.q != q for v in values):
+        raise UsageError(f"every record must live over F_{q}")
+    return fp.as_vec([v.int_coeffs() for v in values]).reshape(len(values), n)
+
+
+def _idempotency_failures(matrix: np.ndarray, q: int) -> list[int]:
+    """Records i with e_i * e_i != e_i, from one batched product."""
+    squares = fp.conv_rows(matrix, matrix, q, matrix.shape[1])
+    return np.flatnonzero((squares != matrix).any(axis=1)).tolist()
+
+
+def _residues(matrix: np.ndarray, instance: ProblemInstance):
     """(f, R_f) for every irreducible factor f of x^n - 1, in
     `factor_xn_minus_1` order, where row i of R_f is record i mod f.
 
     The factorization is certified, so e -> (e mod f)_f is a ring
     isomorphism onto a product of fields: a product of records is zero iff
     no factor sees a nonzero residue in both.  Factors of one degree are
-    reduced together, one table walk per distinct degree, in slices of at
-    most TABLE_ENTRIES table entries unless one factor alone needs more."""
+    reduced together, one table walk and one product per slice of at most
+    TABLE_ENTRIES table entries.  A factor whose table alone would pass
+    that cap is reduced by one division walk over the records instead."""
     q, n = instance.q, instance.n
-    values = [_element(r) for r in records]
-    if any(v.n != n for v in values):
-        raise UsageError(f"every record must have n={n} coefficients")
-    fp.check_int64_exact(n, q)  # matrix @ table sums n products per entry
-    matrix = np.array([v.int_coeffs() for v in values], dtype=np.int64).reshape(len(values), n)
+    fp.check_int64_exact(n, q)  # before any table walk: residues sum n products
     factors = [f for _, f in factor_xn_minus_1(instance)]
     by_degree: dict[int, list[int]] = {}
     for index, f in enumerate(factors):
         by_degree.setdefault(f.degree, []).append(index)
     out = [None] * len(factors)
     for degree, indices in by_degree.items():
-        step = max(1, TABLE_ENTRIES // (n * degree))
+        if n * degree > TABLE_ENTRIES:
+            for i in indices:
+                _, rem = fp.divmod_rows(matrix, fp.as_vec([factors[i].int_coeffs()]), q)
+                out[i] = (factors[i], rem.copy())  # frees the r x n walk array
+            continue
+        step = TABLE_ENTRIES // (n * degree)
         for start in range(0, len(indices), step):
             chunk = indices[start : start + step]
             table = fp.residue_matrix([factors[i].int_coeffs() for i in chunk], n, q)
-            stacked = (matrix @ table.reshape(n, -1)) % q
+            stacked = fp.mat_mul(matrix, table.reshape(n, -1), q)
             del table  # freed before the next walk allocates another
-            stacked = stacked.reshape(len(values), len(chunk), degree)
+            stacked = stacked.reshape(len(matrix), len(chunk), degree)
             for pos, i in enumerate(chunk):
                 out[i] = (factors[i], stacked[:, pos])
     return out
@@ -122,29 +138,29 @@ def _orthogonality_detail(pattern: np.ndarray):
 
 def check_completeness(records) -> bool:
     """The records sum to the ring identity."""
-    return _completeness_detail(records)[0]
-
-
-def _completeness_detail(records):
     values = [_element(r) for r in records]
     if not values:
+        return False
+    q, n = values[0].field.q, values[0].n
+    return _completeness_detail(_record_matrix(values, q, n), q)[0]
+
+
+def _completeness_detail(matrix: np.ndarray, q: int):
+    if not matrix.shape[0]:
         return False, "empty system"
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    identity = CyclicRingElement.identity(values[0].field, values[0].n)
-    if total != identity:
-        bad = next(
-            i for i, (a, b) in enumerate(zip(total.coeffs, identity.coeffs)) if a != b
-        )
-        return False, f"sum differs from 1 at coefficient {bad}"
+    total = matrix.sum(axis=0) % q  # r*(q-1) stays far below 2^63
+    total[0] = (total[0] - 1) % q  # zero iff the records sum to the identity
+    bad = np.flatnonzero(total)
+    if bad.size:
+        return False, f"sum differs from 1 at coefficient {int(bad[0])}"
     return True, None
 
 
 def check_primitivity(records, instance: ProblemInstance) -> bool:
     """Cardinality equals the number of irreducible factors of x^n - 1 and
     each record is = 1 modulo exactly one factor and = 0 modulo the rest."""
-    return _primitivity_detail(_residues(records, instance))[0]
+    matrix = _record_matrix(records, instance.q, instance.n)
+    return _primitivity_detail(_residues(matrix, instance))[0]
 
 
 def _primitivity_detail(residues):
@@ -196,7 +212,8 @@ def verify_system(
         )
     )
 
-    bad = [i for i, r in enumerate(records) if not check_idempotency(r)]
+    matrix = _record_matrix(records, instance.q, instance.n)
+    bad = _idempotency_failures(matrix, instance.q)
     checks.append(
         CheckResult(
             "idempotency",
@@ -205,11 +222,11 @@ def verify_system(
         )
     )
 
-    residues = _residues(records, instance)
+    residues = _residues(matrix, instance)
     ok, detail = _orthogonality_detail(_nonzero_pattern(residues))
     checks.append(CheckResult("orthogonality", ok, detail))
 
-    ok, detail = _completeness_detail(records)
+    ok, detail = _completeness_detail(matrix, instance.q)
     checks.append(CheckResult("completeness", ok, detail))
 
     expected = len(cyclotomic_cosets(instance.q, instance.n).cosets)
@@ -226,6 +243,7 @@ def verify_system(
     if with_primitivity:
         ok, detail = _primitivity_detail(residues)
         checks.append(CheckResult("primitivity", ok, detail))
+    del matrix, residues  # freed before the oracle builds its own records
 
     if against_oracle:
         oracle = all_idempotents_euclid(instance)

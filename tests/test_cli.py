@@ -322,6 +322,15 @@ def test_verify_large_q_within_int64_bound(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("q", ["54794149", "536870743", "536870717"])
+def test_verify_on_both_sides_of_the_float64_product_bound(capsys, q):
+    # n = 3: 3*(q-1)^2 < 2^53 for the first q, so products run in float64;
+    # the other two need the limb split (t = 1 and t = 2)
+    code, out, _ = run_cli(capsys, "verify", "--q", q, "--p", "3", "--k", "1", "--against", "euclid")
+    assert code == 0
+    assert "overall: pass" in out
+
+
 def test_large_q_extension_field_runs_to_the_float64_bound(capsys):
     # q > 2^20 with t = 2: F_{q^2} arithmetic is exact in int64 while
     # 2*(q-1)^2 < 2^63, i.e. q < 2^31

@@ -83,7 +83,9 @@ def _gcd_reference_idempotent(f, n):
     return CyclicRingElement.from_poly(cofactor * u, n)
 
 
-@pytest.mark.parametrize("q,p,k", [(2, 7, 1), (7, 3, 2), (17, 13, 2), (7, 2, 6), (2, 3, 7)])
+@pytest.mark.parametrize(
+    "q,p,k", [(2, 7, 1), (7, 3, 2), (17, 13, 2), (7, 2, 6), (2, 3, 7), (13, 3, 6), (101, 5, 4)]
+)
 def test_euclid_derivative_identity_matches_gcd_reference(q, p, k):
     inst = instance_parameters(q, p, k)
     recs = all_idempotents_euclid(inst)
@@ -91,6 +93,30 @@ def test_euclid_derivative_identity_matches_gcd_reference(q, p, k):
     assert len(recs) == len(factors)
     for rec, (_, f) in zip(recs, factors):
         assert rec.value == _gcd_reference_idempotent(f, inst.n)
+
+
+def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
+    from idemforge import _fastpoly as fp
+
+    inst = instance_parameters(13, 3, 6)  # six factor degrees, inflated factors
+    expected = all_idempotents_euclid(inst)
+    stacks = {(f.degree, order) for order, f in factor_xn_minus_1(inst)}
+    walks = []
+    walk = fp.divmod_rows
+
+    def counted(*args):
+        walks.append(args[1].shape[0])
+        return walk(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the oracle divided by one factor at a time")
+
+    monkeypatch.setattr(fp, "divmod_rows", counted)
+    monkeypatch.setattr(fp, "poly_divmod", forbidden)
+    assert all_idempotents_euclid(inst) == expected
+    # one walk per degree and order: x - 1 (order 1) has a stack of its own
+    assert len(walks) == len(stacks) == 7
+    assert sum(walks) == len(expected) == 13
 
 
 def test_euclid_reducible_divisor_matches_gcd_reference():

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from idemforge import _fastpoly as fp
 from idemforge import (
     CyclicRingElement,
     Poly,
@@ -232,3 +234,66 @@ def test_generic_arithmetic_over_extension_field():
         CyclicRingElement.from_ints(f4, [1, 0, 1])
     with pytest.raises(UsageError):
         CyclicRingElement.identity(f4, 3)
+
+
+# -- exact product kernel -----------------------------------------------------
+
+# n = 3: 3*(q-1)^2 lies below 2^53 for the first prime (float64 path) and
+# between 2^53 and 2^63 for the two near 2^29 (limb path), one of each
+# residue mod 3 so that both the split and the general case run
+Q_FLOAT_EDGE = 54794149
+Q_LIMB = (536870743, 536870717)
+
+
+def _ref_conv(a, b, q, n=None):
+    out = [0] * (len(a) + len(b) - 1 if n is None else n)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            k = i + j if n is None else (i + j) % n
+            out[k] = (out[k] + x * y) % q
+    return out
+
+
+def test_kernel_primes_straddle_the_float64_bound():
+    from idemforge.fields import is_prime
+
+    assert is_prime(Q_FLOAT_EDGE) and 3 * (Q_FLOAT_EDGE - 1) ** 2 < 2**53
+    above = range(Q_FLOAT_EDGE + 1, Q_FLOAT_EDGE + 60)  # holds the next prime
+    assert all(not is_prime(q) or 3 * (q - 1) ** 2 >= 2**53 for q in above)
+    for q in Q_LIMB:
+        assert is_prime(q) and 2**53 <= 3 * (q - 1) ** 2 < 2**63
+
+
+@pytest.mark.parametrize("q", [2, 7, Q_FLOAT_EDGE, *Q_LIMB, 2147483647])
+def test_kernel_matches_pure_int_reference(q):
+    rng = random.Random(q)
+
+    def rand(rows, cols):
+        return np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+
+    shapes = [(1, 3, 3, None), (4, 3, 3, 3), (5, 3, 1, None), (6, 2, 3, 3), (2, 1, 3, 3), (3, 3, 2, None)]
+    for rows, la, lb, n in shapes:
+        if min(la, lb) * (q - 1) ** 2 >= 2**63:
+            continue
+        # all-(q-1) operands give the largest sums
+        extreme = (np.full((rows, la), q - 1), np.full((1, lb), q - 1))
+        for a, b in ((rand(rows, la), rand(rows, lb)), extreme):
+            got = fp.conv_rows(a, b, q, n).tolist()
+            rows_b = b if b.shape[0] == rows else np.repeat(b, rows, axis=0)
+            assert got == [_ref_conv(x, y, q, n) for x, y in zip(a.tolist(), rows_b.tolist())]
+    if 3 * (q - 1) ** 2 < 2**63:
+        a, b = rand(4, 3), rand(3, 5)
+        want = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b.tolist())] for row in a.tolist()]
+        assert fp.mat_mul(a, b, q).tolist() == want
+        top = fp.mat_mul(np.full((4, 3), q - 1), np.full((3, 5), q - 1), q)
+        assert top.tolist() == [[3 * (q - 1) ** 2 % q] * 5] * 4
+
+
+def test_kernel_refuses_sums_that_could_overflow_int64():
+    q = 2147483647  # 2*(q-1)^2 < 2^63 <= 3*(q-1)^2
+    ones = np.ones((1, 3), dtype=np.int64)
+    assert fp.conv_rows(ones[:, :2], ones[:, :2], q).tolist() == [[1, 2, 1]]
+    with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
+        fp.conv_rows(ones, ones, q)
+    with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
+        fp.mat_mul(ones, ones.T, q)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from idemforge import _fastpoly as fp
 from idemforge import (
     CyclicRingElement,
     UsageError,
@@ -10,6 +11,7 @@ from idemforge import (
     check_orthogonality,
     check_primitivity,
     dispatch,
+    factor_xn_minus_1,
     get_prime_field,
     instance_parameters,
     sets_equal,
@@ -238,3 +240,59 @@ def test_verify_makes_no_pairwise_products(monkeypatch):
     monkeypatch.setattr(CyclicRingElement, "__mul__", counted)
     assert verify_system(recs, inst).passed
     assert len(calls) <= len(recs) + 1
+
+
+@pytest.mark.parametrize("q, p, k", [(251, 5, 3), (13, 3, 6)])
+def test_verify_calls_the_product_kernel_per_degree_not_per_record(monkeypatch, q, p, k):
+    # one batched square of all records, one residue product per degree,
+    # and two oracle products (e = P*h and e*e) per degree and factor order
+    inst = instance_parameters(q, p, k)
+    recs = dispatch(inst)
+    degrees = {f.degree for _, f in factor_xn_minus_1(inst)}
+    stacks = {(f.degree, order) for order, f in factor_xn_minus_1(inst)}
+    calls = []
+    for name in ("conv_rows", "mat_mul"):
+
+        def counted(*args, kernel=getattr(fp, name), **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fp, name, counted)
+    assert verify_system(recs, inst, against_oracle=True).passed
+    assert len(calls) <= 1 + len(degrees) + 2 * len(stacks)
+
+
+def test_residues_by_division_match_the_tables(monkeypatch):
+    from idemforge import verifier
+
+    inst = instance_parameters(13, 3, 3)  # factor degrees 1, 3 and 9; n = 27
+    matrix = verifier._record_matrix(dispatch(inst), inst.q, inst.n)
+    by_table = verifier._residues(matrix, inst)
+    sizes = []
+    table = fp.residue_matrix
+
+    def sized(mods, n, q):
+        out = table(mods, n, q)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(fp, "residue_matrix", sized)
+    monkeypatch.setattr(verifier, "TABLE_ENTRIES", 27 * 3)  # degree 9 is over the cap
+    mixed = verifier._residues(matrix, inst)
+    assert sizes and max(sizes) <= 27 * 3
+    sizes.clear()
+    monkeypatch.setattr(verifier, "TABLE_ENTRIES", 1)
+    by_division = verifier._residues(matrix, inst)
+    assert not sizes
+    for (f, a), (g, b), (h, c) in zip(by_table, mixed, by_division):
+        assert f == g == h
+        assert a.tolist() == b.tolist() == c.tolist()
+
+
+def test_records_over_another_field_are_rejected():
+    # the batched products run over the instance's field, so records over
+    # another one are refused rather than verified in the wrong field
+    inst = instance_parameters(7, 3, 2)
+    recs = dispatch(instance_parameters(13, 3, 2))
+    with pytest.raises(UsageError, match="over F_7"):
+        verify_system(recs, inst)
