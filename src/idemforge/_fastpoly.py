@@ -223,22 +223,26 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 class ReducedRing:
-    """Arithmetic in F_q[x] modulo a fixed monic polynomial of degree >= 1.
+    """Arithmetic in F_q[x] modulo a fixed monic polynomial M of degree >= 1.
 
-    Precomputes the reduction table rows x^(deg+i) mod M (i < deg), so a
-    reduction is one int64 matmul.
+    Elements are rows of deg residues; `reduce` and `matrix` also take
+    stacks of rows.  Precomputes the reduction table rows x^(deg+i) mod M
+    (i < deg), so a reduction is one int64 matmul.  The ring's products stay
+    in int64 under deg*(q-1)^2 < 2^63, checked here: at the small degrees of
+    extension fields the product kernel's float64 conversions cost more.
     """
 
     __slots__ = ("q", "deg", "mod", "_tbl")
 
     def __init__(self, q: int, mod_vec) -> None:
-        mod = trim(as_vec(mod_vec)) % q
+        mod = trim(as_vec(mod_vec))
         deg = mod.size - 1
+        check_int64_exact(max(deg, 1), q)  # first: `% q` needs q to fit int64
+        mod %= q
         if deg < 1 or int(mod[-1]) != 1:
             raise UsageError("modulus must be monic of degree >= 1")
         if deg > MAX_KERNEL_DEGREE:
             raise UsageError(f"modulus degree {deg} exceeds the kernel limit {MAX_KERNEL_DEGREE}")
-        check_int64_exact(deg, q)
         self.q = q
         self.deg = deg
         self.mod = mod
@@ -253,18 +257,44 @@ class ReducedRing:
         return self.reduce(np.array([0, 1], dtype=np.int64))
 
     def reduce(self, c: np.ndarray) -> np.ndarray:
+        """Rows c (coefficients on the last axis) reduced mod M and q."""
         c = c % self.q
-        if c.size <= self.deg:
-            if c.size < self.deg:
-                c = np.concatenate((c, np.zeros(self.deg - c.size, dtype=np.int64)))
+        width = c.shape[-1]
+        if width <= self.deg:
+            if width < self.deg:
+                pad = np.zeros(c.shape[:-1] + (self.deg - width,), dtype=np.int64)
+                c = np.concatenate((c, pad), axis=-1)
             return c
-        lo, hi = c[: self.deg], c[self.deg :]
-        # a product of reduced operands leaves hi.size < deg, so the sum
+        lo, hi = c[..., : self.deg], c[..., self.deg :]
+        # a product of reduced operands leaves width < 2*deg, so the sum
         # stays below deg*(q-1)^2, which __init__ checked
-        return (lo + hi @ self._tbl[: hi.size]) % self.q
+        return (lo + hi @ self._tbl[:width - self.deg]) % self.q
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.reduce(np.convolve(a, b))
+
+    def matrix(self, a: np.ndarray) -> np.ndarray:
+        """Rows x^i * a mod M (i < deg) for a row a, or one such matrix per
+        row of a stack: v @ matrix(a) % q is the product v * a."""
+        deg = self.deg
+        shifted = np.zeros(a.shape[:-1] + (deg, 2 * deg - 1), dtype=np.int64)
+        for i in range(deg):
+            shifted[..., i, i : i + deg] = a
+        return self.reduce(shifted)
+
+    def powers(self, a: np.ndarray, count: int) -> np.ndarray:
+        """Rows a^0, ..., a^(count-1), by doubling: the rows a^L .. a^(2L-1)
+        are the first L rows times a^L."""
+        out = np.zeros((count, self.deg), dtype=np.int64)
+        out[0, 0] = 1
+        done, step = 1, self.reduce(a)
+        while done < count:
+            take = min(done, count - done)
+            out[done : done + take] = out[:take] @ self.matrix(step) % self.q
+            done += take
+            if done < count:
+                step = self.mul(step, step)
+        return out
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
@@ -293,23 +323,6 @@ def _small_prime_factors(n: int) -> list[int]:
     return out
 
 
-def _frobenius_rows(ring: ReducedRing, q: int) -> np.ndarray:
-    """Rows F[i] = x^(i*q) mod M (entries < q); needs deg >= 2."""
-    t = ring.deg
-    xq = ring.pow(ring.x(), q)
-    rows = np.zeros((t, t), dtype=np.int64)
-    rows[0, 0] = 1
-    cur = rows[0]
-    for i in range(1, t):
-        if i * q < t:
-            cur = np.zeros(t, dtype=np.int64)
-            cur[i * q] = 1
-        else:
-            cur = ring.mul(cur, xq)
-        rows[i] = cur
-    return rows
-
-
 def is_irreducible(q: int, vec) -> bool:
     """Exact irreducibility test for a monic polynomial over F_q.
 
@@ -326,7 +339,8 @@ def is_irreducible(q: int, vec) -> bool:
         return True
     if int(vec[0]) == 0:
         return False
-    frob = _frobenius_rows(ReducedRing(q, vec), q)
+    ring = ReducedRing(q, vec)
+    frob = ring.powers(ring.pow(ring.x(), q), t)  # rows x^(i*q) mod M
     x_vec = np.zeros(t, dtype=np.int64)
     x_vec[1] = 1
     checkpoints = {t // r for r in _small_prime_factors(t)}

@@ -97,16 +97,6 @@ def min_distance_exhaustive(
     return best
 
 
-def _mul_matrix(theta, x, dim: int) -> np.ndarray:
-    """Rows x^i * theta, i < dim: a row vector v of coefficients becomes
-    the coefficients of v * theta under v @ matrix."""
-    rows = []
-    for _ in range(dim):
-        rows.append(theta.coeffs)
-        theta = theta * x
-    return np.array(rows, dtype=np.int64)
-
-
 def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
     """Minimum Hamming weight over all nonzero codewords of the cyclic code
     generated by g.
@@ -137,10 +127,11 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
         return min_distance_exhaustive(g, n, q, budget)
 
     field = ExtensionField(get_prime_field(q), h)
-    x, one = field.gen(), field.one()
+    ring = field.ring
+    x, one = ring.x(), ring.one()
     d = n
     for r in factor_integer(n):
-        while d % r == 0 and x ** (d // r) == one:
+        while d % r == 0 and np.array_equal(ring.pow(x, d // r), one):
             d //= r
     order = lcm(d, q - 1)
     orbits = (q**dim - 1) // order
@@ -149,26 +140,18 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
             f"walking ({q}^{dim} - 1)/{order} orbits of <x, F_q^*> exceeds the budget {budget}",
             required=orbits,
         )
-    fp.check_int64_exact(dim, q)
-    gamma = primitive_element(field)
+    gamma = fp.as_vec(primitive_element(field).coeffs)
     block = min(orbits, max(1, _BLOCK_ENTRIES // n))
-    # theta holds gamma^a, a < block, one coefficient row each, built by doubling
-    theta = np.zeros((1, dim), dtype=np.int64)
-    theta[0, 0] = 1
-    step = gamma
-    while theta.shape[0] < block:
-        theta = np.vstack((theta, theta @ _mul_matrix(step, x, dim) % q))
-        step = step * step
-    theta = theta[:block]
+    theta = ring.powers(gamma, block)  # gamma^a, a < block
     # block j holds the codewords of gamma^(jB + a) = theta[a] @ M(gamma^B)^j
     # @ rows, so the walk advances the small dim x n matrix, not theta
-    advance = _mul_matrix(gamma**block, x, dim)
+    advance = ring.matrix(ring.pow(gamma, block))
     rows = _generator_rows(g, n, dim)
     best = n
     for start in range(0, orbits, block):
-        words = theta[: orbits - start] @ rows % q
+        words = fp.mat_mul(theta[: orbits - start], rows, q)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
-        rows = advance @ rows % q
+        rows = fp.mat_mul(advance, rows, q)
     return best
 
 

@@ -235,24 +235,21 @@ def split_case_idempotents(
 
 def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generator_skip: int) -> list[int]:
     """table[i] = trace of zeta^i from F_{q^t} down to F_q, for a primitive
-    pm-th root of unity zeta chosen deterministically."""
+    pm-th root of unity zeta chosen deterministically: the sum over u < t
+    of zeta^(i*q^u), read from one power table of zeta."""
     q, t = instance.q, instance.t
     field = get_extension_field(q, t, modulus_skip)
     g = primitive_element(field, generator_skip)
-    zeta = g ** ((field.order - 1) // pm)
-    powers = [field.one()]
-    for _ in range(pm - 1):
-        powers.append(powers[-1] * zeta)
-    q_pows = [pow(q, u, pm) for u in range(t)]
-    table = []
-    for i in range(pm):
-        acc = field.zero()
-        for qp in q_pows:
-            acc = acc + powers[(i * qp) % pm]
-        if any(acc.coeffs[1:]):
-            raise InvariantViolation("trace value left the base field")
-        table.append(acc.coeffs[0])
-    return table
+    zeta = field.ring.pow(fp.as_vec(g.coeffs), (field.order - 1) // pm)
+    powers = field.ring.powers(zeta, pm)
+    index = np.arange(pm)
+    traces = np.zeros_like(powers)
+    for u in range(t):  # one exponent at a time keeps memory at pm*t entries
+        traces += powers[index * pow(q, u, pm) % pm]
+    traces %= q
+    if traces[:, 1:].any():
+        raise InvariantViolation("trace value left the base field")
+    return traces[:, 0].tolist()
 
 
 def general_case_idempotents(

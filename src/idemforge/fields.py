@@ -7,9 +7,9 @@ elements are safe to share across threads.
 
 Determinism: `find_irreducible` scans monic candidates in ascending order of
 the integer value sum(c_i * q^i) of their non-leading coefficients, and
-`primitive_element` walks field elements in the same integer order
-(constants first, then polynomials), so every derived object is reproducible
-byte for byte.
+`primitive_element` walks field elements in the same integer order: from 1
+in F_q, and in F_{q^t} (t > 1) from index q, past the constants, whose
+orders divide q - 1.  So every derived object is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -247,10 +247,12 @@ class PrimeField:
 class ExtensionField:
     """F_{q^t} presented as F_q[y] modulo a monic irreducible of degree t.
 
-    The modulus is re-verified irreducible at construction.
+    The modulus is re-verified irreducible at construction.  `ring` is the
+    `_fastpoly.ReducedRing` of the modulus: power tables and multiplication
+    matrices on int64 rows, for callers that work on many elements at once.
     """
 
-    __slots__ = ("base", "t", "modulus", "_ring")
+    __slots__ = ("base", "t", "modulus", "ring")
 
     def __init__(self, base: PrimeField, modulus: Poly):
         if modulus.field != base:
@@ -261,12 +263,13 @@ class ExtensionField:
         mod_ints = modulus.int_coeffs()
         if mod_ints[-1] != 1:
             raise UsageError("modulus must be monic")
+        ring = fp.ReducedRing(base.q, mod_ints)  # refuses q past the int64 rule
         if not fp.is_irreducible(base.q, mod_ints):
             raise UsageError(f"modulus {modulus!r} is reducible over {base!r}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_ring", fp.ReducedRing(base.q, mod_ints))
+        object.__setattr__(self, "ring", ring)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")
@@ -311,10 +314,10 @@ class ExtensionField:
 
     def gen(self) -> FieldElement:
         """The residue class of y."""
-        return FieldElement(self, tuple(int(v) for v in self._ring.x()))
+        return FieldElement(self, tuple(int(v) for v in self.ring.x()))
 
     def _mul(self, a, b):
-        return tuple(int(v) for v in self._ring.mul(fp.as_vec(a), fp.as_vec(b)))
+        return tuple(int(v) for v in self.ring.mul(fp.as_vec(a), fp.as_vec(b)))
 
     def _inv(self, a):
         g, u, _ = extended_gcd(Poly(self.base, a), self.modulus)
@@ -323,7 +326,7 @@ class ExtensionField:
         return u.coeffs + (0,) * (self.t - len(u.coeffs))  # g = 1, so u = 1/a
 
     def _pow(self, a, e):
-        return tuple(int(v) for v in self._ring.pow(fp.as_vec(a), e))
+        return tuple(int(v) for v in self.ring.pow(fp.as_vec(a), e))
 
     def __eq__(self, other):
         return (
@@ -376,17 +379,15 @@ def element_by_index(field, index: int) -> FieldElement:
 
 
 @functools.lru_cache(maxsize=None)
-def primitive_element(
-    field, skip: int = 0, *, order_budget_bits: int = DEFAULT_ORDER_BUDGET_BITS
-) -> FieldElement:
+def primitive_element(field, skip: int = 0) -> FieldElement:
     """First element (in canonical enumeration order) of multiplicative
     order q^t - 1; `skip` asks for a later one.  Requires factoring
-    q^t - 1, guarded by the order budget.  For t > 1 the walk starts at
-    index q: the constants before it have orders dividing q - 1."""
+    q^t - 1, guarded by DEFAULT_ORDER_BUDGET_BITS.  For t > 1 the walk
+    starts at index q: the constants before it have orders dividing q - 1."""
     n = field.order - 1
-    if n.bit_length() > order_budget_bits:
+    if n.bit_length() > DEFAULT_ORDER_BUDGET_BITS:
         raise BudgetExceededError(
-            f"group order needs {n.bit_length()} bits; budget is {order_budget_bits}",
+            f"group order needs {n.bit_length()} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}",
             required=n.bit_length(),
         )
     prime_divisors = list(factor_integer(n)) if n > 1 else []
@@ -412,10 +413,10 @@ def root_of_unity(field, order: int) -> FieldElement:
     if n % order:
         raise UsageError(f"{order} does not divide the group order {n}")
     zeta = primitive_element(field) ** (n // order)
-    if zeta**order != field.one():
+    one = field.one()
+    if zeta**order != one:
         raise InvariantViolation("root of unity failed its order check")
-    smallest = min(factor_integer(order))
-    if zeta ** (order // smallest) == field.one():
+    if any(zeta ** (order // r) == one for r in factor_integer(order)):
         raise InvariantViolation("root of unity is not primitive")
     return zeta
 

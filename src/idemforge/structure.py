@@ -199,38 +199,38 @@ def _factor_cached(instance: ProblemInstance):
         big_t, big_m = instance.t, instance.m
     m_eff = min(big_m, k)
     pm = p**m_eff
-    field = base if big_t == 1 else get_extension_field(q, big_t)
+    field = get_extension_field(q, big_t)
     # zeta fixes which factor each coset receives; these two deterministic
     # rules keep the factor lists (and the oracle's record order) stable.
     zeta = _nth_root_of_unity(field, n, p) if k <= big_m else root_of_unity(field, pm)
-    minpolys: dict[int, Poly] = {}
-
-    def minpoly(j: int) -> Poly:
-        """Minimal polynomial over F_q of zeta^j: the product of (x - zeta^i)
-        over the orbit of j under multiplication by q mod p^m'."""
-        orbit = [j % pm]
-        while (orbit[-1] * q) % pm != orbit[0]:
-            orbit.append((orbit[-1] * q) % pm)
-        key = min(orbit)
-        if key not in minpolys:
-            zero, prod = field.zero(), [field.one()]  # ascending, in F_{q^T}
-            for i in orbit:
-                root = zeta**i
-                prod = [a - root * b for a, b in zip([zero] + prod, prod + [zero])]
-            try:
-                ints = [c.as_int() for c in prod]
-            except UsageError as exc:
-                raise InvariantViolation(f"minimal polynomial left the base field: {exc}") from exc
-            minpolys[key] = Poly.from_ints(base, ints)
-        return minpolys[key]
+    ring = field.ring
+    zeta_powers = ring.powers(fp.as_vec(zeta.coeffs), pm)
+    # The minimal polynomial of zeta^j over F_q is the product of (x - zeta^i)
+    # over the orbit of j under multiplication by q mod p^m'.  Orbits of one
+    # size are multiplied out together: prods[o] holds the coefficients (each
+    # in F_{q^T}) of the partial product for orbit o.
+    minpolys: dict[int, Poly] = {}  # every exponent mod p^m' -> its minimal polynomial
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for orbit in cyclotomic_cosets(q, pm).cosets:
+        by_size.setdefault(orbit.size, []).append(orbit.elements)
+    for size, orbits in by_size.items():
+        roots = zeta_powers[np.array(orbits)]
+        prods = np.zeros((len(orbits), size + 1, big_t), dtype=np.int64)
+        prods[:, 0, 0] = 1
+        for i in range(size):  # x*prod - root*prod; roll wraps the top coefficient, still 0
+            prods = (np.roll(prods, 1, axis=1) - prods @ ring.matrix(roots[:, i])) % q
+        if prods[:, :, 1:].any():
+            raise InvariantViolation("minimal polynomial left the base field")
+        for orbit, coeffs in zip(orbits, prods[:, :, 0].tolist()):
+            minpolys.update(dict.fromkeys(orbit, Poly.from_ints(base, coeffs)))
 
     factors = []
     for coset in cyclotomic_cosets(q, n).cosets:
         s = p_adic_valuation(coset.divisor, p)
         if s <= m_eff:
-            f = minpoly(coset.rep // p ** (k - m_eff))
+            f = minpolys[coset.rep // p ** (k - m_eff)]
         else:
-            f = inflate(minpoly(coset.rep // p ** (k - s)), p ** (s - m_eff))
+            f = inflate(minpolys[coset.rep // p ** (k - s) % pm], p ** (s - m_eff))
         if f.degree != coset.size or f.lead != 1:
             raise InvariantViolation(
                 f"factor for coset {coset.rep} is not monic of degree {coset.size}"

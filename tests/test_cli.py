@@ -329,6 +329,12 @@ def test_verify_on_both_sides_of_the_float64_product_bound(capsys, q):
     code, out, _ = run_cli(capsys, "verify", "--q", q, "--p", "3", "--k", "1", "--against", "euclid")
     assert code == 0
     assert "overall: pass" in out
+    # the orbit walk of the repetition code runs its products on the same paths
+    code, out, _ = run_cli(
+        capsys, "code", "--q", q, "--p", "3", "--k", "1", "--label", "e_0", "--min-distance"
+    )
+    assert code == 0
+    assert out.startswith("e_0: [3,1,3] ")
 
 
 def test_large_q_extension_field_runs_to_the_float64_bound(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from idemforge import (
@@ -24,6 +26,8 @@ from idemforge import (
     split_case_idempotents,
     third_type_census,
 )
+from idemforge.fields import FieldElement
+from idemforge.structure import _factor_cached
 
 
 def _coeff_sets(records):
@@ -367,3 +371,47 @@ def test_third_type_census():
     assert third_type_census(recs) == {2: 2}
     recs = dispatch(instance_parameters(2, 3, 4))  # t=2, m=1, k=4
     assert third_type_census(recs) == {2: 1, 3: 1, 4: 1}
+
+
+# -- pinned bytes -----------------------------------------------------------
+
+# Both zeta rules (k <= m and inflated levels), F_{q^2} for p = 2 with
+# q = 3 mod 4, and the golden instance: the digest fixes which factor each
+# coset gets and every closed-form coefficient, under both choices.
+PINNED_INSTANCES = ((19, 7, 2), (2, 3, 5), (3, 5, 3), (3, 2, 5), (7, 2, 6), (17, 13, 2))
+PINNED_DIGEST = "c4681338e6847dd861516170ca67c6b92ce94dd176b81bbebb8b5080fcedfb0a"
+
+
+def test_factor_lists_and_closed_forms_keep_their_bytes():
+    digest = hashlib.sha256()
+    for q, p, k in PINNED_INSTANCES:
+        inst = instance_parameters(q, p, k)
+        digest.update(repr([(d, f.coeffs) for d, f in factor_xn_minus_1(inst)]).encode())
+        for choices in ({}, {"modulus_skip": 1, "generator_skip": 1}):
+            try:
+                records = dispatch(inst, **choices)
+            except UsageError as exc:  # p = 2 with q = 3 mod 4, or no second modulus
+                digest.update(type(exc).__name__.encode())
+            else:
+                digest.update(repr([(r.label, r.value.int_coeffs()) for r in records]).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("q,p,k", [(2, 41, 1), (17, 13, 2), (251, 5, 3)])
+def test_factorization_and_closed_forms_build_few_field_elements(q, p, k, monkeypatch):
+    # power tables and multiplication matrices on int64 rows, not one
+    # FieldElement per root, coefficient or trace term
+    inst = instance_parameters(q, p, k)
+    dispatch(inst)  # warms primitive_element
+    _factor_cached.cache_clear()
+    built = []
+    init = FieldElement.__init__
+
+    def counting_init(self, field, coeffs):
+        built.append(coeffs)
+        init(self, field, coeffs)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    factor_xn_minus_1(inst)
+    dispatch(inst)
+    assert len(built) <= 32

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from idemforge import (
     BudgetExceededError,
+    InvariantViolation,
     UsageError,
     find_irreducible,
     frobenius,
@@ -15,6 +17,7 @@ from idemforge import (
     root_of_unity,
     trace_sigma1,
 )
+from idemforge import fields
 from idemforge.fields import element_by_index, factor_integer, is_prime
 
 
@@ -174,9 +177,8 @@ def test_primitive_element_skip_differs(f8):
 
 
 def test_primitive_element_budget_guard():
-    field = get_extension_field(2, 3)
-    with pytest.raises(BudgetExceededError):
-        primitive_element(field, order_budget_bits=2)
+    with pytest.raises(BudgetExceededError, match="needs 127 bits"):
+        primitive_element(get_prime_field(2**127 - 1))
 
 
 def test_root_of_unity_examples(f7, f8):
@@ -195,6 +197,14 @@ def test_root_of_unity_has_exact_order():
     z = root_of_unity(field, 5)
     assert z**5 == field.one()
     assert z != field.one()
+
+
+def test_root_of_unity_checks_every_prime_of_the_order(f7, monkeypatch):
+    # 6 has order 2 in F_7: 6^(6/2) != 1 passes the check at the prime 2,
+    # and only the prime 3 (6^2 = 1) exposes it
+    monkeypatch.setattr(fields, "primitive_element", lambda field, skip=0: field.element(6))
+    with pytest.raises(InvariantViolation, match="not primitive"):
+        root_of_unity(f7, 6)
 
 
 def test_frobenius_fixes_base_and_cycles(f8):
@@ -303,6 +313,19 @@ def test_quadratic_extension_exact_at_the_int64_edge():
         inv = x.inverse()
         assert _ref_mul(a, inv.coeffs, mod, q) == one.coeffs
         assert inv.coeffs == _ref_pow(a, q * q - 2, mod, q)
+    # the row-stack paths: power tables by doubling, multiplication matrices
+    # for one element and for a stack
+    ring, y = field.ring, (0, 1)
+    stack = ring.matrix(np.array(samples))
+    for a, mat in zip(samples, stack):
+        powers = ring.powers(np.array(a), 9)
+        assert [tuple(r) for r in powers.tolist()] == [_ref_pow(a, e, mod, q) for e in range(9)]
+        assert np.array_equal(ring.matrix(np.array(a)), mat)
+        assert [tuple(r) for r in mat.tolist()] == [
+            _ref_mul(_ref_pow(y, i, mod, q), a, mod, q) for i in range(2)
+        ]
+        for b in samples:
+            assert tuple((np.array(b) @ mat % q).tolist()) == _ref_mul(b, a, mod, q)
 
 
 def test_modulus_must_be_irreducible():
