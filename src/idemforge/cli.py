@@ -78,7 +78,17 @@ def build_document(instance, records) -> dict:
 
 
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """One top-level key per line; a nonempty list opens on its key's line
+    and puts each element on a line of its own, so a record is one line."""
+    lines = []
+    for key, value in doc.items():
+        head = f"  {json.dumps(key)}: "
+        if isinstance(value, list) and value:
+            items = ",\n".join(f"    {json.dumps(item)}" for item in value)
+            lines.append(f"{head}[\n{items}\n  ]")
+        else:
+            lines.append(head + json.dumps(value))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def parse_document(text: str) -> dict:

@@ -186,6 +186,16 @@ def _root_table(
     return _sigma_table(instance, pm, modulus_skip, generator_skip), "general-case"
 
 
+def _gather_rows(table: list[int], scale: int, q: int, indices, count: int) -> np.ndarray:
+    """Rows i, l < count of scale * table[(-indices[i] * l) % len(table)]
+    mod q, as one gather (object entries past int64, where t = 1 admits q)."""
+    values = np.array(
+        [v * scale % q for v in table], dtype=np.int64 if q <= 1 << 63 else object
+    )
+    exponents = -np.outer(np.asarray(indices, dtype=np.int64), np.arange(count))
+    return values[exponents % len(table)]
+
+
 def _records_from_table(
     instance: ProblemInstance, table: list[int], method: str
 ) -> tuple[IdempotentRecord, ...]:
@@ -197,20 +207,19 @@ def _records_from_table(
     records = [
         _record_from_ints(q, [inv_n] * n, "e_0", KIND_UNIT_SUM, None, method)
     ]
-    for j in orbit_representatives(pm, q, "all-nonzero"):
-        ints = [(inv_n * table[(-j * l) % pm]) % q for l in range(n)]
-        records.append(_record_from_ints(q, ints, f"e_j:{j}", KIND_SECOND, (j,), method))
+    js = orbit_representatives(pm, q, "all-nonzero")
+    for j, row in zip(js, _gather_rows(table, inv_n, q, js, n)):
+        records.append(_record_from_ints(q, row.tolist(), f"e_j:{j}", KIND_SECOND, (j,), method))
+    ls = orbit_representatives(pm, q, "units")
     for s in range(m_eff + 1, k + 1):
         inv_c = pow(pow(p, k + m_eff - s, q), -1, q)
         step = p ** (s - m_eff)
-        count = p ** (k - s + m_eff)
-        for l in orbit_representatives(pm, q, "units"):
-            ints = [0] * n
-            for j in range(count):
-                ints[j * step] = (inv_c * table[(-l * j) % pm]) % q
-            records.append(
-                _record_from_ints(q, ints, f"e_{{s,l}}:{s},{l}", KIND_THIRD, (s, l), method)
-            )
+        gathered = _gather_rows(table, inv_c, q, ls, p ** (k - s + m_eff))
+        rows = np.zeros((len(ls), n), dtype=gathered.dtype)
+        rows[:, ::step] = gathered  # supported on the multiples of p^(s - m)
+        for l, row in zip(ls, rows):
+            label = f"e_{{s,l}}:{s},{l}"
+            records.append(_record_from_ints(q, row.tolist(), label, KIND_THIRD, (s, l), method))
     return tuple(records)
 
 
@@ -278,8 +287,7 @@ def second_type_idempotent(
     if not 0 < j < pm:
         raise UsageError(f"index must lie in (0, {pm})")
     table, method = _root_table(instance, modulus_skip, generator_skip)
-    inv_n = pow(n % q, -1, q)
-    ints = [(inv_n * table[(-j * l) % pm]) % q for l in range(n)]
+    ints = _gather_rows(table, pow(n % q, -1, q), q, [j], n)[0].tolist()
     return _record_from_ints(q, ints, f"e_j:{j}", KIND_SECOND, (j,), method)
 
 
@@ -295,11 +303,9 @@ def fully_split_idempotents(q: int, n: int) -> tuple[IdempotentRecord, ...]:
         return (_record_from_ints(q, [1], "e_0", KIND_UNIT_SUM, None, "fully-split"),)
     g = primitive_element(field)
     z = pow(g.coeffs[0], (q - 1) // n, q)
-    table = _power_table(q, z, n)
-    inv_n = pow(n % q, -1, q)
+    rows = _gather_rows(_power_table(q, z, n), pow(n % q, -1, q), q, range(n), n)
     records = []
-    for j in range(n):
-        ints = [(inv_n * table[(-j * l) % n]) % q for l in range(n)]
+    for j, ints in enumerate(rows.tolist()):
         kind = KIND_UNIT_SUM if j == 0 else KIND_SECOND
         label = "e_0" if j == 0 else f"e_j:{j}"
         records.append(

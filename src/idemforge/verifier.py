@@ -1,12 +1,13 @@
-"""Independent validation of a claimed idempotent system: idempotency and
-completeness on the coefficients, orthogonality and primitivity through the
-residues modulo the irreducible factors of x^n - 1, and set equality
-against the Euclid oracle.  Reports name the first counterexample so
-regressions stay debuggable."""
+"""Independent validation of a claimed idempotent system: nonzero records
+and completeness on the coefficients, idempotency, orthogonality and
+primitivity through the residues modulo the certified irreducible factors
+of x^n - 1, and set equality against the Euclid oracle.  Reports name the
+first counterexample so regressions stay debuggable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -64,7 +65,7 @@ def check_orthogonality(records, instance: ProblemInstance) -> bool:
     """e_i * e_j = 0 for every pair i != j, read from the residues modulo
     the irreducible factors of x^n - 1."""
     matrix = _record_matrix(records, instance.q, instance.n)
-    return _orthogonality_detail(_nonzero_pattern(_residues(matrix, instance)))[0]
+    return _orthogonality_detail(_residue_pattern(_residues(matrix, instance))[0])[0]
 
 
 def _record_matrix(records, q: int, n: int) -> np.ndarray:
@@ -77,50 +78,84 @@ def _record_matrix(records, q: int, n: int) -> np.ndarray:
     return fp.as_vec([v.int_coeffs() for v in values]).reshape(len(values), n)
 
 
-def _idempotency_failures(matrix: np.ndarray, q: int) -> list[int]:
-    """Records i with e_i * e_i != e_i, from one batched product."""
-    squares = fp.conv_rows(matrix, matrix, q, matrix.shape[1])
-    return np.flatnonzero((squares != matrix).any(axis=1)).tolist()
-
-
 def _residues(matrix: np.ndarray, instance: ProblemInstance):
     """(f, R_f) for every irreducible factor f of x^n - 1, in
     `factor_xn_minus_1` order, where row i of R_f is record i mod f.
 
     The factorization is certified, so e -> (e mod f)_f is a ring
     isomorphism onto a product of fields: a product of records is zero iff
-    no factor sees a nonzero residue in both.  Factors of one degree are
-    reduced together, one table walk and one product per slice of at most
-    TABLE_ENTRIES table entries.  A factor whose table alone would pass
-    that cap is reduced by one division walk over the records instead."""
+    no factor sees a nonzero residue in both.
+
+    A factor f of order N divides x^N - 1, so each record is first folded
+    mod x^N - 1 (its n/N blocks of N coefficients summed).  With s the gcd
+    of N and the exponents of f's terms, f = h(x^s) and h divides
+    y^(N/s) - 1; the factors above level m are such inflations
+    (Lidl-Niederreiter, Thm 3.35).  Writing a folded row as the sum over
+    j < s of x^j E_j(x^s), its residue is the sum of x^j (E_j mod h)(x^s),
+    so only the s slices E_j of each record are reduced, modulo h.
+    Factors sharing (N, s, deg h) share their slices: one table of
+    y^i mod h (i < N/s) and one product serve each chunk of at most
+    TABLE_ENTRIES table entries.  A group whose table alone would pass that
+    cap is reduced by one division walk per factor over the slices
+    instead."""
     q, n = instance.q, instance.n
-    fp.check_int64_exact(n, q)  # before any table walk: residues sum n products
-    factors = [f for _, f in factor_xn_minus_1(instance)]
-    by_degree: dict[int, list[int]] = {}
-    for index, f in enumerate(factors):
-        by_degree.setdefault(f.degree, []).append(index)
+    fp.check_int64_exact(n, q)  # before any product: a fold sums n/N residues
+    rows = len(matrix)
+    factors = factor_xn_minus_1(instance)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for index, (order, f) in enumerate(factors):
+        stride = gcd(order, *(e for e, c in enumerate(f.int_coeffs()) if c))
+        groups.setdefault((order, stride, f.degree // stride), []).append(index)
     out = [None] * len(factors)
-    for degree, indices in by_degree.items():
-        if n * degree > TABLE_ENTRIES:
-            for i in indices:
-                _, rem = fp.divmod_rows(matrix, fp.as_vec([factors[i].int_coeffs()]), q)
-                out[i] = (factors[i], rem.copy())  # frees the r x n walk array
+    folded_order = None
+    for (order, stride, degree), indices in sorted(groups.items()):
+        if order != folded_order:  # sorted, so each order is folded once
+            folded_order = order
+            folded = matrix.reshape(rows, n // order, order).sum(axis=1) % q
+        length = order // stride
+        # row (i, j) holds E_j of record i: its folded coefficients j, j + s, ...
+        slices = folded.reshape(rows, length, stride).transpose(0, 2, 1)
+        slices = slices.reshape(rows * stride, length)
+        mods = [factors[i][1].int_coeffs()[::stride] for i in indices]
+
+        def place(rem):
+            """Rows (i, j) of E_j mod h as record i mod h(x^s): coefficient
+            c of E_j mod h is coefficient j + s*c."""
+            rem = rem.reshape(rows, stride, degree).transpose(0, 2, 1)
+            return rem.reshape(rows, stride * degree)
+
+        if length * degree > TABLE_ENTRIES:
+            for i, mod in zip(indices, mods):
+                _, rem = fp.divmod_rows(slices, fp.as_vec([mod]), q)
+                out[i] = (factors[i][1], place(rem).copy())  # frees the walk array
             continue
-        step = TABLE_ENTRIES // (n * degree)
+        step = TABLE_ENTRIES // (length * degree)
         for start in range(0, len(indices), step):
             chunk = indices[start : start + step]
-            table = fp.residue_matrix([factors[i].int_coeffs() for i in chunk], n, q)
-            stacked = fp.mat_mul(matrix, table.reshape(n, -1), q)
+            table = fp.residue_matrix(mods[start : start + step], length, q)
+            stacked = fp.mat_mul(slices, table.reshape(length, -1), q)
             del table  # freed before the next walk allocates another
-            stacked = stacked.reshape(len(matrix), len(chunk), degree)
+            stacked = stacked.reshape(rows, stride, len(chunk), degree)
             for pos, i in enumerate(chunk):
-                out[i] = (factors[i], stacked[:, pos])
+                out[i] = (factors[i][1], place(stacked[:, :, pos]))
     return out
 
 
-def _nonzero_pattern(residues) -> np.ndarray:
-    """N[i, j]: record i has a nonzero residue modulo factor j."""
-    return np.stack([block.any(axis=1) for _, block in residues], axis=1)
+def _residue_pattern(residues):
+    """(N, O): N[i, j] says record i is nonzero modulo factor j, O[i, j]
+    that it is 1 there."""
+    nonzero = np.stack([block.any(axis=1) for _, block in residues], axis=1)
+    ones = np.stack(
+        [(block[:, 0] == 1) & ~block[:, 1:].any(axis=1) for _, block in residues], axis=1
+    )
+    return nonzero, ones
+
+
+def _idempotency_detail(nonzero: np.ndarray, ones: np.ndarray):
+    """Modulo each factor of the certified factorization a record is a
+    field element, so e*e = e iff every residue is 0 or 1."""
+    bad = np.flatnonzero((nonzero & ~ones).any(axis=1)).tolist()
+    return not bad, None if not bad else f"records {bad} fail e*e = e"
 
 
 def _orthogonality_detail(pattern: np.ndarray):
@@ -160,25 +195,23 @@ def check_primitivity(records, instance: ProblemInstance) -> bool:
     """Cardinality equals the number of irreducible factors of x^n - 1 and
     each record is = 1 modulo exactly one factor and = 0 modulo the rest."""
     matrix = _record_matrix(records, instance.q, instance.n)
-    return _primitivity_detail(_residues(matrix, instance))[0]
+    residues = _residues(matrix, instance)
+    return _primitivity_detail(residues, *_residue_pattern(residues))[0]
 
 
-def _primitivity_detail(residues):
-    count = residues[0][1].shape[0]
-    if count != len(residues):
-        return False, f"{count} records but {len(residues)} irreducible factors"
-    one_count = np.zeros(count, dtype=np.int64)
-    for f, block in residues:
-        is_one = (block[:, 0] == 1) & ~block[:, 1:].any(axis=1)
-        is_zero = ~block.any(axis=1)
-        mixed = np.nonzero(~is_one & ~is_zero)[0]
-        if mixed.size:
-            return (
-                False,
-                f"record {int(mixed[0])} has residue neither 0 nor 1 modulo a degree-{f.degree} factor",
-            )
-        one_count += is_one
-    bad = np.nonzero(one_count != 1)[0]
+def _primitivity_detail(residues, nonzero: np.ndarray, ones: np.ndarray):
+    count, factors = nonzero.shape
+    if count != factors:
+        return False, f"{count} records but {factors} irreducible factors"
+    mixed = nonzero & ~ones
+    columns = np.flatnonzero(mixed.any(axis=0))
+    if columns.size:
+        j = int(columns[0])
+        i = int(np.flatnonzero(mixed[:, j])[0])
+        degree = residues[j][0].degree
+        return False, f"record {i} has residue neither 0 nor 1 modulo a degree-{degree} factor"
+    one_count = ones.sum(axis=1)
+    bad = np.flatnonzero(one_count != 1)
     if bad.size:
         i = int(bad[0])
         return False, f"record {i} is = 1 modulo {int(one_count[i])} factors (want exactly 1)"
@@ -197,8 +230,8 @@ def verify_system(
     with_primitivity: bool = True,
     against_oracle: bool = False,
 ) -> VerificationReport:
-    """Run the full battery on a claimed idempotent system.  Nonzero,
-    idempotency and completeness are computed on the coefficients;
+    """Run the full battery on a claimed idempotent system.  Nonzero and
+    completeness are computed on the coefficients; idempotency,
     orthogonality and primitivity are read from one pass of residues
     modulo the certified factorization of x^n - 1."""
     checks: list[CheckResult] = []
@@ -213,17 +246,12 @@ def verify_system(
     )
 
     matrix = _record_matrix(records, instance.q, instance.n)
-    bad = _idempotency_failures(matrix, instance.q)
-    checks.append(
-        CheckResult(
-            "idempotency",
-            not bad,
-            None if not bad else f"records {bad} fail e*e = e",
-        )
-    )
-
     residues = _residues(matrix, instance)
-    ok, detail = _orthogonality_detail(_nonzero_pattern(residues))
+    nonzero, ones = _residue_pattern(residues)
+    ok, detail = _idempotency_detail(nonzero, ones)
+    checks.append(CheckResult("idempotency", ok, detail))
+
+    ok, detail = _orthogonality_detail(nonzero)
     checks.append(CheckResult("orthogonality", ok, detail))
 
     ok, detail = _completeness_detail(matrix, instance.q)
@@ -241,7 +269,7 @@ def verify_system(
     )
 
     if with_primitivity:
-        ok, detail = _primitivity_detail(residues)
+        ok, detail = _primitivity_detail(residues, nonzero, ones)
         checks.append(CheckResult("primitivity", ok, detail))
     del matrix, residues  # freed before the oracle builds its own records
 

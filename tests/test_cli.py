@@ -89,6 +89,58 @@ def test_json_roundtrip_is_byte_stable(capsys):
     assert parse_document(render_document(doc)) == doc
 
 
+def test_document_puts_each_record_on_one_line(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--q", "7", "--p", "3", "--k", "2", "--format", "json")
+    assert code == 0
+    assert out == "\n".join(
+        [
+            "{",
+            '  "schema": "idemforge/1",',
+            '  "q": 7,',
+            '  "p": 3,',
+            '  "k": 2,',
+            '  "n": 9,',
+            '  "t": 1,',
+            '  "m": 1,',
+            '  "method": "split-case",',
+            '  "idempotents": [',
+            '    {"label": "e_0", "kind": "unit-sum", "params": null, '
+            '"coeffs": [4, 4, 4, 4, 4, 4, 4, 4, 4]},',
+            '    {"label": "e_j:1", "kind": "second-type", "params": {"j": 1}, '
+            '"coeffs": [4, 2, 1, 4, 2, 1, 4, 2, 1]},',
+            '    {"label": "e_j:2", "kind": "second-type", "params": {"j": 2}, '
+            '"coeffs": [4, 1, 2, 4, 1, 2, 4, 1, 2]},',
+            '    {"label": "e_{s,l}:2,1", "kind": "third-type", "params": {"s": 2, "l": 1}, '
+            '"coeffs": [5, 0, 0, 6, 0, 0, 3, 0, 0]},',
+            '    {"label": "e_{s,l}:2,2", "kind": "third-type", "params": {"s": 2, "l": 2}, '
+            '"coeffs": [5, 0, 0, 3, 0, 0, 6, 0, 0]}',
+            "  ]",
+            "}",
+            "",
+        ]
+    )
+    assert render_document(parse_document(out)) == out
+
+
+@pytest.mark.parametrize(
+    "dump",
+    [lambda doc: json.dumps(doc, indent=2), lambda doc: json.dumps(doc, separators=(",", ":"))],
+)
+def test_verify_reads_other_layouts_of_the_document(capsys, tmp_path, dump):
+    # the earlier indent=2 layout and a fully compact one carry the same value
+    code, out, _ = run_cli(capsys, "gen", "--q", "7", "--p", "3", "--k", "2", "--format", "json")
+    assert code == 0
+    doc = parse_document(out)
+    path = tmp_path / "doc.json"
+    path.write_text(dump(doc), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "verify", "--in", str(path), "--against", "euclid")
+    assert code == 0
+    doc["idempotents"][1]["coeffs"][0] = (doc["idempotents"][1]["coeffs"][0] + 1) % 7
+    path.write_text(dump(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path), "--against", "euclid")
+    assert code == 2 and "overall: FAIL" in out
+
+
 def test_verify_generated_system_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--q", "17", "--p", "13", "--k", "2", "--against", "euclid"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from idemforge import _fastpoly as fp
 from idemforge import codes
+from idemforge.fields import ExtensionField, primitive_element
 from idemforge import (
     BudgetExceededError,
     Poly,
@@ -122,6 +125,34 @@ def test_min_distance_matches_exhaustive(monkeypatch, q, p, k, block_entries):
         if q ** (inst.n - g.degree) <= 1 << 16:
             expected = min_distance_exhaustive(g, inst.n, q)
             assert min_distance(g, inst.n, q) == expected, record.label
+
+
+def test_orbit_walk_forms_one_codeword_per_exponent(monkeypatch):
+    # [13,12] over F_2: x has order 13, so the walk weighs gamma^a * g for
+    # a < (2^12 - 1)/13 = 315, in blocks of 8.  Its codewords must be those
+    # exponents in order, each power of gamma computed on its own here.
+    g, n = _code_generator(2, 13, 1, "e_j:1")
+    monkeypatch.setattr(codes, "_BLOCK_ENTRIES", 8 * n)
+    products = []
+    kernel = fp.mat_mul
+
+    def recorded(a, b, q):
+        out = kernel(a, b, q)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(fp, "mat_mul", recorded)
+    assert min_distance(g, n, 2) == min_distance_exhaustive(g, n, 2)
+    orbits = (2**12 - 1) // 13
+    # each block forms its codewords, then advances the generator rows
+    assert len(products) == 2 * -(-orbits // 8)
+    words = np.concatenate(products[0::2])
+    h, _ = Poly.x_pow_minus_one(g.field, n).divrem(g)
+    field = ExtensionField(get_prime_field(2), h.monic())
+    gamma = fp.as_vec(primitive_element(field).coeffs)
+    g_vec = fp.as_vec(g.int_coeffs())
+    expected = [np.convolve(field.ring.pow(gamma, a), g_vec) % 2 for a in range(orbits)]
+    assert words.tolist() == [w.tolist() for w in expected]
 
 
 def test_min_distance_reducible_takes_exhaustive_path(monkeypatch):

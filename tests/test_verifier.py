@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from idemforge import _fastpoly as fp
@@ -154,6 +157,18 @@ def test_int64_bound_rejects_large_q():
         verify_system(dispatch(inst), inst, with_primitivity=False)
 
 
+def test_empty_system_is_reported_not_raised():
+    # an empty document reaches the residues with zero rows
+    inst = instance_parameters(2, 3, 5)  # strides up to 81
+    report = verify_system([], inst)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failed == {
+        "completeness": "empty system",
+        "cardinality": "0 records but 6 cyclotomic cosets",
+        "primitivity": "0 records but 6 irreducible factors",
+    }
+
+
 def test_records_of_another_length_are_rejected():
     inst = instance_parameters(7, 3, 2)
     recs = dispatch(instance_parameters(7, 3, 1))
@@ -225,8 +240,8 @@ def test_orthogonality_matches_pairwise_products(q, p, k):
 
 
 def test_verify_makes_no_pairwise_products(monkeypatch):
-    # orthogonality comes from residues: only the r idempotency squares (and
-    # at most one more product) may go through the cyclic multiplication
+    # idempotency and orthogonality come from residues: no record goes
+    # through the cyclic multiplication
     inst = instance_parameters(251, 5, 3)
     recs = dispatch(inst)
     assert len(recs) == 125
@@ -239,54 +254,128 @@ def test_verify_makes_no_pairwise_products(monkeypatch):
 
     monkeypatch.setattr(CyclicRingElement, "__mul__", counted)
     assert verify_system(recs, inst).passed
-    assert len(calls) <= len(recs) + 1
+    assert not calls
+
+
+def _residue_groups(inst):
+    """(N, s, deg h) for every factor f = h(x^s) of order N, with s the gcd
+    of N and the exponents of f's terms."""
+    groups = set()
+    for order, f in factor_xn_minus_1(inst):
+        stride = math.gcd(order, *(e for e, c in enumerate(f.int_coeffs()) if c))
+        groups.add((order, stride, f.degree // stride))
+    return groups
+
+
+def _with_random_rows(matrix, q, seed=0, count=4):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([matrix, rng.integers(0, q, size=(count, matrix.shape[1]))])
 
 
 @pytest.mark.parametrize("q, p, k", [(251, 5, 3), (13, 3, 6)])
 def test_verify_calls_the_product_kernel_per_degree_not_per_record(monkeypatch, q, p, k):
-    # one batched square of all records, one residue product per degree,
-    # and two oracle products (e = P*h and e*e) per degree and factor order
+    # no square of any record: idempotency is read from the residues, which
+    # take one product per group of factors sharing (N, s, deg h); the
+    # oracle takes two (e = P*h and e*e) per degree and factor order
     inst = instance_parameters(q, p, k)
     recs = dispatch(inst)
-    degrees = {f.degree for _, f in factor_xn_minus_1(inst)}
+    groups = _residue_groups(inst)
     stacks = {(f.degree, order) for order, f in factor_xn_minus_1(inst)}
-    calls = []
-    for name in ("conv_rows", "mat_mul"):
+    calls = {"conv_rows": 0, "mat_mul": 0}
+    for name in calls:
 
-        def counted(*args, kernel=getattr(fp, name), **kwargs):
-            calls.append(1)
+        def counted(*args, kernel=getattr(fp, name), name=name, **kwargs):
+            calls[name] += 1
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(fp, name, counted)
+    assert verify_system(recs, inst).passed
+    assert calls == {"conv_rows": 0, "mat_mul": len(groups)}
     assert verify_system(recs, inst, against_oracle=True).passed
-    assert len(calls) <= 1 + len(degrees) + 2 * len(stacks)
+    assert calls["mat_mul"] == 2 * len(groups)
+    assert calls["conv_rows"] <= 2 * len(stacks)
 
 
 def test_residues_by_division_match_the_tables(monkeypatch):
+    # (13,3,3): factors x - a, x^3 - a, x^9 - a (strides 1, 3, 9);
+    # (3,2,5): h(x^s) with deg h <= 2 and strides 1, 2, 4
     from idemforge import verifier
 
-    inst = instance_parameters(13, 3, 3)  # factor degrees 1, 3 and 9; n = 27
-    matrix = verifier._record_matrix(dispatch(inst), inst.q, inst.n)
-    by_table = verifier._residues(matrix, inst)
-    sizes = []
-    table = fp.residue_matrix
+    calls = []  # (path, operand rows or table entries)
 
-    def sized(mods, n, q):
-        out = table(mods, n, q)
-        sizes.append(out.size)
-        return out
+    def recorded(name, path, size):
+        kernel = getattr(fp, name)
 
-    monkeypatch.setattr(fp, "residue_matrix", sized)
-    monkeypatch.setattr(verifier, "TABLE_ENTRIES", 27 * 3)  # degree 9 is over the cap
-    mixed = verifier._residues(matrix, inst)
-    assert sizes and max(sizes) <= 27 * 3
-    sizes.clear()
-    monkeypatch.setattr(verifier, "TABLE_ENTRIES", 1)
-    by_division = verifier._residues(matrix, inst)
-    assert not sizes
-    for (f, a), (g, b), (h, c) in zip(by_table, mixed, by_division):
-        assert f == g == h
-        assert a.tolist() == b.tolist() == c.tolist()
+        def wrapper(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            calls.append((path, size(args, out)))
+            return out
+
+        monkeypatch.setattr(fp, name, wrapper)
+
+    recorded("residue_matrix", "table", lambda args, out: out.size)
+    recorded("mat_mul", "product", lambda args, out: len(args[0]))
+    recorded("divmod_rows", "division", lambda args, out: len(args[0]))
+    for q, p, k in [(13, 3, 3), (3, 2, 5)]:
+        inst = instance_parameters(q, p, k)
+        records = dispatch(inst, "euclid")
+        matrix = _with_random_rows(verifier._record_matrix(records, q, inst.n), q)
+        rows = len(matrix)
+        monkeypatch.setattr(verifier, "TABLE_ENTRIES", fp.TABLE_ENTRIES)
+        by_table = verifier._residues(matrix, inst)
+        groups = _residue_groups(inst)
+        cap = max(order // stride * degree for order, stride, degree in groups)
+        monkeypatch.setattr(verifier, "TABLE_ENTRIES", cap)  # one factor per table
+        calls.clear()
+        capped = verifier._residues(matrix, inst)
+        tables = [size for path, size in calls if path == "table"]
+        assert max(tables) <= cap and len(tables) > len(groups)
+        # a stride group s > 1 multiplies its rows * s slices by a table
+        assert any(path == "product" and size > rows for path, size in calls)
+        monkeypatch.setattr(verifier, "TABLE_ENTRIES", 0)  # every table is over the cap
+        calls.clear()
+        by_division = verifier._residues(matrix, inst)
+        assert {path for path, _ in calls} == {"division"}
+        assert any(size > rows for _, size in calls)
+        for (f, a), (g, b), (h, c) in zip(by_table, capped, by_division):
+            assert f == g == h
+            assert a.tolist() == b.tolist() == c.tolist()
+
+
+@pytest.mark.parametrize(
+    "q, p, k", [(13, 3, 6), (101, 5, 4), (7, 2, 6), (3, 2, 5), (17, 13, 2), (2, 3, 5)]
+)
+def test_folded_residues_match_division_of_the_unfolded_records(q, p, k):
+    from idemforge import verifier
+
+    inst = instance_parameters(q, p, k)
+    matrix = _with_random_rows(verifier._record_matrix(dispatch(inst, "euclid"), q, inst.n), q)
+    residues = verifier._residues(matrix, inst)
+    assert [f for f, _ in residues] == [f for _, f in factor_xn_minus_1(inst)]
+    for f, block in residues:
+        _, reference = fp.divmod_rows(matrix, fp.as_vec([f.int_coeffs()]), q)
+        assert block.tolist() == reference.tolist(), f
+
+
+@pytest.mark.parametrize("q, p, k", [(2, 7, 1), (7, 3, 2), (13, 3, 3), (17, 13, 2)])
+def test_idempotency_failures_match_pairwise_squares(q, p, k):
+    inst = instance_parameters(q, p, k)
+    recs = dispatch(inst)
+    systems = _tampered_systems(recs, q)
+    # e*(1 + x) for the last record, whose factor has degree > 1: its one
+    # nonzero residue 1 + x keeps the constant term 1
+    last = len(recs) - 1
+    coeffs = list(recs[last].value.int_coeffs())
+    shifted = [(a + b) % q for a, b in zip(coeffs, coeffs[-1:] + coeffs[:-1])]
+    value = CyclicRingElement.from_ints(get_prime_field(q), shifted)
+    systems["shifted"] = list(recs[:last]) + [_replace_value(recs[last], value)]
+    systems["two bad"] = systems["flipped"][:last] + systems["shifted"][last:]
+    for name, system in systems.items():
+        values = [list(r.value.int_coeffs()) for r in system]
+        bad = [i for i, v in enumerate(values) if _cyclic_product(v, v, q) != v]
+        check = next(c for c in verify_system(system, inst).checks if c.name == "idempotency")
+        assert check.passed == (not bad), name
+        assert check.detail == (f"records {bad} fail e*e = e" if bad else None), name
 
 
 def test_records_over_another_field_are_rejected():
