@@ -225,10 +225,10 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 class ReducedRing:
     """Arithmetic in F_q[x] modulo a fixed monic polynomial M of degree >= 1.
 
-    Elements are rows of deg residues; `reduce` and `matrix` also take
-    stacks of rows.  Precomputes the reduction table rows x^(deg+i) mod M
-    (i < deg), so a reduction is one int64 matmul.  The ring's products stay
-    in int64 under deg*(q-1)^2 < 2^63, checked here: at the small degrees of
+    Elements are rows of deg residues; the methods also take stacks of
+    rows.  Precomputes the reduction table rows x^(deg+i) mod M (i < deg),
+    so a reduction is one int64 matmul.  The ring's products stay in int64
+    under deg*(q-1)^2 < 2^63, checked here: at the small degrees of
     extension fields the product kernel's float64 conversions cost more.
     """
 
@@ -271,7 +271,23 @@ class ReducedRing:
         return (lo + hi @ self._tbl[:width - self.deg]) % self.q
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.reduce(np.convolve(a, b))
+        """Products of rows, a and b broadcast against each other on their
+        leading axes."""
+        if a.size == b.size == self.deg:  # one product: numpy's direct convolution
+            full = np.convolve(a.ravel(), b.ravel())
+            if a.ndim > 1 or b.ndim > 1:  # a stack of one row
+                full = full.reshape(max(a.shape, b.shape, key=len)[:-1] + full.shape)
+            return self.reduce(full)
+        # stacks: the outer products a_i*b_j of each pair of rows, padded
+        # with deg zeros per i and read back as rows of 2*deg - 1 entries,
+        # put a_i*b_j in column i + j; summing over i gives the full
+        # product, each coefficient a sum of at most deg products
+        deg = self.deg
+        outer = a[..., :, None] * b[..., None, :]
+        lead = outer.shape[:-2]
+        outer = np.concatenate((outer, np.zeros_like(outer)), axis=-1)
+        skewed = outer.reshape(lead + (2 * deg * deg,))[..., : deg * (2 * deg - 1)]
+        return self.reduce(skewed.reshape(lead + (deg, 2 * deg - 1)).sum(axis=-2))
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         """Rows x^i * a mod M (i < deg) for a row a, or one such matrix per
@@ -296,16 +312,26 @@ class ReducedRing:
                 step = self.mul(step, step)
         return out
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        if e < 0:
+    def pow(self, a: np.ndarray, e) -> np.ndarray:
+        """a^e for a row or a stack of rows a.  With a list of exponents
+        the result holds one entry per exponent, shape (len(e),) + a.shape,
+        from one walk over the bits of the largest: each bit squares the
+        rows of a once and multiplies the entries whose exponent has it."""
+        stacked = isinstance(e, list)
+        exps = e if stacked else [e]
+        if any(x < 0 for x in exps):
             raise UsageError("negative exponent in ring power")
-        result = self.one()
         base = self.reduce(a)
-        while e:
-            if e & 1:
+        result = np.zeros(((len(exps),) if stacked else ()) + base.shape, dtype=np.int64)
+        result[..., 0] = 1
+        for i in range(max(exps, default=0).bit_length()):
+            if i:
+                base = self.mul(base, base)
+            hit = [j for j, x in enumerate(exps) if x >> i & 1]
+            if len(hit) == len(exps):
                 result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
+            elif hit:
+                result[hit] = self.mul(result[hit], base)
         return result
 
 

@@ -122,9 +122,12 @@ def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != instance.n:
             raise UsageError("entry coefficient list must have exactly n entries")
-        if any(type(c) is not int for c in coeffs):
+        if set(map(type, coeffs)) != {int}:  # bool, float and str are not int
             raise UsageError("entry coefficients must be integers")
-        value = CyclicRingElement.from_ints(field, coeffs)
+        if min(coeffs) >= 0 and max(coeffs) < q:
+            value = CyclicRingElement._reduced(field, tuple(coeffs))
+        else:  # negative or past q: reduced, as any caller's ints are
+            value = CyclicRingElement.from_ints(field, coeffs)
         params = entry.get("params")
         if isinstance(params, dict):
             params = tuple(params.values())

@@ -76,7 +76,7 @@ def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[i
 
 
 def _record_from_ints(q: int, ints, label: str, kind: str, params, method: str) -> IdempotentRecord:
-    value = CyclicRingElement.from_ints(get_prime_field(q), ints)
+    value = CyclicRingElement._reduced(get_prime_field(q), tuple(ints))  # callers reduce mod q
     if value.is_zero():
         raise InvariantViolation(f"constructed a zero idempotent for {label}")
     return IdempotentRecord(value=value, label=label, kind=kind, params=params, method=method)
@@ -98,7 +98,7 @@ def euclid_idempotent(
         raise UsageError("exponent must be >= 1")
     if n % q == 0:
         raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    e = CyclicRingElement(field, n, _euclid_stack([f], n, n, q)[0].tolist())
+    e = CyclicRingElement._reduced(field, tuple(_euclid_stack([f], n, n, q)[0].tolist()))
     if label is None:
         label = f"euclid:deg{f.degree}"
     return IdempotentRecord(value=e, label=label, kind=KIND_GENERIC, params=params, method="euclid")
@@ -155,7 +155,7 @@ def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord,
             block = _euclid_stack([factors[i][1] for i in chunk], order, n, q)
             for i, row in zip(chunk, block):
                 records[i] = IdempotentRecord(
-                    value=CyclicRingElement(field, n, row.tolist()),
+                    value=CyclicRingElement._reduced(field, tuple(row.tolist())),
                     label=f"e_{{d,r}}:{order},{cosets[i].rep}",
                     kind=KIND_GENERIC,
                     params=None,

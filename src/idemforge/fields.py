@@ -10,11 +10,22 @@ the integer value sum(c_i * q^i) of their non-leading coefficients, and
 `primitive_element` walks field elements in the same integer order: from 1
 in F_q, and in F_{q^t} (t > 1) from index q, past the constants, whose
 orders divide q - 1.  So every derived object is reproducible byte for byte.
+
+In F_{q^t} the walk tests candidates in blocks of 1, 2, 4, ... int64 rows,
+each block raised to every exponent (q^t - 1)/r, r prime, by one stacked
+`ReducedRing.pow`, and returns the first candidate that passes in index
+order: the element a one-at-a-time walk finds.  The roots of unity of
+`structure` use the same walk.  `primitive_element` and
+`get_extension_field` search or build once per field (per (q, t)) and skip,
+however the caller passes the skip.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+
+import numpy as np
 
 from . import _fastpoly as fp
 from .errors import BudgetExceededError, InvariantViolation, UsageError
@@ -358,8 +369,15 @@ def find_irreducible(q: int, t: int, skip: int = 0) -> Poly:
     return Poly.from_ints(field, fp.lex_irreducible(q, t, skip))
 
 
-@functools.lru_cache(maxsize=None)
 def get_extension_field(q: int, t: int, skip: int = 0) -> ExtensionField:
+    """F_{q^t} modulo find_irreducible(q, t, skip), built once per (q, t, skip)."""
+    return _extension_field(q, t, skip)
+
+
+@functools.lru_cache(maxsize=None)
+def _extension_field(q: int, t: int, skip: int) -> ExtensionField:
+    # one cache entry however the caller spells skip (lru_cache keys on the
+    # call's form, so f(a) and f(a, 0) would be two entries)
     return ExtensionField(get_prime_field(q), find_irreducible(q, t, skip))
 
 
@@ -378,27 +396,74 @@ def element_by_index(field, index: int) -> FieldElement:
     return field.element(digits)
 
 
-@functools.lru_cache(maxsize=None)
+def _index_rows(q: int, t: int, start: int, count: int) -> np.ndarray:
+    """Coefficient rows of the elements with indices start .. start+count-1
+    in the canonical enumeration (`element_by_index`)."""
+    index = np.arange(start, start + count, dtype=np.int64)
+    rows = np.zeros((count, t), dtype=np.int64)
+    j, top = 0, start + count - 1
+    while top:  # as many digits as the largest index has
+        index, rows[:, j] = np.divmod(index, q)
+        j, top = j + 1, top // q
+    return rows
+
+
+def _canonical_search(field, start: int, stop: int, exponents: list[int], skip: int = 0):
+    """(index, powers) for the (skip+1)-th element, in canonical order from
+    index `start` up to `stop`, none of whose powers to `exponents` is one;
+    `powers` has one row per exponent.  None when the walk runs out.
+
+    Candidates go in blocks of 1, 2, 4, ... (doubled after each block in
+    which none passes), each block raised to every exponent by one stacked
+    `ReducedRing.pow`, so a hit at the first candidate costs one walk over
+    the exponent bits."""
+    ring, q, t = field.ring, field.q, field.degree
+    # the stacked product holds 2*t*t entries per row and exponent
+    most = max(1, fp.TABLE_ENTRIES // (2 * t * t * max(1, len(exponents))))
+    size = 1
+    while start < stop:
+        count = min(size, stop - start)
+        powers = ring.pow(_index_rows(q, t, start, count), exponents)
+        passing = np.flatnonzero(~(powers == ring.one()).all(axis=-1).any(axis=0))
+        if skip < passing.size:
+            return start + int(passing[skip]), powers[:, passing[skip]]
+        skip -= passing.size
+        if not passing.size:
+            size = min(2 * size, most)
+        start += count
+    return None
+
+
 def primitive_element(field, skip: int = 0) -> FieldElement:
     """First element (in canonical enumeration order) of multiplicative
     order q^t - 1; `skip` asks for a later one.  Requires factoring
     q^t - 1, guarded by DEFAULT_ORDER_BUDGET_BITS.  For t > 1 the walk
-    starts at index q: the constants before it have orders dividing q - 1."""
+    starts at index q: the constants before it have orders dividing q - 1.
+    Each (field, skip) is searched once."""
+    return _primitive_element(field, skip)
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_element(field, skip: int) -> FieldElement:
     n = field.order - 1
     if n.bit_length() > DEFAULT_ORDER_BUDGET_BITS:
         raise BudgetExceededError(
             f"group order needs {n.bit_length()} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}",
             required=n.bit_length(),
         )
-    prime_divisors = list(factor_integer(n)) if n > 1 else []
-    one = field.one()
-    remaining = skip
-    for index in range(1 if field.degree == 1 else field.q, field.order):
-        g = element_by_index(field, index)
-        if all(g ** (n // r) != one for r in prime_divisors):
-            if remaining == 0:
-                return g
-            remaining -= 1
+    # g is primitive iff g^(n/r) != 1 for every prime r dividing n
+    exponents = [n // r for r in factor_integer(n)] if n > 1 else []
+    if isinstance(field, PrimeField):  # q may pass int64: Python ints
+        q = field.q
+        found = (g for g in range(1, q) if all(pow(g, e, q) != 1 for e in exponents))
+        g = next(itertools.islice(found, skip, None), None)
+        if g is not None:
+            return field.element(g)
+    else:
+        start = 1 if field.degree == 1 else field.q
+        hit = _canonical_search(field, start, field.order, exponents, skip)
+        if hit is not None:
+            return element_by_index(field, hit[0])
     raise UsageError("no primitive element found for requested skip")
 
 

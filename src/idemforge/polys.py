@@ -246,6 +246,16 @@ class CyclicRingElement:
         return cls(field, len(ints), ints)
 
     @classmethod
+    def _reduced(cls, field, coeffs: tuple[int, ...]) -> "CyclicRingElement":
+        """From a nonempty tuple of ints already in [0, q): the constructor
+        without its reduction, for rows that `engine` and `cli` hold reduced."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", len(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
     def identity(cls, field, n: int) -> "CyclicRingElement":
         return cls.from_ints(field, [1] + [0] * (n - 1))
 

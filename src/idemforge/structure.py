@@ -15,7 +15,8 @@ from . import _fastpoly as fp
 from .errors import InvariantViolation, UsageError
 from .fields import (
     DEFAULT_ORDER_BUDGET_BITS,
-    element_by_index,
+    FieldElement,
+    _canonical_search,
     get_extension_field,
     get_prime_field,
     is_prime,
@@ -166,22 +167,22 @@ def expected_idempotent_count(instance: ProblemInstance) -> int:
 
 
 def _nth_root_of_unity(field, n: int, p: int):
-    """Deterministic primitive n-th root of unity, n = p^k: the first
-    enumerated element u with u^((|F| - 1)/n) of exact order n."""
+    """Deterministic primitive n-th root of unity, n = p^k: u^((|F| - 1)/n)
+    for the first enumerated element u for which it has exact order n."""
     if n == 1:
         return field.one()
     group = field.order - 1
     if group % n:
         raise InvariantViolation("field does not contain the requested roots")
-    exp = group // n
-    one = field.one()
     # a constant has order dividing q - 1, so it can serve only if n | q - 1
     start = 2 if (field.q - 1) % n == 0 else field.q
-    for index in range(start, min(field.order, start + (1 << 20))):
-        zeta = element_by_index(field, index) ** exp
-        if zeta != one and zeta ** (n // p) != one:
-            return zeta
-    raise InvariantViolation("no primitive root of unity found")
+    # zeta = u^(group/n) has order n iff zeta != 1 and zeta^(n/p) = u^(group/p) != 1
+    hit = _canonical_search(
+        field, start, min(field.order, start + (1 << 20)), [group // n, group // p]
+    )
+    if hit is None:
+        raise InvariantViolation("no primitive root of unity found")
+    return FieldElement(field, tuple(hit[1][0].tolist()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -454,13 +454,30 @@ def _float_coeffs(entry):
     return entry
 
 
+def _set_first_coeff(value):
+    def mutate(entry):
+        entry["coeffs"][0] = value
+        return entry
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
         (_float_coeffs, "coefficients must be integers"),
+        (_set_first_coeff(True), "coefficients must be integers"),
+        (_set_first_coeff(1.0), "coefficients must be integers"),
+        (_set_first_coeff("1"), "coefficients must be integers"),
         (lambda entry: entry["coeffs"], "must be a JSON object"),
     ],
-    ids=["float-coefficients", "non-object-entry"],
+    ids=[
+        "float-coefficients",
+        "bool-coefficient",
+        "float-coefficient",
+        "string-coefficient",
+        "non-object-entry",
+    ],
 )
 def test_verify_rejects_malformed_entry(capsys, monkeypatch, mutate, message):
     _, out, _ = run_cli(capsys, "gen", "--q", "2", "--p", "7", "--k", "1", "--format", "json")
@@ -470,6 +487,30 @@ def test_verify_rejects_malformed_entry(capsys, monkeypatch, mutate, message):
     code, _, err = run_cli(capsys, "verify", "--in", "-")
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("shift", [-1, 1 << 70], ids=["negative", "big-int"])
+def test_verify_reduces_integer_coefficients_outside_the_field(capsys, monkeypatch, shift):
+    # an int coefficient below 0 or past q is read as its residue mod q
+    _, out, _ = run_cli(capsys, "gen", "--q", "7", "--p", "3", "--k", "2", "--format", "json")
+    doc = json.loads(out)
+    for entry in doc["idempotents"]:
+        entry["coeffs"] = [c + 7 * shift for c in entry["coeffs"]]
+    _, records = records_from_document(doc)
+    _, reduced = records_from_document(json.loads(out))
+    assert [r.value for r in records] == [r.value for r in reduced]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, _, _ = run_cli(capsys, "verify", "--in", "-")
+    assert code == 0
+
+
+def test_verify_rejects_a_coefficient_past_the_digit_limit(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "gen", "--q", "2", "--p", "7", "--k", "1", "--format", "json")
+    text = json.dumps(json.loads(out)).replace('"coeffs": [', '"coeffs": [' + "9" * 5000, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, err = run_cli(capsys, "verify", "--in", "-")
+    assert code == 1
+    assert err.startswith("error: input is not valid JSON")
 
 
 def test_gen_out_into_missing_directory_exits_1(capsys, tmp_path):

@@ -19,6 +19,7 @@ from idemforge import (
 )
 from idemforge import fields
 from idemforge.fields import element_by_index, factor_integer, is_prime
+from idemforge.structure import _nth_root_of_unity
 
 
 @pytest.fixture
@@ -168,6 +169,152 @@ def test_primitive_element_matches_walk_over_all_elements():
             if order(g) == field.order - 1
         ][:3]
         assert [primitive_element(field, s) for s in range(len(walk))] == walk
+
+
+def _scalar_primitive_elements(field, pow_=None):
+    """The walk `primitive_element` ran before candidates were stacked, as
+    a generator of every primitive element in canonical order (skip = s is
+    the item at position s): one FieldElement at a time, each raised to
+    n/r for every prime r of n.  `pow_(coeffs, e)` replaces the field's
+    power where given."""
+    n = field.order - 1
+    prime_divisors = list(factor_integer(n)) if n > 1 else []
+    one = field.one()
+    for index in range(1 if field.degree == 1 else field.q, field.order):
+        g = element_by_index(field, index)
+        if pow_ is None:
+            primitive = all(g ** (n // r) != one for r in prime_divisors)
+        else:
+            primitive = all(pow_(g.coeffs, n // r) != one.coeffs for r in prime_divisors)
+        if primitive:
+            yield g
+
+
+def _scalar_nth_root_of_unity(field, n, p):
+    """The walk `structure._nth_root_of_unity` ran before candidates were
+    stacked."""
+    if n == 1:
+        return field.one()
+    exp = (field.order - 1) // n
+    one = field.one()
+    start = 2 if (field.q - 1) % n == 0 else field.q
+    for index in range(start, min(field.order, start + (1 << 20))):
+        zeta = element_by_index(field, index) ** exp
+        if zeta != one and zeta ** (n // p) != one:
+            return zeta
+    raise InvariantViolation("no primitive root of unity found")
+
+
+_SWEEP = [
+    (q, t)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for t in range(1, 13)
+    if (q**t - 1).bit_length() <= fields.DEFAULT_ORDER_BUDGET_BITS
+]
+
+
+def _check_against_scalar_walks(field):
+    walk = _scalar_primitive_elements(field)
+    expected = [g for _, g in zip(range(4), walk)]
+    for skip in (0, 1, 3):
+        if skip < len(expected):
+            assert primitive_element(field, skip).coeffs == expected[skip].coeffs
+        else:  # F_2, F_3, F_5 and F_7 have fewer than four generators
+            with pytest.raises(UsageError, match="no primitive element"):
+                primitive_element(field, skip)
+    n = field.order - 1
+    for r, v in factor_integer(n).items():
+        for order in {r, r**v}:
+            zeta = _nth_root_of_unity(field, order, r)
+            assert zeta.coeffs == _scalar_nth_root_of_unity(field, order, r).coeffs
+            assert root_of_unity(field, order) == expected[0] ** (n // order)
+
+
+@pytest.mark.parametrize("q", sorted({q for q, _ in _SWEEP}))
+def test_stacked_walks_match_the_scalar_walks(q):
+    # every field F_{q^t}, t <= 12, of the sweep (F_{13^10} and F_{29^10}
+    # among them): the same elements, skip included
+    for t in sorted(t for p, t in _SWEEP if p == q):
+        _check_against_scalar_walks(get_extension_field(q, t))
+    if q == 17:  # F_{17^4} finds its generator at the 291st candidate, index 17 + 290
+        field = get_extension_field(17, 4)
+        assert primitive_element(field) == element_by_index(field, 17 + 290)
+
+
+def test_stacked_walks_match_on_the_code_check_polynomial_fields():
+    # the fields F_q[x]/(h) in which code --min-distance walks its orbits,
+    # h = (x^n - 1)/g for the generator g of each benchmark code
+    from idemforge import ExtensionField, Poly, dispatch, generator_polynomial, instance_parameters
+
+    jobs = [
+        (2, 7, 1, "e_j:1"), (2, 11, 1, "e_j:1"), (2, 23, 1, "e_j:1"), (2, 13, 2, "e_j:1"),
+        (2, 3, 3, "e_{s,l}:3,1"), (2, 5, 2, "e_{s,l}:2,1"), (2, 41, 1, "e_j:1"),
+        (2, 7, 2, "e_{s,l}:2,1"),
+    ]
+    degrees = []
+    for q, p, k, label in jobs:
+        inst = instance_parameters(q, p, k)
+        g = generator_polynomial(next(r for r in dispatch(inst) if r.label == label), inst.n)
+        h, _ = Poly.x_pow_minus_one(g.field, inst.n).divrem(g)
+        field = ExtensionField(get_prime_field(q), h.monic())
+        assert primitive_element(field).coeffs == next(_scalar_primitive_elements(field)).coeffs
+        degrees.append(field.degree)
+    assert max(degrees) >= 20
+
+
+def test_primitive_element_at_the_int64_edge():
+    # 2*(q-1)^2 sits just below 2^63; the candidates' powers are checked
+    # against pure-Python arithmetic
+    q = 2147483579
+    field = get_extension_field(q, 2)
+    mod = field.modulus.coeffs
+    walk = _scalar_primitive_elements(field, pow_=lambda a, e: _ref_pow(a, e, mod, q))
+    assert primitive_element(field).coeffs == next(walk).coeffs
+
+
+def test_one_cache_entry_per_field_and_skip():
+    field = get_extension_field(3, 4)
+    assert primitive_element(field) is primitive_element(field, 0)
+    assert primitive_element(field, 0) is primitive_element(field, skip=0)
+    assert get_extension_field(5, 3) is get_extension_field(5, 3, 0)
+    assert get_extension_field(5, 3, 0) is get_extension_field(5, 3, skip=0)
+
+
+def test_survey_loop_searches_each_field_once(monkeypatch):
+    # the calls of a pass over the acceptance grid, from cold caches: one
+    # search per distinct (field, skip) and one ExtensionField per (q, t, skip)
+    import functools
+
+    from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
+
+    searched, built = [], []
+
+    def counting(log, fn):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+
+        return functools.lru_cache(maxsize=None)(wrapper)
+
+    search, build = fields._primitive_element.__wrapped__, fields._extension_field.__wrapped__
+    monkeypatch.setattr(fields, "_primitive_element", counting(searched, search))
+    monkeypatch.setattr(fields, "_extension_field", counting(built, build))
+    factor = functools.lru_cache(maxsize=None)(structure._factor_cached.__wrapped__)
+    monkeypatch.setattr(structure, "_factor_cached", factor)
+    grid = [
+        (q, p, k)
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+        for p in (3, 5, 7, 11, 13)
+        if p != q
+        for k in range(9)
+        if p**k <= 400
+    ]
+    for job in grid:
+        inst = instance_parameters(*job)
+        dispatch(inst)
+        factor_xn_minus_1(inst)
+    assert len(searched) == len(set(searched)) > 40
+    assert len(built) == len(set(built)) > 40
 
 
 def test_primitive_element_skip_differs(f8):
@@ -326,6 +473,15 @@ def test_quadratic_extension_exact_at_the_int64_edge():
         ]
         for b in samples:
             assert tuple((np.array(b) @ mat % q).tolist()) == _ref_mul(b, a, mod, q)
+    # stacked products and one power walk for several exponents
+    rows = np.array(samples)
+    assert [tuple(r) for r in ring.mul(rows, rows[::-1]).tolist()] == [
+        _ref_mul(a, b, mod, q) for a, b in zip(samples, samples[::-1])
+    ]
+    exps = [0, 1, q - 1, q * q - 2, rng.randrange(q * q)]
+    assert [[tuple(r) for r in block] for block in ring.pow(rows, exps).tolist()] == [
+        [_ref_pow(a, e, mod, q) for a in samples] for e in exps
+    ]
 
 
 def test_modulus_must_be_irreducible():
