@@ -13,7 +13,7 @@ import os
 import sys
 
 from .codes import DEFAULT_DISTANCE_BUDGET, code_summary, summaries_for
-from .engine import METHODS, dispatch
+from .engine import KIND_GENERIC, KIND_SECOND, KIND_THIRD, METHODS, IdempotentRecord, dispatch
 from .errors import IdemforgeError, InvariantViolation, UsageError
 from .fields import get_prime_field
 from .polys import CyclicRingElement
@@ -24,9 +24,7 @@ from .structure import (
     factor_xn_minus_1,
     instance_parameters,
 )
-from .verifier import verify_system
-
-SCHEMA = "idemforge/1"
+from .verifier import SCHEMA, verify_system
 
 
 def render_poly(coeffs) -> str:
@@ -48,9 +46,9 @@ def render_poly(coeffs) -> str:
 def _params_json(record):
     if record.params is None:
         return None
-    if record.kind == "second-type":
+    if record.kind == KIND_SECOND:
         return {"j": record.params[0]}
-    if record.kind == "third-type":
+    if record.kind == KIND_THIRD:
         return {"s": record.params[0], "l": record.params[1]}
     return None
 
@@ -102,8 +100,6 @@ def parse_document(text: str) -> dict:
 
 
 def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
-    from .engine import IdempotentRecord
-
     try:
         q, p, k = doc["q"], doc["p"], doc["k"]
         entries = doc["idempotents"]
@@ -135,7 +131,7 @@ def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
             IdempotentRecord(
                 value=value,
                 label=entry.get("label", "?"),
-                kind=entry.get("kind", "generic"),
+                kind=entry.get("kind", KIND_GENERIC),
                 params=params,
                 method=doc.get("method", "unknown"),
             )
@@ -166,13 +162,8 @@ def cmd_gen(args) -> int:
         report = verify_system(records, instance)
     doc = build_document(instance, records)
     if report is not None:
-        doc["verification"] = {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-            "passed": report.passed,
-        }
+        full = report.to_dict()
+        doc["verification"] = {key: full[key] for key in ("checks", "passed")}
     if args.codes:
         doc["codes"] = [
             {
@@ -217,12 +208,7 @@ def cmd_verify(args) -> int:
             raise UsageError("verify needs --q/--p/--k or --in")
         instance = _instance_from_args(args)
         records = dispatch(instance, args.method)
-    report = verify_system(
-        records,
-        instance,
-        with_primitivity=True,
-        against_oracle=(args.against == "euclid"),
-    )
+    report = verify_system(records, instance, against_oracle=(args.against == "euclid"))
     if args.format == "json":
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
@@ -269,11 +255,7 @@ def cmd_code(args) -> int:
         known = ", ".join(r.label for r in records)
         raise UsageError(f"no idempotent labeled {args.label!r}; known labels: {known}")
     summary = code_summary(
-        matches[0],
-        instance.n,
-        instance.q,
-        with_distance=args.min_distance,
-        budget=args.budget,
+        matches[0], instance.n, instance.q, with_distance=args.min_distance, budget=args.budget
     )
     sys.stdout.write(
         f"{summary.label}: {summary.params()} g = {render_poly(summary.generator.int_coeffs())}\n"
@@ -305,11 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_instance=True, instance_required=True):
-        if with_instance:
-            sp.add_argument("--q", type=int, required=instance_required, help="prime field size")
-            sp.add_argument("--p", type=int, required=instance_required, help="prime base of the ring length")
-            sp.add_argument("--k", type=int, required=instance_required, help="exponent: n = p^k")
+    def add_common(sp, instance_required=True):
+        sp.add_argument("--q", type=int, required=instance_required, help="prime field size")
+        sp.add_argument("--p", type=int, required=instance_required, help="prime base of the ring length")
+        sp.add_argument("--k", type=int, required=instance_required, help="exponent: n = p^k")
         sp.add_argument(
             "--max-n",
             type=int,

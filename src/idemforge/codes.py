@@ -170,9 +170,5 @@ def code_summary(
     return CyclicCodeSummary(n=n, generator=g, dimension=dim, min_distance=dist, label=label)
 
 
-def summaries_for(
-    records, n: int, q: int, *, with_distance: bool = False, budget: int = DEFAULT_DISTANCE_BUDGET
-) -> list[CyclicCodeSummary]:
-    return [
-        code_summary(r, n, q, with_distance=with_distance, budget=budget) for r in records
-    ]
+def summaries_for(records, n: int, q: int) -> list[CyclicCodeSummary]:
+    return [code_summary(r, n, q) for r in records]

@@ -12,6 +12,9 @@ Five routes produce the same set of ring elements:
 
 Records are returned in a canonical order: the unit-sum element first, then
 second-type records by index, then third-type records by (level, index).
+The closed forms take the power table of their root of unity from `fields`,
+which picks the root (`generator_skip` picks a later generator) and checks
+its exact order.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import numpy as np
 
 from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
-from .fields import get_extension_field, get_prime_field, primitive_element
+from .fields import _root_powers, get_extension_field, get_prime_field
 from .polys import CyclicRingElement, Poly
 from .structure import (
     ProblemInstance,
     cyclotomic_cosets,
+    euler_phi_prime_power,
     factor_xn_minus_1,
     multiplicative_order,
 )
@@ -82,15 +86,12 @@ def _record_from_ints(q: int, ints, label: str, kind: str, params, method: str) 
     return IdempotentRecord(value=value, label=label, kind=kind, params=params, method=method)
 
 
-def euclid_idempotent(
-    f: Poly, n: int, q: int, *, label: str | None = None, params=None
-) -> IdempotentRecord:
+def euclid_idempotent(f: Poly, n: int, q: int) -> IdempotentRecord:
     """Idempotent attached to one monic factor f of x^n - 1 (q not dividing
     n): e = P*h with P = (x^n-1)/f and h the inverse of P modulo f, of
     degree < deg f, computed by `_euclid_stack` on a stack of one.
     Then e = 1 mod f and e = 0 modulo every other irreducible factor."""
-    field = get_prime_field(q)
-    if f.field != field:
+    if f.field != get_prime_field(q):
         raise UsageError("factor polynomial must live over F_q")
     if f.is_zero() or f.lead != 1:
         raise UsageError("factor must be monic")
@@ -98,10 +99,8 @@ def euclid_idempotent(
         raise UsageError("exponent must be >= 1")
     if n % q == 0:
         raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    e = CyclicRingElement._reduced(field, tuple(_euclid_stack([f], n, n, q)[0].tolist()))
-    if label is None:
-        label = f"euclid:deg{f.degree}"
-    return IdempotentRecord(value=e, label=label, kind=KIND_GENERIC, params=params, method="euclid")
+    row = _euclid_stack([f], n, n, q)[0].tolist()
+    return _record_from_ints(q, row, f"euclid:deg{f.degree}", KIND_GENERIC, None, "euclid")
 
 
 def _euclid_stack(factors: list[Poly], order: int, n: int, q: int) -> np.ndarray:
@@ -146,7 +145,6 @@ def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord,
     stacks: dict[tuple[int, int], list[int]] = {}
     for index, (order, f) in enumerate(factors):
         stacks.setdefault((f.degree, order), []).append(index)
-    field = get_prime_field(q)
     records: list = [None] * len(factors)
     step = max(1, fp.TABLE_ENTRIES // (16 * (n + 1)))  # about a dozen n-wide arrays a row
     for (_, order), indices in stacks.items():
@@ -154,21 +152,9 @@ def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord,
             chunk = indices[start : start + step]
             block = _euclid_stack([factors[i][1] for i in chunk], order, n, q)
             for i, row in zip(chunk, block):
-                records[i] = IdempotentRecord(
-                    value=CyclicRingElement._reduced(field, tuple(row.tolist())),
-                    label=f"e_{{d,r}}:{order},{cosets[i].rep}",
-                    kind=KIND_GENERIC,
-                    params=None,
-                    method="euclid",
-                )
+                label = f"e_{{d,r}}:{order},{cosets[i].rep}"
+                records[i] = _record_from_ints(q, row.tolist(), label, KIND_GENERIC, None, "euclid")
     return tuple(records)
-
-
-def _power_table(q: int, z: int, length: int) -> list[int]:
-    out = [1 % q]
-    for _ in range(length - 1):
-        out.append((out[-1] * z) % q)
-    return out
 
 
 def _root_table(
@@ -178,11 +164,9 @@ def _root_table(
     F_q value attached to the i-th power of a primitive p^min(m,k)-th root of
     unity, the power itself when t = 1 (the root lives in F_q) and its trace
     from F_{q^t} when t > 1."""
-    q = instance.q
     pm = instance.p**instance.effective_m
     if instance.t == 1:
-        g = primitive_element(get_prime_field(q), generator_skip)
-        return _power_table(q, pow(g.coeffs[0], (q - 1) // pm, q), pm), "split-case"
+        return _root_powers(get_prime_field(instance.q), pm, generator_skip), "split-case"
     return _sigma_table(instance, pm, modulus_skip, generator_skip), "general-case"
 
 
@@ -244,13 +228,10 @@ def split_case_idempotents(
 
 def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generator_skip: int) -> list[int]:
     """table[i] = trace of zeta^i from F_{q^t} down to F_q, for a primitive
-    pm-th root of unity zeta chosen deterministically: the sum over u < t
-    of zeta^(i*q^u), read from one power table of zeta."""
+    pm-th root of unity zeta from `fields._root_powers`: the sum over u < t
+    of zeta^(i*q^u), read from the power table of zeta."""
     q, t = instance.q, instance.t
-    field = get_extension_field(q, t, modulus_skip)
-    g = primitive_element(field, generator_skip)
-    zeta = field.ring.pow(fp.as_vec(g.coeffs), (field.order - 1) // pm)
-    powers = field.ring.powers(zeta, pm)
+    powers = _root_powers(get_extension_field(q, t, modulus_skip), pm, generator_skip)
     index = np.arange(pm)
     traces = np.zeros_like(powers)
     for u in range(t):  # one exponent at a time keeps memory at pm*t entries
@@ -298,12 +279,9 @@ def fully_split_idempotents(q: int, n: int) -> tuple[IdempotentRecord, ...]:
         raise UsageError("n must be >= 1")
     if (q - 1) % n:
         raise UsageError(f"requires q = 1 (mod n); got q={q}, n={n}")
-    field = get_prime_field(q)
     if n == 1:
         return (_record_from_ints(q, [1], "e_0", KIND_UNIT_SUM, None, "fully-split"),)
-    g = primitive_element(field)
-    z = pow(g.coeffs[0], (q - 1) // n, q)
-    rows = _gather_rows(_power_table(q, z, n), pow(n % q, -1, q), q, range(n), n)
+    rows = _gather_rows(_root_powers(get_prime_field(q), n), pow(n % q, -1, q), q, range(n), n)
     records = []
     for j, ints in enumerate(rows.tolist()):
         kind = KIND_UNIT_SUM if j == 0 else KIND_SECOND
@@ -319,7 +297,7 @@ def primitive_root_idempotents(q: int, p: int, k: int) -> tuple[IdempotentRecord
     is irreducible): k+1 records, each the difference of two successive
     subgroup-averaging idempotents u_i = (1/p^(k-i)) sum_l x^(p^i l)."""
     n = p**k
-    phi = 1 if k == 0 else (p - 1) * p ** (k - 1)
+    phi = euler_phi_prime_power(p, k)
     if multiplicative_order(q, n) != phi:
         raise UsageError(f"requires ord_{{{n}}} {q} = phi({n}) = {phi}")
 

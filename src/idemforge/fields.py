@@ -11,13 +11,15 @@ the integer value sum(c_i * q^i) of their non-leading coefficients, and
 in F_q, and in F_{q^t} (t > 1) from index q, past the constants, whose
 orders divide q - 1.  So every derived object is reproducible byte for byte.
 
-In F_{q^t} the walk tests candidates in blocks of 1, 2, 4, ... int64 rows,
-each block raised to every exponent (q^t - 1)/r, r prime, by one stacked
-`ReducedRing.pow`, and returns the first candidate that passes in index
-order: the element a one-at-a-time walk finds.  The roots of unity of
-`structure` use the same walk.  `primitive_element` and
-`get_extension_field` search or build once per field (per (q, t)) and skip,
-however the caller passes the skip.
+Every root of unity the library uses is chosen here, by one of two rules:
+g^((|F|-1)/order) for the (skip+1)-th generator g (`root_of_unity`, and
+`_root_powers` for the closed forms and for the factorization when p^k does
+not divide |F| - 1), or u^((|F|-1)/n) for the first u whose power has exact
+order n (`_nth_root_of_unity`, the factorization's rule when p^k does).  In F_{q^t} the walks test candidates in blocks of 1,
+2, 4, ... int64 rows by one stacked `ReducedRing.pow` each, and return the
+first candidate that passes in index order: the element a one-at-a-time
+walk finds.  Each field and skip is searched once, F_{q^1} sharing the
+search of F_q, and `get_extension_field` builds each (q, t, skip) once.
 """
 
 from __future__ import annotations
@@ -439,7 +441,10 @@ def primitive_element(field, skip: int = 0) -> FieldElement:
     order q^t - 1; `skip` asks for a later one.  Requires factoring
     q^t - 1, guarded by DEFAULT_ORDER_BUDGET_BITS.  For t > 1 the walk
     starts at index q: the constants before it have orders dividing q - 1.
-    Each (field, skip) is searched once."""
+    Each (field, skip) is searched once, and a degree-1 extension reuses
+    the search of F_q, whose elements and order it shares."""
+    if isinstance(field, ExtensionField) and field.degree == 1:
+        return field.embed(_primitive_element(field.base, skip))
     return _primitive_element(field, skip)
 
 
@@ -460,11 +465,19 @@ def _primitive_element(field, skip: int) -> FieldElement:
         if g is not None:
             return field.element(g)
     else:
-        start = 1 if field.degree == 1 else field.q
-        hit = _canonical_search(field, start, field.order, exponents, skip)
+        hit = _canonical_search(field, field.q, field.order, exponents, skip)
         if hit is not None:
             return element_by_index(field, hit[0])
     raise UsageError("no primitive element found for requested skip")
+
+
+def _check_order(order: int, is_one) -> None:
+    """Raise InvariantViolation unless zeta has exact multiplicative order
+    `order`, where is_one(e) says whether zeta^e = 1."""
+    if not is_one(order):
+        raise InvariantViolation("root of unity failed its order check")
+    if any(is_one(order // r) for r in factor_integer(order)):
+        raise InvariantViolation("root of unity is not primitive")
 
 
 def root_of_unity(field, order: int) -> FieldElement:
@@ -477,13 +490,51 @@ def root_of_unity(field, order: int) -> FieldElement:
         return field.one()
     if n % order:
         raise UsageError(f"{order} does not divide the group order {n}")
-    zeta = primitive_element(field) ** (n // order)
-    one = field.one()
-    if zeta**order != one:
-        raise InvariantViolation("root of unity failed its order check")
-    if any(zeta ** (order // r) == one for r in factor_integer(order)):
-        raise InvariantViolation("root of unity is not primitive")
+    zeta, one = primitive_element(field) ** (n // order), field.one()
+    _check_order(order, lambda e: zeta**e == one)
     return zeta
+
+
+def _root_powers(field, order: int, skip: int = 0):
+    """zeta^i for i < order, where zeta = g^((|F| - 1)/order) for the
+    (skip+1)-th generator g: the rule of `root_of_unity`, which is zeta at
+    skip 0, and of the closed forms' `generator_skip`.  Python ints in F_q
+    (q may pass int64), int64 rows in F_{q^t}.  The table runs one power
+    past `order`, so zeta's exact order is read from it (an order that does
+    not divide |F| - 1 fails there too)."""
+    exponent = (field.order - 1) // order
+    g = primitive_element(field, skip).coeffs
+    if isinstance(field, PrimeField):
+        q = field.q
+        zeta = pow(g[0], exponent, q)
+        table = list(itertools.accumulate(range(order), lambda a, _: a * zeta % q, initial=1))
+        _check_order(order, lambda e: table[e] == 1)
+    else:
+        ring = field.ring
+        table = ring.powers(ring.pow(fp.as_vec(g), exponent), order + 1)
+        _check_order(order, lambda e: np.array_equal(table[e], ring.one()))
+    return table[:order]
+
+
+def _nth_root_of_unity(field, n: int, p: int) -> FieldElement:
+    """Deterministic primitive n-th root of unity, n = p^k: u^((|F| - 1)/n)
+    for the first enumerated element u for which it has exact order n.
+    The factorization's rule while n divides |F| - 1; it needs no
+    generator, so |F| - 1 is never factored."""
+    if n == 1:
+        return field.one()
+    group = field.order - 1
+    if group % n:
+        raise InvariantViolation("field does not contain the requested roots")
+    # a constant has order dividing q - 1, so it can serve only if n | q - 1
+    start = 2 if (field.q - 1) % n == 0 else field.q
+    # zeta = u^(group/n) has order n iff zeta != 1 and zeta^(n/p) = u^(group/p) != 1
+    hit = _canonical_search(
+        field, start, min(field.order, start + (1 << 20)), [group // n, group // p]
+    )
+    if hit is None:
+        raise InvariantViolation("no primitive root of unity found")
+    return FieldElement(field, tuple(hit[1][0].tolist()))
 
 
 def frobenius(a: FieldElement) -> FieldElement:

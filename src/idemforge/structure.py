@@ -1,7 +1,8 @@
 """Number-theoretic structure of a problem instance: orders, the (t, m)
 parameters, q-cyclotomic cosets mod p^k, and the full irreducible
 factorization of x^(p^k) - 1 over F_q from minimal polynomials of roots of
-unity in F_{q^t}, inflated for the levels above m."""
+unity in F_{q^t}, inflated for the levels above m.  The roots of unity, and
+so the order of the factors, are chosen by `fields`."""
 
 from __future__ import annotations
 
@@ -15,12 +16,11 @@ from . import _fastpoly as fp
 from .errors import InvariantViolation, UsageError
 from .fields import (
     DEFAULT_ORDER_BUDGET_BITS,
-    FieldElement,
-    _canonical_search,
+    _nth_root_of_unity,
+    _root_powers,
     get_extension_field,
     get_prime_field,
     is_prime,
-    root_of_unity,
 )
 from .polys import Poly, inflate
 
@@ -166,25 +166,6 @@ def expected_idempotent_count(instance: ProblemInstance) -> int:
     return count
 
 
-def _nth_root_of_unity(field, n: int, p: int):
-    """Deterministic primitive n-th root of unity, n = p^k: u^((|F| - 1)/n)
-    for the first enumerated element u for which it has exact order n."""
-    if n == 1:
-        return field.one()
-    group = field.order - 1
-    if group % n:
-        raise InvariantViolation("field does not contain the requested roots")
-    # a constant has order dividing q - 1, so it can serve only if n | q - 1
-    start = 2 if (field.q - 1) % n == 0 else field.q
-    # zeta = u^(group/n) has order n iff zeta != 1 and zeta^(n/p) = u^(group/p) != 1
-    hit = _canonical_search(
-        field, start, min(field.order, start + (1 << 20)), [group // n, group // p]
-    )
-    if hit is None:
-        raise InvariantViolation("no primitive root of unity found")
-    return FieldElement(field, tuple(hit[1][0].tolist()))
-
-
 @functools.lru_cache(maxsize=None)
 def _factor_cached(instance: ProblemInstance):
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
@@ -201,11 +182,13 @@ def _factor_cached(instance: ProblemInstance):
     m_eff = min(big_m, k)
     pm = p**m_eff
     field = get_extension_field(q, big_t)
-    # zeta fixes which factor each coset receives; these two deterministic
-    # rules keep the factor lists (and the oracle's record order) stable.
-    zeta = _nth_root_of_unity(field, n, p) if k <= big_m else root_of_unity(field, pm)
+    # zeta fixes which factor each coset receives; the two rules of `fields`
+    # keep the factor lists (and the oracle's record order) stable.
     ring = field.ring
-    zeta_powers = ring.powers(fp.as_vec(zeta.coeffs), pm)
+    if k <= big_m:
+        zeta_powers = ring.powers(fp.as_vec(_nth_root_of_unity(field, n, p).coeffs), pm)
+    else:
+        zeta_powers = _root_powers(field, pm)
     # The minimal polynomial of zeta^j over F_q is the product of (x - zeta^i)
     # over the orbit of j under multiplication by q mod p^m'.  Orbits of one
     # size are multiplied out together: prods[o] holds the coefficients (each

@@ -17,6 +17,9 @@ from .engine import _element, all_idempotents_euclid
 from .errors import UsageError
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
 
+#: The schema tag of every JSON document and report.
+SCHEMA = "idemforge/1"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -45,7 +48,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "idemforge/1",
+            "schema": SCHEMA,
             "type": "verification-report",
             "instance": self.instance,
             "checks": [
@@ -223,13 +226,7 @@ def sets_equal(a, b) -> bool:
     return {_element(x).key() for x in a} == {_element(x).key() for x in b}
 
 
-def verify_system(
-    records,
-    instance: ProblemInstance,
-    *,
-    with_primitivity: bool = True,
-    against_oracle: bool = False,
-) -> VerificationReport:
+def verify_system(records, instance: ProblemInstance, *, against_oracle: bool = False) -> VerificationReport:
     """Run the full battery on a claimed idempotent system.  Nonzero and
     completeness are computed on the coefficients; idempotency,
     orthogonality and primitivity are read from one pass of residues
@@ -268,9 +265,8 @@ def verify_system(
         )
     )
 
-    if with_primitivity:
-        ok, detail = _primitivity_detail(residues, nonzero, ones)
-        checks.append(CheckResult("primitivity", ok, detail))
+    ok, detail = _primitivity_detail(residues, nonzero, ones)
+    checks.append(CheckResult("primitivity", ok, detail))
     del matrix, residues  # freed before the oracle builds its own records
 
     if against_oracle:

@@ -116,10 +116,10 @@ def test_criterion_3_system_properties(grid):
     rows, _ = grid
     failures = []
     for inst, _, closed in rows:
-        report = verify_system(closed, inst, with_primitivity=False)
+        report = verify_system(closed, inst)
         if not report.passed:
             failures.append(inst.describe())
-    _line(3, not failures, f"idempotency/orthogonality/completeness/cardinality on {len(rows)} instances")
+    _line(3, not failures, f"idempotency/orthogonality/completeness/cardinality/primitivity on {len(rows)} instances")
     assert failures == []
 
 
@@ -212,7 +212,7 @@ def test_oracle_sets_fully_verify_on_grid(grid):
     rows, _ = grid
     failures = []
     for inst, oracle, _ in rows:
-        report = verify_system(oracle, inst, with_primitivity=True)
+        report = verify_system(oracle, inst)
         if not report.passed:
             failures.append(inst.describe())
     assert failures == []

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from idemforge import fields
 from idemforge.cli import (
     build_document,
     main,
@@ -423,6 +424,15 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "factors", "--q", "2", "--p", "7", "--k", "1")
     assert code == 3
     assert err.startswith("internal invariant violated")
+
+
+def test_gen_exits_3_when_the_closed_form_root_has_the_wrong_order(capsys, monkeypatch):
+    generator = fields.primitive_element
+    monkeypatch.setattr(fields, "primitive_element", lambda field, skip=0: generator(field, skip) ** 5)
+    code = main(["gen", "--q", "7", "--p", "5", "--k", "2", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and "not primitive" in err
 
 
 def test_huge_k_is_rejected_without_building_p_to_the_k(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from idemforge import (
     CyclicRingElement,
+    InvariantViolation,
     Poly,
     UnsupportedInstanceError,
     UsageError,
@@ -26,6 +27,7 @@ from idemforge import (
     split_case_idempotents,
     third_type_census,
 )
+from idemforge import fields
 from idemforge.fields import FieldElement
 from idemforge.structure import _factor_cached
 
@@ -415,3 +417,17 @@ def test_factorization_and_closed_forms_build_few_field_elements(q, p, k, monkey
     factor_xn_minus_1(inst)
     dispatch(inst)
     assert len(built) <= 32
+
+
+@pytest.mark.parametrize("q,p,k", [(19, 3, 2), (7, 5, 2)])  # t = 1, t = 4
+def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch):
+    # g^p for a generator g has order (|F| - 1)/p, so the root taken from it
+    # has order p^(m'-1): nonzero and a p^m'-th root of 1, but not primitive
+    generator = fields.primitive_element
+    monkeypatch.setattr(fields, "primitive_element", lambda field, skip=0: generator(field, skip) ** p)
+    inst = instance_parameters(q, p, k)
+    assert inst.effective_m == 2
+    with pytest.raises(InvariantViolation, match="not primitive"):
+        dispatch(inst)
+    with pytest.raises(InvariantViolation, match="not primitive"):
+        dispatch(inst, generator_skip=1)

@@ -317,6 +317,34 @@ def test_survey_loop_searches_each_field_once(monkeypatch):
     assert len(built) == len(set(built)) > 40
 
 
+def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
+    # a degree-1 extension F_{q^1}, which the factorization uses when t = 1,
+    # reuses the search of F_q that the split case ran: 43 searches, not 49
+    import functools
+
+    from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
+
+    searched = []
+    search = fields._primitive_element.__wrapped__
+
+    def counting(field, skip):
+        searched.append((field, skip))
+        return search(field, skip)
+
+    monkeypatch.setattr(fields, "_primitive_element", functools.lru_cache(maxsize=None)(counting))
+    factor = functools.lru_cache(maxsize=None)(structure._factor_cached.__wrapped__)
+    monkeypatch.setattr(structure, "_factor_cached", factor)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        for p in (3, 5, 7, 11, 13):
+            for k in range(9):
+                if p != q and p**k <= 400:
+                    inst = instance_parameters(q, p, k)
+                    dispatch(inst)
+                    factor_xn_minus_1(inst)
+    assert len(searched) == 43
+    assert not any(isinstance(f, fields.ExtensionField) and f.degree == 1 for f, _ in searched)
+
+
 def test_primitive_element_skip_differs(f8):
     g0 = primitive_element(f8)
     g1 = primitive_element(f8, skip=1)

@@ -50,7 +50,7 @@ def test_zero_is_idempotent_but_rejected_by_system(golden):
     zero = CyclicRingElement.from_ints(field, [0] * 169)
     assert check_idempotency(zero)  # 0*0 = 0
     tampered = list(recs[:-1]) + [_replace_value(recs[-1], zero)]
-    report = verify_system(tampered, inst, with_primitivity=False)
+    report = verify_system(tampered, inst)
     names = {c.name for c in report.checks if not c.passed}
     assert "nonzero" in names and not report.passed
 
@@ -154,7 +154,7 @@ def test_int64_bound_rejects_large_q():
     # reported as failed checks on a correct system
     inst = instance_parameters(2147483647, 3, 2)
     with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
-        verify_system(dispatch(inst), inst, with_primitivity=False)
+        verify_system(dispatch(inst), inst)
 
 
 def test_empty_system_is_reported_not_raised():
