@@ -1,7 +1,8 @@
 """Minimal cyclic codes generated by primitive idempotents: generator
-polynomial, dimension, and exact minimum distance, by one codeword per
-orbit of <x, F_q^*> when the code is minimal and by exhaustive search
-otherwise."""
+polynomial, dimension, and exact minimum distance.  A minimal code is
+weighed by one codeword per Frobenius orbit of the cosets of <x, F_q^*>,
+formed from the rows x^i * e of its idempotent e; any other code by
+exhaustive search."""
 
 from __future__ import annotations
 
@@ -13,14 +14,17 @@ import numpy as np
 from . import _fastpoly as fp
 from .engine import IdempotentRecord, _element
 from .errors import BudgetExceededError, UsageError
-from .fields import ExtensionField, factor_integer, get_prime_field, primitive_element
+from .fields import ExtensionField, _canonical_search, _index_rows, factor_integer, get_prime_field
 from .polys import Poly
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
-# Codeword entries per block of the orbit walk: a block of codewords takes
-# 512 KB in int64 and stays in cache.
+# Codeword entries per block of the orbit walk, were every exponent of the
+# block walked: a block of codewords takes at most 512 KB in int64 and stays
+# in cache.
 _BLOCK_ENTRIES = 1 << 16
+# The walk marks orbit minima by products a * q mod N of int64 values below N.
+_MAX_COSETS = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -101,17 +105,22 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     """Minimum Hamming weight over all nonzero codewords of the cyclic code
     generated by g.
 
-    When h = (x^n - 1)/g is irreducible the code is minimal: theta -> theta*g
-    maps the field K = F_q[x]/(h) onto it, and a cyclic shift is
-    multiplication by x.  Weight is then constant on the cosets of the
-    subgroup <x, F_q^*> of K^*, of order lcm(d, q-1) where d is the order
-    of x, so the walk visits one codeword gamma^a * g per coset, with gamma
-    primitive and a < (q^dim - 1)/lcm(d, q-1) (Baumert & McEliece,
-    "Weights of irreducible cyclic codes", Inf. Control 20, 1972).  There
-    `budget` bounds the orbits walked.  Otherwise this is
-    `min_distance_exhaustive`, and `budget` bounds the codewords."""
+    When h = (x^n - 1)/g is irreducible and q does not divide n, the code
+    is minimal with idempotent e = g * u, u = 1/g mod h, and theta ->
+    theta*e maps the field K = F_q[x]/(h) onto it; its generator rows are
+    x^i * e.  A cyclic shift is multiplication by x, so weight is constant
+    on the N = (q^dim - 1)/lcm(d, q-1) cosets gamma^a * H of the subgroup
+    H = <x, F_q^*> of K^*, where d is the order of x and gamma is any
+    element that generates K^*/H.  Since e(x^q) = e, Frobenius sends the
+    codeword c(x) of theta to c(x^q), that of theta^q, a permutation of
+    coordinates; so weight is constant on the orbits of a -> q*a mod N too,
+    and the walk forms one codeword gamma^a * e per orbit, at its least
+    exponent a (Baumert & McEliece, "Weights of irreducible cyclic codes",
+    Inf. Control 20, 1972).  There `budget` bounds the N cosets, not the
+    orbits walked.  Otherwise this is `min_distance_exhaustive`, and
+    `budget` bounds the codewords."""
     dim = _dimension(g, n)
-    # d divides n, so there are at least this many orbits, and at least as
+    # d divides n, so there are at least this many cosets, and at least as
     # many codewords; refuse before anything is built
     floor = lcm(n, q - 1)
     least = (q**dim - 1) // floor
@@ -123,10 +132,10 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
         )
     h, rem = Poly.x_pow_minus_one(g.field, n).divrem(g)
     h = h.monic()
-    if not rem.is_zero() or not fp.is_irreducible(q, h.int_coeffs()):
+    if not rem.is_zero() or n % q == 0 or not fp.is_irreducible(q, h.int_coeffs()):
         return min_distance_exhaustive(g, n, q, budget)
 
-    field = ExtensionField(get_prime_field(q), h)
+    field = ExtensionField._certified(get_prime_field(q), h)
     ring = field.ring
     x, one = ring.x(), ring.one()
     d = n
@@ -140,19 +149,45 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
             f"walking ({q}^{dim} - 1)/{order} orbits of <x, F_q^*> exceeds the budget {budget}",
             required=orbits,
         )
-    gamma = fp.as_vec(primitive_element(field).coeffs)
-    block = min(orbits, max(1, _BLOCK_ENTRIES // n))
+    if orbits > _MAX_COSETS:
+        raise BudgetExceededError("the orbit walk is capped at 2^31 cosets", required=orbits)
+    gamma = one
+    if orbits > 1:  # then dim > 1; the elements up to index q (constants, x) lie in H
+        exponents = [(q**dim - 1) // r for r in factor_integer(orbits)]
+        index, _ = _canonical_search(field, q + 1, field.order, exponents)
+        gamma = _index_rows(q, dim, index, 1)[0]
+    # q^steps = 1 mod N: every orbit is met within `steps` Frobenius steps
+    steps = next(s for s in range(1, dim + 1) if (q**s - 1) % orbits == 0)
+    # a = N - b with q*b < N maps to N - q*b < a: no such a is least in its orbit
+    span = orbits - (orbits - 1) // q
+    block = min(span, max(1, _BLOCK_ENTRIES // n))
     theta = ring.powers(gamma, block)  # gamma^a, a < block
     # block j holds the codewords of gamma^(jB + a) = theta[a] @ M(gamma^B)^j
     # @ rows, so the walk advances the small dim x n matrix, not theta
     advance = ring.matrix(ring.pow(gamma, block))
-    rows = _generator_rows(g, n, dim)
+    # u = x*h'/n mod h, from the derivative of x^n - 1 = g*h taken mod h
+    u = ring.reduce(np.arange(dim + 1) * fp.as_vec(h.int_coeffs()) % q * pow(n, -1, q))
+    rows = fp.mat_mul(ring.matrix(u), _generator_rows(g, n, dim), q)  # x^i * e
     best = n
-    for start in range(0, orbits, block):
-        words = fp.mat_mul(theta[: orbits - start], rows, q)
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
-        rows = fp.mat_mul(advance, rows, q)
+    for start in range(0, span, block):
+        if start:
+            rows = fp.mat_mul(advance, rows, q)
+        walked = _orbit_minima(start, min(block, span - start), q % orbits, orbits, steps)
+        words = fp.mat_mul(theta[walked - start], rows, q)
+        best = min(best, int(np.count_nonzero(words, axis=1).min(initial=best)))
     return best
+
+
+def _orbit_minima(start: int, count: int, q: int, orbits: int, steps: int) -> np.ndarray:
+    """The exponents a in [start, start + count) that are least in their
+    orbit under a -> q*a mod `orbits`, ascending; q^steps = 1 mod `orbits`.
+    Each Frobenius step keeps only the exponents that are still least."""
+    least = image = np.arange(start, start + count, dtype=np.int64)
+    for _ in range(steps - 1):
+        image = image * q % orbits
+        keep = image >= least
+        least, image = least[keep], image[keep]
+    return least
 
 
 def code_summary(

@@ -260,14 +260,27 @@ class PrimeField:
 class ExtensionField:
     """F_{q^t} presented as F_q[y] modulo a monic irreducible of degree t.
 
-    The modulus is re-verified irreducible at construction.  `ring` is the
-    `_fastpoly.ReducedRing` of the modulus: power tables and multiplication
-    matrices on int64 rows, for callers that work on many elements at once.
+    The modulus is verified irreducible at construction; `_certified` builds
+    the field on a modulus its caller has just proved irreducible, and skips
+    that test.  `ring` is the `_fastpoly.ReducedRing` of the modulus: power
+    tables and multiplication matrices on int64 rows, for callers that work
+    on many elements at once.
     """
 
     __slots__ = ("base", "t", "modulus", "ring")
 
     def __init__(self, base: PrimeField, modulus: Poly):
+        self._build(base, modulus)
+        if not fp.is_irreducible(base.q, modulus.int_coeffs()):
+            raise UsageError(f"modulus {modulus!r} is reducible over {base!r}")
+
+    @classmethod
+    def _certified(cls, base: PrimeField, modulus: Poly) -> "ExtensionField":
+        field = object.__new__(cls)
+        field._build(base, modulus)
+        return field
+
+    def _build(self, base: PrimeField, modulus: Poly) -> None:
         if modulus.field != base:
             raise UsageError("modulus must be a polynomial over the base field")
         t = modulus.degree
@@ -277,8 +290,6 @@ class ExtensionField:
         if mod_ints[-1] != 1:
             raise UsageError("modulus must be monic")
         ring = fp.ReducedRing(base.q, mod_ints)  # refuses q past the int64 rule
-        if not fp.is_irreducible(base.q, mod_ints):
-            raise UsageError(f"modulus {modulus!r} is reducible over {base!r}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "modulus", modulus)
@@ -380,7 +391,7 @@ def get_extension_field(q: int, t: int, skip: int = 0) -> ExtensionField:
 def _extension_field(q: int, t: int, skip: int) -> ExtensionField:
     # one cache entry however the caller spells skip (lru_cache keys on the
     # call's form, so f(a) and f(a, 0) would be two entries)
-    return ExtensionField(get_prime_field(q), find_irreducible(q, t, skip))
+    return ExtensionField._certified(get_prime_field(q), find_irreducible(q, t, skip))
 
 
 def element_by_index(field, index: int) -> FieldElement:

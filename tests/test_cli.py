@@ -216,6 +216,39 @@ def test_code_command(capsys):
     assert "[7,3,4]" in out
 
 
+# stdout of `code --min-distance` on the eight `codes` benchmark jobs and on
+# [113,28,28], whose orbit walk covers about 2.4M cosets in blocks
+@pytest.mark.parametrize(
+    "q,p,k,label,expected",
+    [
+        pytest.param(2, 7, 1, 'e_j:1',
+                     'e_j:1: [7,3,4] g = x^4 + x^2 + x + 1\n', id="7,3,4"),
+        pytest.param(2, 11, 1, 'e_j:1',
+                     'e_j:1: [11,10,2] g = x + 1\n', id="11,10,2"),
+        pytest.param(2, 23, 1, 'e_j:1',
+                     'e_j:1: [23,11,8] g = x^12 + x^10 + x^7 + x^4 + x^3 + x^2 + x + 1\n', id="23,11,8"),
+        pytest.param(2, 13, 2, 'e_j:1',
+                     'e_j:1: [169,12,26] g = x^157 + x^156 + x^144 + x^143 + x^131 + x^130 + x^118 + x^117 + x^105 + x^104 + x^92 + x^91 + x^79 + x^78 + x^66 + x^65 + x^53 + x^52 + x^40 + x^39 + x^27 + x^26 + x^14 + x^13 + x + 1\n', id="169,12,26"),
+        pytest.param(2, 3, 3, 'e_{s,l}:3,1',
+                     'e_{s,l}:3,1: [27,18,2] g = x^9 + 1\n', id="27,18,2"),
+        pytest.param(2, 5, 2, 'e_{s,l}:2,1',
+                     'e_{s,l}:2,1: [25,20,2] g = x^5 + 1\n', id="25,20,2"),
+        pytest.param(2, 41, 1, 'e_j:1',
+                     'e_j:1: [41,20,10] g = x^21 + x^20 + x^19 + x^14 + x^12 + x^9 + x^7 + x^2 + x + 1\n', id="41,20,10"),
+        pytest.param(2, 7, 2, 'e_{s,l}:2,1',
+                     'e_{s,l}:2,1: [49,21,4] g = x^28 + x^14 + x^7 + 1\n', id="49,21,4"),
+        pytest.param(2, 113, 1, 'e_j:1',
+                     'e_j:1: [113,28,28] g = x^85 + x^83 + x^81 + x^76 + x^75 + x^73 + x^72 + x^71 + x^69 + x^68 + x^66 + x^65 + x^62 + x^61 + x^59 + x^56 + x^55 + x^53 + x^52 + x^51 + x^50 + x^49 + x^46 + x^45 + x^44 + x^41 + x^40 + x^39 + x^36 + x^35 + x^34 + x^33 + x^32 + x^30 + x^29 + x^26 + x^24 + x^23 + x^20 + x^19 + x^17 + x^16 + x^14 + x^13 + x^12 + x^10 + x^9 + x^4 + x^2 + 1\n', id="113,28,28"),
+    ],
+)
+def test_code_min_distance_output_is_pinned(capsys, q, p, k, label, expected):
+    code, out, err = run_cli(
+        capsys, "code", "--q", str(q), "--p", str(p), "--k", str(k), "--label", label,
+        "--min-distance",
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
 @pytest.mark.parametrize(
     "q,p,k,label,count",
     [

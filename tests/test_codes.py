@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+from math import lcm
+
 import numpy as np
 import pytest
 
 from idemforge import _fastpoly as fp
 from idemforge import codes
-from idemforge.fields import ExtensionField, primitive_element
+from idemforge.fields import ExtensionField, element_by_index
 from idemforge import (
     BudgetExceededError,
     Poly,
@@ -74,10 +78,14 @@ def test_min_distance_2_7_1_dimension_3(recs_2_7_1):
         assert min_distance_exhaustive(g, 7, 2) == 4
 
 
-def _code_generator(q, p, k, label):
+def _code_record(q, p, k, label):
     inst = instance_parameters(q, p, k)
     record = next(r for r in dispatch(inst) if r.label == label)
-    return generator_polynomial(record, inst.n), inst.n
+    return record, generator_polynomial(record, inst.n), inst.n
+
+
+def _code_generator(q, p, k, label):
+    return _code_record(q, p, k, label)[1:]
 
 
 def test_min_distance_budget_refusal():
@@ -104,9 +112,9 @@ def test_min_distance_budget_refusal():
 
 
 # The eight `codes` benchmark instances; instances where d and q - 1 both
-# shape the subgroup <x, F_q^*>; and (5,13,1) and (13,17,1), where one orbit
-# alone has the minimum weight, late in the walk (gamma^8 of 12 orbits for
-# e_j:4, gamma^110 of 140 for e_j:2).
+# shape the subgroup <x, F_q^*>; and (5,13,1) and (13,17,1), where one
+# exponent fixed by a -> q*a alone has the minimum weight (a = 3 of N = 12
+# for e_j:4, a = 35 of N = 140 for e_j:2).
 DIFFERENTIAL = (
     (2, 7, 1), (2, 11, 1), (2, 23, 1), (2, 13, 2), (2, 3, 3), (2, 5, 2), (2, 41, 1),
     (2, 7, 2), (3, 7, 1), (5, 3, 2), (7, 3, 2), (3, 11, 1), (13, 3, 1), (11, 3, 2),
@@ -127,11 +135,29 @@ def test_min_distance_matches_exhaustive(monkeypatch, q, p, k, block_entries):
             assert min_distance(g, inst.n, q) == expected, record.label
 
 
+def _frobenius_orbits(q, count):
+    """The orbits of a -> q*a mod count, one Python walk per orbit."""
+    seen, orbits = set(), []
+    for a in range(count):
+        if a not in seen:
+            orbit, b = set(), a
+            while b not in orbit:
+                orbit.add(b)
+                b = b * q % count
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
 def test_orbit_walk_forms_one_codeword_per_exponent(monkeypatch):
-    # [13,12] over F_2: x has order 13, so the walk weighs gamma^a * g for
-    # a < (2^12 - 1)/13 = 315, in blocks of 8.  Its codewords must be those
-    # exponents in order, each power of gamma computed on its own here.
-    g, n = _code_generator(2, 13, 1, "e_j:1")
+    # [13,12] over F_2: x has order 13, so the cosets of H = <x, F_2^*> are
+    # gamma^a * H for a < N = (2^12 - 1)/13 = 315, and Frobenius permutes
+    # them by a -> 2a mod 315.  In blocks of 8 the walk must form gamma^a * e
+    # for the least a of each orbit, in ascending order, with e the code's
+    # idempotent and gamma the first element past x (index 2) whose powers
+    # to (2^12 - 1)/r, r | 315, are not 1; each codeword is computed on its
+    # own here.
+    record, g, n = _code_record(2, 13, 1, "e_j:1")
     monkeypatch.setattr(codes, "_BLOCK_ENTRIES", 8 * n)
     products = []
     kernel = fp.mat_mul
@@ -143,16 +169,96 @@ def test_orbit_walk_forms_one_codeword_per_exponent(monkeypatch):
 
     monkeypatch.setattr(fp, "mat_mul", recorded)
     assert min_distance(g, n, 2) == min_distance_exhaustive(g, n, 2)
-    orbits = (2**12 - 1) // 13
-    # each block forms its codewords, then advances the generator rows
-    assert len(products) == 2 * -(-orbits // 8)
-    words = np.concatenate(products[0::2])
+    orbits, order = 315, 2**12 - 1
+    # the rows x^i * e; then per block its codewords, each block after the
+    # first advancing the rows first; a in [158, 315) is never least
+    assert len(products) == 2 * -(-158 // 8)
+    words = np.concatenate(products[1::2])
     h, _ = Poly.x_pow_minus_one(g.field, n).divrem(g)
     field = ExtensionField(get_prime_field(2), h.monic())
-    gamma = fp.as_vec(primitive_element(field).coeffs)
-    g_vec = fp.as_vec(g.int_coeffs())
-    expected = [np.convolve(field.ring.pow(gamma, a), g_vec) % 2 for a in range(orbits)]
-    assert words.tolist() == [w.tolist() for w in expected]
+    gamma = next(
+        c for c in (element_by_index(field, i) for i in itertools.count(3))
+        if all(c ** (order // r) != 1 for r in (3, 5, 7))
+    )
+    least = [a for a in range(orbits) if all(a * 2**i % orbits >= a for i in range(12))]
+    e = np.array(record.value.int_coeffs())
+    expected = []
+    for a in least:
+        full = np.convolve(np.array((gamma**a).coeffs), e)
+        full[: full.size - n] += full[n:]  # fold mod x^n - 1
+        expected.append((full[:n] % 2).tolist())
+    assert words.tolist() == expected
+
+
+@pytest.mark.parametrize("block_entries", [None, 1, 1000])
+@pytest.mark.parametrize(
+    "q,p,k,label",
+    [(2, 13, 1, "e_j:1"), (3, 7, 1, "e_j:1"), (5, 13, 1, "e_j:4"), (13, 17, 1, "e_j:2"),
+     (5, 3, 2, "e_{s,l}:2,1")],
+)
+def test_orbit_walk_meets_every_frobenius_orbit_once(monkeypatch, q, p, k, label, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block_entries)
+    _, g, n = _code_record(q, p, k, label)
+    walked, moduli = [], set()
+    marker = codes._orbit_minima
+
+    def recorded(start, count, q_, orbits, steps):
+        out = marker(start, count, q_, orbits, steps)
+        walked.extend(out.tolist())
+        moduli.add(orbits)
+        return out
+
+    monkeypatch.setattr(codes, "_orbit_minima", recorded)
+    min_distance(g, n, q)
+    # N = (q^dim - 1)/lcm(d, q - 1), with d the order of x modulo h
+    h, _ = Poly.x_pow_minus_one(g.field, n).divrem(g)
+    d = next(
+        d for d in range(1, n + 1)
+        if n % d == 0 and Poly.x_pow_minus_one(g.field, d).divrem(h)[1].is_zero()
+    )
+    orbits = (q ** (n - g.degree) - 1) // lcm(d, q - 1)
+    assert moduli == {orbits} and orbits > 1
+    assert walked == sorted(set(walked))
+    for orbit in _frobenius_orbits(q, orbits):
+        assert len(orbit.intersection(walked)) == 1, sorted(orbit)
+
+
+def test_orbit_walk_refuses_more_than_2_31_cosets():
+    # (x^83 - 1)/(x + 1) is irreducible over F_2, with (2^82 - 1)/83 cosets:
+    # the walk's int64 products a * q mod N need N <= 2^31
+    g = Poly.from_ints(get_prime_field(2), [1, 1])
+    with pytest.raises(BudgetExceededError, match=r"capped at 2\^31 cosets") as err:
+        min_distance(g, 83, 2, budget=1 << 80)
+    assert err.value.required == (2**82 - 1) // 83
+
+
+def test_min_distance_tests_its_check_polynomial_once(monkeypatch):
+    _, g, n = _code_record(2, 41, 1, "e_j:1")
+    h, _ = Poly.x_pow_minus_one(g.field, n).divrem(g)
+    calls = []
+    test = fp.is_irreducible
+
+    def counted(q, vec):
+        calls.append((q, tuple(int(c) for c in vec)))
+        return test(q, vec)
+
+    monkeypatch.setattr(fp, "is_irreducible", counted)
+    assert min_distance(g, n, 2) == 10
+    assert calls == [(2, h.monic().int_coeffs())]
+
+
+def test_orbit_walk_memory_stays_small():
+    # [113,28,28]: N = (2^28 - 1)/113, about 2.4M cosets; marking them all
+    # at once would trace about 40 MiB
+    g, n = _code_generator(2, 113, 1, "e_j:1")
+    tracemalloc.start()
+    try:
+        assert min_distance(g, n, 2) == 28
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_min_distance_reducible_takes_exhaustive_path(monkeypatch):
@@ -169,6 +275,13 @@ def test_min_distance_reducible_takes_exhaustive_path(monkeypatch):
     g, n = _code_generator(2, 7, 1, "e_j:1")  # minimal: no enumeration
     assert min_distance(g, n, 2) == 4
     assert len(calls) == 1
+
+
+def test_min_distance_enumerates_repeated_root_codes():
+    # q | n: x^2 - 1 = (x + 1)^2 over F_2, so h = x + 1 is irreducible but
+    # has no idempotent; the code {0, x + 1} is enumerated
+    g = Poly.from_ints(get_prime_field(2), [1, 1])
+    assert min_distance(g, 2, 2) == 2
 
 
 def test_dimensions_partition_the_ring():

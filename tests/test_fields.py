@@ -345,6 +345,49 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
     assert not any(isinstance(f, fields.ExtensionField) and f.degree == 1 for f, _ in searched)
 
 
+def test_survey_loop_tests_each_certified_modulus_once(monkeypatch):
+    # get_extension_field builds its field on the modulus that
+    # lex_irreducible has just certified, with no second test: from cold
+    # caches, every irreducibility test in a pass over the acceptance grid
+    # is one of lex_irreducible's candidates, none of them repeated.  A
+    # second test per field built would add 43.
+    import functools
+
+    from idemforge import _fastpoly as fp
+    from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
+
+    tests, scans = [], []
+    test, scan = fp.is_irreducible, fp.lex_irreducible
+
+    def counted(q, vec):
+        tests.append((q, tuple(int(c) for c in vec), bool(scans)))
+        return test(q, vec)
+
+    def scanning(*args):
+        scans.append(args)
+        try:
+            return scan(*args)
+        finally:
+            scans.pop()
+
+    monkeypatch.setattr(fp, "is_irreducible", counted)
+    monkeypatch.setattr(fp, "lex_irreducible", scanning)
+    for module, name in ((fields, "find_irreducible"), (fields, "_extension_field"),
+                         (structure, "_factor_cached")):
+        fresh = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, fresh)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        for p in (3, 5, 7, 11, 13):
+            for k in range(9):
+                if p != q and p**k <= 400:
+                    inst = instance_parameters(q, p, k)
+                    dispatch(inst)
+                    factor_xn_minus_1(inst)
+    assert fields._extension_field.cache_info().misses == 43
+    assert tests and all(in_scan for _, _, in_scan in tests)
+    assert len({(q, vec) for q, vec, _ in tests}) == len(tests)
+
+
 def test_primitive_element_skip_differs(f8):
     g0 = primitive_element(f8)
     g1 = primitive_element(f8, skip=1)
