@@ -280,26 +280,20 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="idemforge",
-        description="Primitive idempotents and minimal cyclic codes of F_q[x]/(x^(p^k)-1).",
+def _add_common(sp, instance_required=True):
+    sp.add_argument("--q", type=int, required=instance_required, help="prime field size")
+    sp.add_argument("--p", type=int, required=instance_required, help="prime base of the ring length")
+    sp.add_argument("--k", type=int, required=instance_required, help="exponent: n = p^k")
+    sp.add_argument(
+        "--max-n",
+        type=int,
+        default=_env_int("IDEMFORGE_MAX_N", DEFAULT_MAX_N),
+        help="reject instances with n beyond this cap",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, instance_required=True):
-        sp.add_argument("--q", type=int, required=instance_required, help="prime field size")
-        sp.add_argument("--p", type=int, required=instance_required, help="prime base of the ring length")
-        sp.add_argument("--k", type=int, required=instance_required, help="exponent: n = p^k")
-        sp.add_argument(
-            "--max-n",
-            type=int,
-            default=_env_int("IDEMFORGE_MAX_N", DEFAULT_MAX_N),
-            help="reject instances with n beyond this cap",
-        )
 
-    gen = sub.add_parser("gen", help="generate the primitive idempotents")
-    add_common(gen)
+def _gen_args(gen):
+    _add_common(gen)
     gen.add_argument("--method", choices=METHODS, default="auto")
     gen.add_argument("--format", choices=("text", "json"), default="text")
     gen.add_argument("--out", default=None, help="output file ('-' for stdout)")
@@ -307,25 +301,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--codes", action="store_true", help="embed minimal-code summaries")
     gen.set_defaults(func=cmd_gen)
 
-    ver = sub.add_parser("verify", help="verify an idempotent system")
-    add_common(ver, instance_required=False)
+
+def _verify_args(ver):
+    _add_common(ver, instance_required=False)
     ver.add_argument("--method", choices=METHODS, default="auto")
     ver.add_argument("--against", choices=("none", "euclid"), default="none")
     ver.add_argument("--in", dest="input", default=None, help="JSON document ('-' for stdin)")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=cmd_verify)
 
-    fac = sub.add_parser("factors", help="list the irreducible factors of x^n - 1")
-    add_common(fac)
+
+def _factors_args(fac):
+    _add_common(fac)
     fac.add_argument("--format", choices=("text", "json"), default="text")
     fac.set_defaults(func=cmd_factors)
 
-    par = sub.add_parser("params", help="print instance parameters and the coset census")
-    add_common(par)
+
+def _params_args(par):
+    _add_common(par)
     par.set_defaults(func=cmd_params)
 
-    code = sub.add_parser("code", help="minimal cyclic code for one idempotent")
-    add_common(code)
+
+def _code_args(code):
+    _add_common(code)
     code.add_argument("--label", required=True)
     code.add_argument("--method", choices=METHODS, default="auto")
     code.add_argument("--min-distance", action="store_true")
@@ -338,13 +336,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     code.set_defaults(func=cmd_code)
 
+
+# command -> (help, adds its arguments)
+_COMMANDS = {
+    "gen": ("generate the primitive idempotents", _gen_args),
+    "verify": ("verify an idempotent system", _verify_args),
+    "factors": ("list the irreducible factors of x^n - 1", _factors_args),
+    "params": ("print instance parameters and the coset census", _params_args),
+    "code": ("minimal cyclic code for one idempotent", _code_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser; or, for a `command` of _COMMANDS, one that holds only
+    that subcommand and parses, helps and fails on it with the same bytes."""
+    parser = _Parser(
+        prog="idemforge",
+        description="Primitive idempotents and minimal cyclic codes of F_q[x]/(x^(p^k)-1).",
+    )
+    if command in _COMMANDS:  # the usage still lists every command
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = tuple(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         except SystemExit as exc:  # argparse: --help or a bad flag
             code = 0 if exc.code in (0, None) else 1
         else:

@@ -1,8 +1,9 @@
 """Minimal cyclic codes generated by primitive idempotents: generator
 polynomial, dimension, and exact minimum distance.  A minimal code is
 weighed by one codeword per Frobenius orbit of the cosets of <x, F_q^*>,
-formed from the rows x^i * e of its idempotent e; any other code by
-exhaustive search."""
+formed from the rows x^i * e of its idempotent e, with the orbits' least
+exponents marked in wide spans and a coset generator searched among the
+candidates that can be the first; any other code by exhaustive search."""
 
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ DEFAULT_DISTANCE_BUDGET = 1 << 24
 # block walked: a block of codewords takes at most 512 KB in int64 and stays
 # in cache.
 _BLOCK_ENTRIES = 1 << 16
+# Exponents per marking of orbit minima: per-step numpy calls dominate
+# shorter spans, and its few int64 arrays take about 2 MB.
+_MARK_SPAN = 1 << 16
 # The walk marks orbit minima by products a * q mod N of int64 values below N.
 _MAX_COSETS = 1 << 31
 
@@ -111,14 +115,16 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     x^i * e.  A cyclic shift is multiplication by x, so weight is constant
     on the N = (q^dim - 1)/lcm(d, q-1) cosets gamma^a * H of the subgroup
     H = <x, F_q^*> of K^*, where d is the order of x and gamma is any
-    element that generates K^*/H.  Since e(x^q) = e, Frobenius sends the
-    codeword c(x) of theta to c(x^q), that of theta^q, a permutation of
-    coordinates; so weight is constant on the orbits of a -> q*a mod N too,
-    and the walk forms one codeword gamma^a * e per orbit, at its least
-    exponent a (Baumert & McEliece, "Weights of irreducible cyclic codes",
-    Inf. Control 20, 1972).  There `budget` bounds the N cosets, not the
-    orbits walked.  Otherwise this is `min_distance_exhaustive`, and
-    `budget` bounds the codewords."""
+    element that generates K^*/H: here the first one past x in canonical
+    order, searched among `_generator_candidates` only.  Since e(x^q) = e,
+    Frobenius sends the codeword c(x) of theta to c(x^q), that of
+    theta^q, a permutation of coordinates; so weight is constant on the
+    orbits of a -> q*a mod N too, and the walk forms one codeword
+    gamma^a * e per orbit, at its least exponent a (Baumert & McEliece,
+    "Weights of irreducible cyclic codes", Inf. Control 20, 1972), marked
+    `_MARK_SPAN` exponents at a time.  There `budget` bounds the N cosets,
+    not the orbits walked.  Otherwise this is `min_distance_exhaustive`,
+    and `budget` bounds the codewords."""
     dim = _dimension(g, n)
     # d divides n, so there are at least this many cosets, and at least as
     # many codewords; refuse before anything is built
@@ -152,10 +158,10 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     if orbits > _MAX_COSETS:
         raise BudgetExceededError("the orbit walk is capped at 2^31 cosets", required=orbits)
     gamma = one
-    if orbits > 1:  # then dim > 1; the elements up to index q (constants, x) lie in H
+    if orbits > 1:  # then dim > 1
         exponents = [(q**dim - 1) // r for r in factor_integer(orbits)]
-        index, _ = _canonical_search(field, q + 1, field.order, exponents)
-        gamma = _index_rows(q, dim, index, 1)[0]
+        index, _ = _canonical_search(field, _generator_candidates(q, dim), exponents)
+        gamma = _index_rows(q, dim, [index])[0]
     # q^steps = 1 mod N: every orbit is met within `steps` Frobenius steps
     steps = next(s for s in range(1, dim + 1) if (q**s - 1) % orbits == 0)
     # a = N - b with q*b < N maps to N - q*b < a: no such a is least in its orbit
@@ -169,20 +175,66 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     u = ring.reduce(np.arange(dim + 1) * fp.as_vec(h.int_coeffs()) % q * pow(n, -1, q))
     rows = fp.mat_mul(ring.matrix(u), _generator_rows(g, n, dim), q)  # x^i * e
     best = n
-    for start in range(0, span, block):
+    for start, walked in _block_minima(span, block, q % orbits, orbits, steps):
         if start:
             rows = fp.mat_mul(advance, rows, q)
-        walked = _orbit_minima(start, min(block, span - start), q % orbits, orbits, steps)
         words = fp.mat_mul(theta[walked - start], rows, q)
         best = min(best, int(np.count_nonzero(words, axis=1).min(initial=best)))
     return best
 
 
+def _generator_candidates(q: int, dim: int):
+    """Indices, in canonical order past x, of the candidates for the first
+    generator of K^*/H, K = F_q[x]/(h) of degree dim: the monic c with
+    c(0) != 0 that are not c'(x^q).  Any other element past x is x*c',
+    lambda*c' or c'(x^q) = c'^q for an earlier c' whose class generates
+    K^*/H exactly when its own does (H holds x and F_q^*, and a -> a^q is
+    an automorphism of K^*/H since q is prime to |K^*|), so it is never
+    the first."""
+    for degree in range(1, dim):
+        low = q**degree  # x^degree: the monic c of this degree are low .. 2*low - 1
+        for index in range(low + 1, 2 * low):
+            if index % q and (degree % q or not _frobenius_image(index, q)):
+                yield index
+
+
+def _frobenius_image(index: int, q: int) -> bool:
+    """Whether the element of this canonical index is c'(x^q) = c'^q: every
+    nonzero coefficient sits at a power of x divisible by q."""
+    position = 0
+    while index:
+        index, digit = divmod(index, q)
+        if digit and position % q:
+            return False
+        position += 1
+    return True
+
+
+def _block_minima(span: int, block: int, q: int, orbits: int, steps: int):
+    """(start, minima) for each block of `block` exponents in [0, span): the
+    exponents of the block that are least in their orbit (`_orbit_minima`),
+    marked `_MARK_SPAN` exponents at a time whatever the block."""
+    pending, marked = np.empty(0, dtype=np.int64), 0
+    for start in range(0, span, block):
+        stop = min(start + block, span)
+        while marked < stop:
+            count = min(_MARK_SPAN, span - marked)
+            pending = np.concatenate((pending, _orbit_minima(marked, count, q, orbits, steps)))
+            marked += count
+        cut = int(np.searchsorted(pending, stop))
+        yield start, pending[:cut]
+        pending = pending[cut:]
+
+
 def _orbit_minima(start: int, count: int, q: int, orbits: int, steps: int) -> np.ndarray:
     """The exponents a in [start, start + count) that are least in their
     orbit under a -> q*a mod `orbits`, ascending; q^steps = 1 mod `orbits`.
-    Each Frobenius step keeps only the exponents that are still least."""
-    least = image = np.arange(start, start + count, dtype=np.int64)
+    Each Frobenius step keeps only the exponents that are still least,
+    after the multiples a = q*b > 0 are dropped: b < a lies in a's orbit."""
+    least = np.arange(start, start + count, dtype=np.int64)
+    if q > 1:  # q = 1 fixes every exponent, and q = 0 leaves one orbit
+        least = least[(least % q != 0) | (least == 0)]
+    image = least
     for _ in range(steps - 1):
         image = image * q % orbits
         keep = image >= least

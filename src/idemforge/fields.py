@@ -409,22 +409,22 @@ def element_by_index(field, index: int) -> FieldElement:
     return field.element(digits)
 
 
-def _index_rows(q: int, t: int, start: int, count: int) -> np.ndarray:
-    """Coefficient rows of the elements with indices start .. start+count-1
-    in the canonical enumeration (`element_by_index`)."""
-    index = np.arange(start, start + count, dtype=np.int64)
-    rows = np.zeros((count, t), dtype=np.int64)
-    j, top = 0, start + count - 1
+def _index_rows(q: int, t: int, index) -> np.ndarray:
+    """Coefficient rows of the elements with the given indices in the
+    canonical enumeration (`element_by_index`)."""
+    index = np.asarray(index, dtype=np.int64)
+    rows = np.zeros((index.size, t), dtype=np.int64)
+    j, top = 0, int(index.max(initial=0))
     while top:  # as many digits as the largest index has
         index, rows[:, j] = np.divmod(index, q)
         j, top = j + 1, top // q
     return rows
 
 
-def _canonical_search(field, start: int, stop: int, exponents: list[int], skip: int = 0):
-    """(index, powers) for the (skip+1)-th element, in canonical order from
-    index `start` up to `stop`, none of whose powers to `exponents` is one;
-    `powers` has one row per exponent.  None when the walk runs out.
+def _canonical_search(field, candidates, exponents: list[int], skip: int = 0):
+    """(index, powers) for the (skip+1)-th of the `candidates` (indices in
+    canonical order) none of whose powers to `exponents` is one; `powers`
+    has one row per exponent.  None when the candidates run out.
 
     Candidates go in blocks of 1, 2, 4, ... (doubled after each block in
     which none passes), each block raised to every exponent by one stacked
@@ -433,17 +433,16 @@ def _canonical_search(field, start: int, stop: int, exponents: list[int], skip: 
     ring, q, t = field.ring, field.q, field.degree
     # the stacked product holds 2*t*t entries per row and exponent
     most = max(1, fp.TABLE_ENTRIES // (2 * t * t * max(1, len(exponents))))
+    candidates = iter(candidates)
     size = 1
-    while start < stop:
-        count = min(size, stop - start)
-        powers = ring.pow(_index_rows(q, t, start, count), exponents)
+    while (block := np.fromiter(itertools.islice(candidates, size), np.int64)).size:
+        powers = ring.pow(_index_rows(q, t, block), exponents)
         passing = np.flatnonzero(~(powers == ring.one()).all(axis=-1).any(axis=0))
         if skip < passing.size:
-            return start + int(passing[skip]), powers[:, passing[skip]]
+            return int(block[passing[skip]]), powers[:, passing[skip]]
         skip -= passing.size
         if not passing.size:
             size = min(2 * size, most)
-        start += count
     return None
 
 
@@ -476,7 +475,7 @@ def _primitive_element(field, skip: int) -> FieldElement:
         if g is not None:
             return field.element(g)
     else:
-        hit = _canonical_search(field, field.q, field.order, exponents, skip)
+        hit = _canonical_search(field, range(field.q, field.order), exponents, skip)
         if hit is not None:
             return element_by_index(field, hit[0])
     raise UsageError("no primitive element found for requested skip")
@@ -540,9 +539,8 @@ def _nth_root_of_unity(field, n: int, p: int) -> FieldElement:
     # a constant has order dividing q - 1, so it can serve only if n | q - 1
     start = 2 if (field.q - 1) % n == 0 else field.q
     # zeta = u^(group/n) has order n iff zeta != 1 and zeta^(n/p) = u^(group/p) != 1
-    hit = _canonical_search(
-        field, start, min(field.order, start + (1 << 20)), [group // n, group // p]
-    )
+    stop = min(field.order, start + (1 << 20))
+    hit = _canonical_search(field, range(start, stop), [group // n, group // p])
     if hit is None:
         raise InvariantViolation("no primitive root of unity found")
     return FieldElement(field, tuple(hit[1][0].tolist()))

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from idemforge import fields
+from idemforge import cli, fields
 from idemforge.cli import (
     build_document,
+    build_parser,
     main,
     parse_document,
     records_from_document,
@@ -295,6 +296,44 @@ def test_env_max_n_not_an_integer_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: environment variable IDEMFORGE_MAX_N must be an integer\n"
+
+
+def _parse(capsys, parser, argv):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [[], ["--help"], ["--bogus"], ["--format", "xml"], ["--q", "2", "--p", "3", "--k", "1"],
+     ["--q", "2", "--p", "3", "--k", "1", "--label", "e_0", "extra"]],
+)
+@pytest.mark.parametrize("command", ["gen", "verify", "factors", "params", "code"])
+def test_command_parser_answers_as_the_full_parser(capsys, command, tail):
+    # main builds only the subparser that argv[0] names: its arguments, help,
+    # usage and errors (the top-level usage included) are the full parser's
+    argv = [command, *tail]
+    assert _parse(capsys, build_parser(command), argv) == _parse(capsys, build_parser(), argv)
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    built = []
+    for name, (text, add_args) in list(cli._COMMANDS.items()):
+        def recorded(sp, name=name, add_args=add_args):
+            built.append(name)
+            add_args(sp)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (text, recorded))
+    assert run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "1")[0] == 0
+    assert built == ["params"]
+    for argv in (["--help"], [], ["nope"]):  # not a command: the full parser
+        built.clear()
+        run_cli(capsys, *argv)
+        assert built == list(cli._COMMANDS)
 
 
 class _FullStdout(io.StringIO):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idemforge import _fastpoly as fp
-from idemforge import codes
+from idemforge import codes, fields
 from idemforge.fields import ExtensionField, element_by_index
 from idemforge import (
     BudgetExceededError,
@@ -149,6 +149,83 @@ def _frobenius_orbits(q, count):
     return orbits
 
 
+def _check_polynomial_and_cosets(g, n, q):
+    """h = (x^n - 1)/g and N = (q^dim - 1)/lcm(d, q - 1), the number of
+    cosets of <x, F_q^*>, with d the order of x modulo h."""
+    h, _ = Poly.x_pow_minus_one(g.field, n).divrem(g)
+    d = next(
+        d for d in range(1, n + 1)
+        if n % d == 0 and Poly.x_pow_minus_one(g.field, d).divrem(h)[1].is_zero()
+    )
+    return h.monic(), (q ** (n - g.degree) - 1) // lcm(d, q - 1)
+
+
+def _prime_divisors(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+
+
+@pytest.mark.parametrize("q,p,k", DIFFERENTIAL)
+def test_generator_search_returns_the_first_generator_past_x(monkeypatch, q, p, k):
+    # gamma is the first element past x, walked over every index, whose
+    # class generates K^*/H: its powers to (q^dim - 1)/r, r | N, are not 1.
+    # The search skips candidates, but must return this same element.
+    found = []
+    search = codes._canonical_search
+
+    def recorded(*args):
+        hit = search(*args)
+        found.append(hit[0])
+        return hit
+
+    monkeypatch.setattr(codes, "_canonical_search", recorded)
+    inst = instance_parameters(q, p, k)
+    for record in dispatch(inst):
+        g = generator_polynomial(record, inst.n)
+        if q ** (inst.n - g.degree) > 1 << 24:  # past the budget: never walked
+            continue
+        found.clear()
+        min_distance(g, inst.n, q)
+        h, orbits = _check_polynomial_and_cosets(g, inst.n, q)
+        if orbits == 1:
+            assert found == [], record.label
+            continue
+        field = ExtensionField(get_prime_field(q), h)
+        order = q**field.degree - 1
+        gamma = next(
+            i for i in itertools.count(q + 1)
+            if all(element_by_index(field, i) ** (order // r) != 1 for r in _prime_divisors(orbits))
+        )
+        assert found == [gamma], record.label
+
+
+@pytest.mark.parametrize("q,p,k,label", [(2, 5, 2, "e_{s,l}:2,1"), (3, 7, 1, "e_j:1")])
+def test_generator_search_tests_only_candidates_that_can_pass(monkeypatch, q, p, k, label):
+    # x*c, lambda*c and c(x^q) = c^q lie in the class of an earlier c, or in
+    # its image under a -> a^q, so none is the first generator of K^*/H.
+    # The search tests the other candidates from x + 1 in canonical order:
+    # at [25,20,2] 7 in place of 17, at [7,6,2] over F_3 7 in place of 11.
+    _, g, n = _code_record(q, p, k, label)
+    tested = []
+    rows_of = fields._index_rows
+
+    def recorded(q_, t, index):
+        rows = rows_of(q_, t, index)
+        tested.extend(int(i) for i in index)
+        return rows
+
+    monkeypatch.setattr(fields, "_index_rows", recorded)
+    min_distance(g, n, q)
+
+    def can_pass(index):  # monic, c(0) != 0, and not c'(x^q)
+        digits = [index // q**i % q for i in range(n - g.degree)]
+        top = max(i for i, c in enumerate(digits) if c)
+        spread = any(digits[i] for i in range(top + 1) if i % q)
+        return digits[0] != 0 and digits[top] == 1 and spread
+
+    assert tested == [i for i in range(q + 1, tested[-1] + 1) if can_pass(i)]
+    assert len(tested) == 7
+
+
 def test_orbit_walk_forms_one_codeword_per_exponent(monkeypatch):
     # [13,12] over F_2: x has order 13, so the cosets of H = <x, F_2^*> are
     # gamma^a * H for a < N = (2^12 - 1)/13 = 315, and Frobenius permutes
@@ -194,34 +271,36 @@ def test_orbit_walk_forms_one_codeword_per_exponent(monkeypatch):
 @pytest.mark.parametrize(
     "q,p,k,label",
     [(2, 13, 1, "e_j:1"), (3, 7, 1, "e_j:1"), (5, 13, 1, "e_j:4"), (13, 17, 1, "e_j:2"),
-     (5, 3, 2, "e_{s,l}:2,1")],
+     (5, 3, 2, "e_{s,l}:2,1"), (5, 3, 2, "e_j:1")],  # the last: q = 1 mod N = 2
 )
 def test_orbit_walk_meets_every_frobenius_orbit_once(monkeypatch, q, p, k, label, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block_entries)
     _, g, n = _code_record(q, p, k, label)
+    _, orbits = _check_polynomial_and_cosets(g, n, q)
+    assert orbits > 1
     walked, moduli = [], set()
-    marker = codes._orbit_minima
+    blocks = codes._block_minima
 
-    def recorded(start, count, q_, orbits, steps):
-        out = marker(start, count, q_, orbits, steps)
-        walked.extend(out.tolist())
-        moduli.add(orbits)
-        return out
+    def recorded(span, block, q_, orbits_, steps):
+        moduli.add(orbits_)
+        for start, minima in blocks(span, block, q_, orbits_, steps):
+            assert start <= minima.min(initial=start) <= minima.max(initial=start) < start + block
+            walked.extend(minima.tolist())
+            yield start, minima
 
-    monkeypatch.setattr(codes, "_orbit_minima", recorded)
-    min_distance(g, n, q)
-    # N = (q^dim - 1)/lcm(d, q - 1), with d the order of x modulo h
-    h, _ = Poly.x_pow_minus_one(g.field, n).divrem(g)
-    d = next(
-        d for d in range(1, n + 1)
-        if n % d == 0 and Poly.x_pow_minus_one(g.field, d).divrem(h)[1].is_zero()
-    )
-    orbits = (q ** (n - g.degree) - 1) // lcm(d, q - 1)
-    assert moduli == {orbits} and orbits > 1
-    assert walked == sorted(set(walked))
-    for orbit in _frobenius_orbits(q, orbits):
-        assert len(orbit.intersection(walked)) == 1, sorted(orbit)
+    monkeypatch.setattr(codes, "_block_minima", recorded)
+    # the default marking span, and spans shorter than a block or not
+    # aligned with it, whatever the block
+    for mark_span in (codes._MARK_SPAN, 1, 5):
+        monkeypatch.setattr(codes, "_MARK_SPAN", mark_span)
+        walked.clear()
+        moduli.clear()
+        min_distance(g, n, q)
+        assert moduli == {orbits}
+        assert walked == sorted(set(walked))
+        for orbit in _frobenius_orbits(q, orbits):
+            assert len(orbit.intersection(walked)) == 1, (mark_span, sorted(orbit))
 
 
 def test_orbit_walk_refuses_more_than_2_31_cosets():
