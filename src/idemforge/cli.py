@@ -16,7 +16,7 @@ from .codes import DEFAULT_DISTANCE_BUDGET, code_summary, summaries_for
 from .engine import KIND_GENERIC, KIND_SECOND, KIND_THIRD, METHODS, IdempotentRecord, dispatch
 from .errors import IdemforgeError, InvariantViolation, UsageError
 from .fields import get_prime_field
-from .polys import CyclicRingElement
+from .polys import CyclicRingElement, render_poly
 from .structure import (
     DEFAULT_MAX_N,
     cyclotomic_cosets,
@@ -25,22 +25,6 @@ from .structure import (
     instance_parameters,
 )
 from .verifier import SCHEMA, verify_system
-
-
-def render_poly(coeffs) -> str:
-    """Descending-power rendering with ascending-indexed input coefficients."""
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append("x" if e == 1 else f"x^{e}")
-        else:
-            terms.append(f"{c}*x" if e == 1 else f"{c}*x^{e}")
-    return " + ".join(terms) if terms else "0"
 
 
 def _params_json(record):

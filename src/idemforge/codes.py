@@ -17,6 +17,7 @@ from .engine import IdempotentRecord, _element
 from .errors import BudgetExceededError, UsageError
 from .fields import ExtensionField, _canonical_search, _index_rows, factor_integer, get_prime_field
 from .polys import Poly
+from .structure import multiplicative_order
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
@@ -160,10 +161,10 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     gamma = one
     if orbits > 1:  # then dim > 1
         exponents = [(q**dim - 1) // r for r in factor_integer(orbits)]
-        index, _ = _canonical_search(field, _generator_candidates(q, dim), exponents)
+        index = _canonical_search(field, _generator_candidates(q, dim), exponents)
         gamma = _index_rows(q, dim, [index])[0]
     # q^steps = 1 mod N: every orbit is met within `steps` Frobenius steps
-    steps = next(s for s in range(1, dim + 1) if (q**s - 1) % orbits == 0)
+    steps = multiplicative_order(q, orbits)
     # a = N - b with q*b < N maps to N - q*b < a: no such a is least in its orbit
     span = orbits - (orbits - 1) // q
     block = min(span, max(1, _BLOCK_ENTRIES // n))

@@ -13,8 +13,9 @@ Five routes produce the same set of ring elements:
 Records are returned in a canonical order: the unit-sum element first, then
 second-type records by index, then third-type records by (level, index).
 The closed forms take the power table of their root of unity from `fields`,
-which picks the root (`generator_skip` picks a later generator) and checks
-its exact order.
+which picks the root by its one search and checks its exact order;
+`generator_skip` counts the search's passing candidates u, so it picks the
+root of a later one.
 """
 
 from __future__ import annotations
@@ -327,7 +328,10 @@ def dispatch(
 ) -> tuple[IdempotentRecord, ...]:
     """Pick the applicable closed form (t = 1 -> split case, t > 1 -> general
     case) or force a specific route.  Forcing `euclid` works even where the
-    closed forms are unsupported (p = 2 with q = 3 mod 4)."""
+    closed forms are unsupported (p = 2 with q = 3 mod 4).  `modulus_skip`
+    picks a later modulus of F_{q^t}; `generator_skip` counts the passing
+    candidates u of the root search in `fields`, so a later u gives the
+    closed form's root of unity."""
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     q, p, k, n = instance.q, instance.p, instance.k, instance.n

@@ -6,32 +6,34 @@ field.  All values are immutable; every operation is a pure function, so
 elements are safe to share across threads.
 
 Determinism: `find_irreducible` scans monic candidates in ascending order of
-the integer value sum(c_i * q^i) of their non-leading coefficients, and
-`primitive_element` walks field elements in the same integer order: from 1
-in F_q, and in F_{q^t} (t > 1) from index q, past the constants, whose
-orders divide q - 1.  So every derived object is reproducible byte for byte.
+the integer value sum(c_i * q^i) of their non-leading coefficients, and the
+root search walks field elements in the same integer order.  So every
+derived object is reproducible byte for byte.
 
-Every root of unity the library uses is chosen here, by one of two rules:
-g^((|F|-1)/order) for the (skip+1)-th generator g (`root_of_unity`, and
-`_root_powers` for the closed forms and for the factorization when p^k does
-not divide |F| - 1), or u^((|F|-1)/n) for the first u whose power has exact
-order n (`_nth_root_of_unity`, the factorization's rule when p^k does).  In F_{q^t} the walks test candidates in blocks of 1,
-2, 4, ... int64 rows by one stacked `ReducedRing.pow` each, and return the
-first candidate that passes in index order: the element a one-at-a-time
-walk finds.  Each field and skip is searched once, F_{q^1} sharing the
-search of F_q, and `get_extension_field` builds each (q, t, skip) once.
+Every root of unity the library uses is chosen here, by one rule: a root of
+order r (r dividing |F| - 1) is u^((|F| - 1)/r) for the (skip+1)-th element
+u with u^((|F| - 1)/l) != 1 for every prime l dividing r, walked from 1, or
+from index q when no constant can pass (`_root_search`, which factors r
+alone).  `primitive_element` is the case r = |F| - 1; the factorization and
+the closed forms ask for r = p^m', so they never factor |F| - 1.  In F_{q^t}
+the search tests candidates in blocks of 1, 2, 4, ... int64 rows by one
+stacked `ReducedRing.pow` each, and returns the first candidate that passes
+in index order: the element a one-at-a-time walk finds.  Each (field, order,
+skip) is searched once, and `get_extension_field` builds each (q, t, skip)
+once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from . import _fastpoly as fp
 from .errors import BudgetExceededError, InvariantViolation, UsageError
-from .polys import Poly, extended_gcd
+from .polys import Poly, extended_gcd, render_poly
 
 #: Default bit-size guard on q^t - 1 for operations that must factor it.
 DEFAULT_ORDER_BUDGET_BITS = 96
@@ -184,19 +186,7 @@ class FieldElement:
         return not self.is_zero()
 
     def __repr__(self) -> str:
-        if len(self.coeffs) == 1:
-            return str(self.coeffs[0])
-        terms = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                ys = "y" if e == 1 else f"y^{e}"
-                terms.append(ys if c == 1 else f"{c}*{ys}")
-        return " + ".join(terms) if terms else "0"
+        return render_poly(self.coeffs, "y")
 
 
 class PrimeField:
@@ -421,10 +411,10 @@ def _index_rows(q: int, t: int, index) -> np.ndarray:
     return rows
 
 
-def _canonical_search(field, candidates, exponents: list[int], skip: int = 0):
-    """(index, powers) for the (skip+1)-th of the `candidates` (indices in
-    canonical order) none of whose powers to `exponents` is one; `powers`
-    has one row per exponent.  None when the candidates run out.
+def _canonical_search(field, candidates, exponents: list[int], skip: int = 0) -> int | None:
+    """The index of the (skip+1)-th of the `candidates` (indices in
+    canonical order) none of whose powers to `exponents` is one; None when
+    the candidates run out.
 
     Candidates go in blocks of 1, 2, 4, ... (doubled after each block in
     which none passes), each block raised to every exponent by one stacked
@@ -439,46 +429,49 @@ def _canonical_search(field, candidates, exponents: list[int], skip: int = 0):
         powers = ring.pow(_index_rows(q, t, block), exponents)
         passing = np.flatnonzero(~(powers == ring.one()).all(axis=-1).any(axis=0))
         if skip < passing.size:
-            return int(block[passing[skip]]), powers[:, passing[skip]]
+            return int(block[passing[skip]])
         skip -= passing.size
         if not passing.size:
             size = min(2 * size, most)
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _root_search(field, order: int, skip: int) -> FieldElement | None:
+    """zeta = u^((|F| - 1)/order) for the (skip+1)-th element u, in
+    canonical order, with u^((|F| - 1)/r) != 1 for every prime r dividing
+    `order` (so zeta has exact order `order`, which divides |F| - 1); None
+    when the elements run out.  Only `order` is factored.  The walk starts
+    at index 1 when some constant passes, and at index q, past the
+    constants, otherwise: a constant's zeta lies in F_q^*, and the powers
+    c^((|F| - 1)/order) of its constants c form the subgroup of order
+    (q - 1)/gcd(q - 1, (|F| - 1)/order).  Each (field, order, skip) is
+    searched once."""
+    group, q = field.order - 1, field.q
+    exponents = [group // r for r in factor_integer(order)]
+    start = 1 if (q - 1) // math.gcd(q - 1, group // order) % order == 0 else q
+    if isinstance(field, PrimeField):  # q may pass int64: Python ints
+        found = (u for u in range(start, q) if all(pow(u, e, q) != 1 for e in exponents))
+        u = next(itertools.islice(found, skip, None), None)
+        return None if u is None else field.element(pow(u, group // order, q))
+    u = _canonical_search(field, range(start, field.order), exponents, skip)
+    return None if u is None else element_by_index(field, u) ** (group // order)
+
+
 def primitive_element(field, skip: int = 0) -> FieldElement:
     """First element (in canonical enumeration order) of multiplicative
-    order q^t - 1; `skip` asks for a later one.  Requires factoring
-    q^t - 1, guarded by DEFAULT_ORDER_BUDGET_BITS.  For t > 1 the walk
-    starts at index q: the constants before it have orders dividing q - 1.
-    Each (field, skip) is searched once, and a degree-1 extension reuses
-    the search of F_q, whose elements and order it shares."""
-    if isinstance(field, ExtensionField) and field.degree == 1:
-        return field.embed(_primitive_element(field.base, skip))
-    return _primitive_element(field, skip)
-
-
-@functools.lru_cache(maxsize=None)
-def _primitive_element(field, skip: int) -> FieldElement:
+    order q^t - 1; `skip` asks for a later one.  The root search at order
+    q^t - 1, which factors q^t - 1, guarded by DEFAULT_ORDER_BUDGET_BITS."""
     n = field.order - 1
     if n.bit_length() > DEFAULT_ORDER_BUDGET_BITS:
         raise BudgetExceededError(
             f"group order needs {n.bit_length()} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}",
             required=n.bit_length(),
         )
-    # g is primitive iff g^(n/r) != 1 for every prime r dividing n
-    exponents = [n // r for r in factor_integer(n)] if n > 1 else []
-    if isinstance(field, PrimeField):  # q may pass int64: Python ints
-        q = field.q
-        found = (g for g in range(1, q) if all(pow(g, e, q) != 1 for e in exponents))
-        g = next(itertools.islice(found, skip, None), None)
-        if g is not None:
-            return field.element(g)
-    else:
-        hit = _canonical_search(field, range(field.q, field.order), exponents, skip)
-        if hit is not None:
-            return element_by_index(field, hit[0])
-    raise UsageError("no primitive element found for requested skip")
+    g = _root_search(field, n, skip)
+    if g is None:
+        raise UsageError("no primitive element found for requested skip")
+    return g
 
 
 def _check_order(order: int, is_one) -> None:
@@ -491,59 +484,36 @@ def _check_order(order: int, is_one) -> None:
 
 
 def root_of_unity(field, order: int) -> FieldElement:
-    """zeta = g^((q^t-1)/order) for the canonical generator g; verified to
-    have exact multiplicative order `order`."""
+    """The primitive `order`-th root of unity of the root search at skip 0;
+    verified to have exact multiplicative order `order`."""
     n = field.order - 1
     if order < 1:
         raise UsageError("root order must be positive")
-    if order == 1:
-        return field.one()
     if n % order:
         raise UsageError(f"{order} does not divide the group order {n}")
-    zeta, one = primitive_element(field) ** (n // order), field.one()
+    zeta, one = _root_search(field, order, 0), field.one()
     _check_order(order, lambda e: zeta**e == one)
     return zeta
 
 
 def _root_powers(field, order: int, skip: int = 0):
-    """zeta^i for i < order, where zeta = g^((|F| - 1)/order) for the
-    (skip+1)-th generator g: the rule of `root_of_unity`, which is zeta at
-    skip 0, and of the closed forms' `generator_skip`.  Python ints in F_q
-    (q may pass int64), int64 rows in F_{q^t}.  The table runs one power
-    past `order`, so zeta's exact order is read from it (an order that does
-    not divide |F| - 1 fails there too)."""
-    exponent = (field.order - 1) // order
-    g = primitive_element(field, skip).coeffs
+    """zeta^i for i < order, for the zeta of the root search at `skip`: the
+    rule of `root_of_unity` (skip 0), of the factorization and of the
+    closed forms' `generator_skip`.  Python ints in F_q (q may pass int64),
+    int64 rows in F_{q^t}.  The table runs one power past `order`, so
+    zeta's exact order is read from it."""
+    zeta = _root_search(field, order, skip)
+    if zeta is None:
+        raise UsageError(f"no primitive {order}-th root of unity for skip {skip}")
     if isinstance(field, PrimeField):
-        q = field.q
-        zeta = pow(g[0], exponent, q)
-        table = list(itertools.accumulate(range(order), lambda a, _: a * zeta % q, initial=1))
+        q, z = field.q, zeta.coeffs[0]
+        table = list(itertools.accumulate(range(order), lambda a, _: a * z % q, initial=1))
         _check_order(order, lambda e: table[e] == 1)
     else:
         ring = field.ring
-        table = ring.powers(ring.pow(fp.as_vec(g), exponent), order + 1)
+        table = ring.powers(fp.as_vec(zeta.coeffs), order + 1)
         _check_order(order, lambda e: np.array_equal(table[e], ring.one()))
     return table[:order]
-
-
-def _nth_root_of_unity(field, n: int, p: int) -> FieldElement:
-    """Deterministic primitive n-th root of unity, n = p^k: u^((|F| - 1)/n)
-    for the first enumerated element u for which it has exact order n.
-    The factorization's rule while n divides |F| - 1; it needs no
-    generator, so |F| - 1 is never factored."""
-    if n == 1:
-        return field.one()
-    group = field.order - 1
-    if group % n:
-        raise InvariantViolation("field does not contain the requested roots")
-    # a constant has order dividing q - 1, so it can serve only if n | q - 1
-    start = 2 if (field.q - 1) % n == 0 else field.q
-    # zeta = u^(group/n) has order n iff zeta != 1 and zeta^(n/p) = u^(group/p) != 1
-    stop = min(field.order, start + (1 << 20))
-    hit = _canonical_search(field, range(start, stop), [group // n, group // p])
-    if hit is None:
-        raise InvariantViolation("no primitive root of unity found")
-    return FieldElement(field, tuple(hit[1][0].tolist()))
 
 
 def frobenius(a: FieldElement) -> FieldElement:

@@ -20,6 +20,22 @@ from .errors import UsageError
 NEG_INFINITY = float("-inf")
 
 
+def render_poly(coeffs, var: str = "x") -> str:
+    """Descending-power text of ascending coefficients, zero terms left out:
+    `Poly`, `FieldElement` (in y) and the CLI's text output all use it."""
+    terms = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if not c:
+            continue
+        if e == 0:
+            terms.append(str(c))
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            terms.append(power if c == 1 else f"{c}*{power}")
+    return " + ".join(terms) if terms else "0"
+
+
 def _prime_modulus(field) -> int:
     if field.degree != 1:
         raise UsageError(f"polynomials need a prime field, not {field!r}")
@@ -151,19 +167,7 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                terms.append(xs if c == 1 else f"{c}*{xs}")
-        return " + ".join(terms)
+        return render_poly(self.coeffs)
 
 
 def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

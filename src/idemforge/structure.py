@@ -16,7 +16,6 @@ from . import _fastpoly as fp
 from .errors import InvariantViolation, UsageError
 from .fields import (
     DEFAULT_ORDER_BUDGET_BITS,
-    _nth_root_of_unity,
     _root_powers,
     get_extension_field,
     get_prime_field,
@@ -70,6 +69,18 @@ class ProblemInstance:
     def effective_m(self) -> int:
         """m clamped to k: the root-of-unity order usable inside the ring."""
         return min(self.m, self.k)
+
+    @property
+    def root_field(self) -> tuple[int, int]:
+        """(T, M): the factorization takes its roots of unity in F_{q^T},
+        which holds a primitive p^M-th root, p^M || q^T - 1.  This is (t, m),
+        except for p = 2 with q = 3 (mod 4) and k >= 2: the factors of
+        x^(2^s) - 1 above level M are those of level M inflated, which needs
+        q^T = 1 (mod 4), so (T, M) = (2, v_2(q^2 - 1)) there
+        (Lidl-Niederreiter, Thm 3.35)."""
+        if self.p == 2 and self.q % 4 == 3 and self.k >= 2:
+            return 2, p_adic_valuation(self.q * self.q - 1, 2)
+        return self.t, self.m
 
     def describe(self) -> str:
         return f"q={self.q} p={self.p} k={self.k} n={self.n} t={self.t} m={self.m}"
@@ -152,13 +163,19 @@ def cyclotomic_cosets(q: int, n: int) -> CosetPartition:
 
 def expected_idempotent_count(instance: ProblemInstance) -> int:
     """Number of primitive idempotents = number of q-cyclotomic cosets mod n,
-    cross-checked against the closed count 1 + (p^m'-1)/t + (k-m')*phi(p^m')/t
-    with m' = min(m, k)."""
+    cross-checked against a closed count in (T, M) = `root_field` and
+    m' = min(M, k): 1 + (p^m'-1)/t + (k-m')*phi(p^m')/t when T = t, and
+    1 + 2^(m'-1) + (k-m')*2^(M-2) for p = 2 with q = 3 (mod 4), where the
+    levels s = 2..M hold cosets of size 2 and each level above M holds
+    2^(M-2) cosets."""
     count = len(cyclotomic_cosets(instance.q, instance.n).cosets)
-    m_eff, t, p, k = instance.effective_m, instance.t, instance.p, instance.k
-    closed = 1 + (instance.p**m_eff - 1) // t
-    if k > m_eff:
-        closed += (k - m_eff) * euler_phi_prime_power(p, m_eff) // t
+    t, p, k = instance.t, instance.p, instance.k
+    big_t, big_m = instance.root_field
+    m_eff = min(big_m, k)
+    if big_t == t:
+        closed = 1 + (p**m_eff - 1) // t + (k - m_eff) * euler_phi_prime_power(p, m_eff) // t
+    else:
+        closed = 1 + 2 ** (m_eff - 1) + (k - m_eff) * 2 ** (big_m - 2)
     if closed != count:
         raise InvariantViolation(
             f"closed-form count {closed} disagrees with coset count {count} on {instance.describe()}"
@@ -172,23 +189,15 @@ def _factor_cached(instance: ProblemInstance):
     base = get_prime_field(q)
     if n == 1:
         return ((1, Poly.from_ints(base, [-1, 1])),)
-    # F_{q^T} holds a primitive p^M-th root of unity, and the factors of
-    # Phi_{p^s} for s > M are those of Phi_{p^M} with x -> x^(p^(s-M))
-    # (Lidl-Niederreiter, Thm 3.35).  For p = 2 that needs q^T = 1 (mod 4).
-    if p == 2 and q % 4 == 3:
-        big_t, big_m = 2, p_adic_valuation(q * q - 1, 2)
-    else:
-        big_t, big_m = instance.t, instance.m
+    # F_{q^T} holds a primitive p^M-th root of unity zeta, and the factors
+    # of Phi_{p^s} for s > M are those of Phi_{p^M} with x -> x^(p^(s-M)).
+    # zeta, from `fields`, fixes which factor each coset receives.
+    big_t, big_m = instance.root_field
     m_eff = min(big_m, k)
     pm = p**m_eff
     field = get_extension_field(q, big_t)
-    # zeta fixes which factor each coset receives; the two rules of `fields`
-    # keep the factor lists (and the oracle's record order) stable.
     ring = field.ring
-    if k <= big_m:
-        zeta_powers = ring.powers(fp.as_vec(_nth_root_of_unity(field, n, p).coeffs), pm)
-    else:
-        zeta_powers = _root_powers(field, pm)
+    zeta_powers = _root_powers(field, pm)
     # The minimal polynomial of zeta^j over F_q is the product of (x - zeta^i)
     # over the orbit of j under multiplication by q mod p^m'.  Orbits of one
     # size are multiplied out together: prods[o] holds the coefficients (each
@@ -233,8 +242,9 @@ def _factor_cached(instance: ProblemInstance):
 def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]:
     """Irreducible factorization of x^n - 1 over F_q, one monic factor per
     q-cyclotomic coset (same order as `cyclotomic_cosets`).  Each factor is
-    the minimal polynomial of a root of unity of order p^s <= p^m computed
-    in F_{q^t} (F_{q^2} when p = 2 and q = 3 mod 4), inflated by x -> x^(p^(s-m)) above level m.  Monic factors
+    the minimal polynomial of a root of unity of order p^s <= p^M computed
+    in F_{q^T}, (T, M) = `instance.root_field`, inflated by
+    x -> x^(p^(s-M)) above level M.  Monic factors
     of the coset degrees whose product is the squarefree x^n - 1 are
     necessarily its irreducible factors, so the product check certifies
     irreducibility."""

@@ -109,13 +109,13 @@ def test_document_puts_each_record_on_one_line(capsys):
             '    {"label": "e_0", "kind": "unit-sum", "params": null, '
             '"coeffs": [4, 4, 4, 4, 4, 4, 4, 4, 4]},',
             '    {"label": "e_j:1", "kind": "second-type", "params": {"j": 1}, '
-            '"coeffs": [4, 2, 1, 4, 2, 1, 4, 2, 1]},',
-            '    {"label": "e_j:2", "kind": "second-type", "params": {"j": 2}, '
             '"coeffs": [4, 1, 2, 4, 1, 2, 4, 1, 2]},',
+            '    {"label": "e_j:2", "kind": "second-type", "params": {"j": 2}, '
+            '"coeffs": [4, 2, 1, 4, 2, 1, 4, 2, 1]},',
             '    {"label": "e_{s,l}:2,1", "kind": "third-type", "params": {"s": 2, "l": 1}, '
-            '"coeffs": [5, 0, 0, 6, 0, 0, 3, 0, 0]},',
+            '"coeffs": [5, 0, 0, 3, 0, 0, 6, 0, 0]},',
             '    {"label": "e_{s,l}:2,2", "kind": "third-type", "params": {"s": 2, "l": 2}, '
-            '"coeffs": [5, 0, 0, 3, 0, 0, 6, 0, 0]}',
+            '"coeffs": [5, 0, 0, 6, 0, 0, 3, 0, 0]}',
             "  ]",
             "}",
             "",
@@ -239,7 +239,7 @@ def test_code_command(capsys):
         pytest.param(2, 7, 2, 'e_{s,l}:2,1',
                      'e_{s,l}:2,1: [49,21,4] g = x^28 + x^14 + x^7 + 1\n', id="49,21,4"),
         pytest.param(2, 113, 1, 'e_j:1',
-                     'e_j:1: [113,28,28] g = x^85 + x^83 + x^81 + x^76 + x^75 + x^73 + x^72 + x^71 + x^69 + x^68 + x^66 + x^65 + x^62 + x^61 + x^59 + x^56 + x^55 + x^53 + x^52 + x^51 + x^50 + x^49 + x^46 + x^45 + x^44 + x^41 + x^40 + x^39 + x^36 + x^35 + x^34 + x^33 + x^32 + x^30 + x^29 + x^26 + x^24 + x^23 + x^20 + x^19 + x^17 + x^16 + x^14 + x^13 + x^12 + x^10 + x^9 + x^4 + x^2 + 1\n', id="113,28,28"),
+                     'e_j:1: [113,28,28] g = x^85 + x^80 + x^79 + x^77 + x^75 + x^74 + x^72 + x^71 + x^69 + x^65 + x^62 + x^61 + x^60 + x^55 + x^54 + x^52 + x^51 + x^50 + x^47 + x^38 + x^35 + x^34 + x^33 + x^31 + x^30 + x^25 + x^24 + x^23 + x^20 + x^16 + x^14 + x^13 + x^11 + x^10 + x^8 + x^6 + x^5 + 1\n', id="113,28,28"),
     ],
 )
 def test_code_min_distance_output_is_pinned(capsys, q, p, k, label, expected):
@@ -486,6 +486,55 @@ def test_large_q_finds_extension_modulus_past_the_binomials(capsys, p):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("q,p", [(2, 83), (5, 79), (7, 53), (47, 3571)])
+def test_gen_verifies_where_q_to_the_t_minus_1_resists_trial_division(capsys, q, p):
+    # trial division to 10^7 cannot factor q^t - 1 here; the pipeline
+    # factors only p^m'
+    code, out, err = run_cli(capsys, "gen", "--q", str(q), "--p", str(p), "--k", "1", "--verify")
+    assert (code, err) == (0, "")
+    assert out.endswith("overall: pass\n")
+
+
+@pytest.mark.slow
+def test_gen_verifies_every_admitted_k_1_instance_with_small_q(capsys):
+    # every q < 60 and odd p < 10^4 that instance_parameters admits at k = 1
+    from idemforge import UsageError, instance_parameters
+    from idemforge.fields import is_prime
+
+    admitted, failed = 0, []
+    for q in (n for n in range(2, 60) if is_prime(n)):
+        for p in (n for n in range(3, 10_000, 2) if n != q and is_prime(n)):
+            try:
+                instance_parameters(q, p, 1)
+            except UsageError:
+                continue
+            admitted += 1
+            code, _, err = run_cli(capsys, "gen", "--q", str(q), "--p", str(p), "--k", "1", "--verify")
+            if code:
+                failed.append((q, p, code, err))
+    assert admitted == 509
+    assert failed == []
+
+
+def test_gen_serves_a_split_q_past_the_group_order_budget(capsys):
+    # t = 1 and q - 1 has 101 bits: the closed form needs only a cube root
+    # of unity, while no check runs past the int64 rule yet
+    q = "1267650600228229401496703205823"
+    code, out, err = run_cli(capsys, "gen", "--q", q, "--p", "3", "--k", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"q={q} p=3 k=1 n=3 t=1 m=1 method=split-case"
+    code, _, err = run_cli(capsys, "gen", "--q", q, "--p", "3", "--k", "1", "--verify")
+    assert code == 1
+    assert "length*(q-1)^2 < 2^63" in err
+
+
+def test_factors_for_p_2_at_a_large_q_3_mod_4(capsys):
+    # q = 2^20 + 7 = 3 (mod 4): x^2 - 1 splits over F_q, which holds the
+    # square root of 1 that the factorization takes
+    code, out, err = run_cli(capsys, "factors", "--q", "1048583", "--p", "2", "--k", "1")
+    assert (code, out, err) == (0, "d=1 deg=1: x + 1048582\nd=2 deg=1: x + 1\n", "")
+
+
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     from idemforge import InvariantViolation
 
@@ -499,8 +548,8 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 
 
 def test_gen_exits_3_when_the_closed_form_root_has_the_wrong_order(capsys, monkeypatch):
-    generator = fields.primitive_element
-    monkeypatch.setattr(fields, "primitive_element", lambda field, skip=0: generator(field, skip) ** 5)
+    search = fields._root_search
+    monkeypatch.setattr(fields, "_root_search", lambda field, order, skip: search(field, order, skip) ** 5)
     code = main(["gen", "--q", "7", "--p", "5", "--k", "2", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 3

@@ -173,9 +173,8 @@ def test_generator_search_returns_the_first_generator_past_x(monkeypatch, q, p, 
     search = codes._canonical_search
 
     def recorded(*args):
-        hit = search(*args)
-        found.append(hit[0])
-        return hit
+        found.append(search(*args))
+        return found[-1]
 
     monkeypatch.setattr(codes, "_canonical_search", recorded)
     inst = instance_parameters(q, p, k)

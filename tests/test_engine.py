@@ -377,11 +377,11 @@ def test_third_type_census():
 
 # -- pinned bytes -----------------------------------------------------------
 
-# Both zeta rules (k <= m and inflated levels), F_{q^2} for p = 2 with
-# q = 3 mod 4, and the golden instance: the digest fixes which factor each
-# coset gets and every closed-form coefficient, under both choices.
+# Levels k <= m and inflated ones, F_{q^2} for p = 2 with q = 3 mod 4, and
+# the golden instance: the digest fixes which factor each coset gets and
+# every closed-form coefficient, under both choices.
 PINNED_INSTANCES = ((19, 7, 2), (2, 3, 5), (3, 5, 3), (3, 2, 5), (7, 2, 6), (17, 13, 2))
-PINNED_DIGEST = "c4681338e6847dd861516170ca67c6b92ce94dd176b81bbebb8b5080fcedfb0a"
+PINNED_DIGEST = "01d5bea5ba8a8779edb7f11d3b3f8276b89c29fb0c2e1fbceeb57434dba5701e"
 
 
 def test_factor_lists_and_closed_forms_keep_their_bytes():
@@ -421,10 +421,10 @@ def test_factorization_and_closed_forms_build_few_field_elements(q, p, k, monkey
 
 @pytest.mark.parametrize("q,p,k", [(19, 3, 2), (7, 5, 2)])  # t = 1, t = 4
 def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch):
-    # g^p for a generator g has order (|F| - 1)/p, so the root taken from it
-    # has order p^(m'-1): nonzero and a p^m'-th root of 1, but not primitive
-    generator = fields.primitive_element
-    monkeypatch.setattr(fields, "primitive_element", lambda field, skip=0: generator(field, skip) ** p)
+    # the p-th power of the searched root has order p^(m'-1): nonzero and a
+    # p^m'-th root of 1, but not primitive
+    search = fields._root_search
+    monkeypatch.setattr(fields, "_root_search", lambda field, order, skip: search(field, order, skip) ** p)
     inst = instance_parameters(q, p, k)
     assert inst.effective_m == 2
     with pytest.raises(InvariantViolation, match="not primitive"):

@@ -18,8 +18,7 @@ from idemforge import (
     trace_sigma1,
 )
 from idemforge import fields
-from idemforge.fields import element_by_index, factor_integer, is_prime
-from idemforge.structure import _nth_root_of_unity
+from idemforge.fields import _root_powers, _root_search, element_by_index, factor_integer, is_prime
 
 
 @pytest.fixture
@@ -190,19 +189,16 @@ def _scalar_primitive_elements(field, pow_=None):
             yield g
 
 
-def _scalar_nth_root_of_unity(field, n, p):
-    """The walk `structure._nth_root_of_unity` ran before candidates were
-    stacked."""
-    if n == 1:
-        return field.one()
-    exp = (field.order - 1) // n
+def _scalar_roots_of_unity(field, order):
+    """The root search's rule, one FieldElement at a time over every nonzero
+    element from index 1: zeta = u^((|F| - 1)/order) for each u whose zeta
+    has exact order `order`, in canonical order (skip = s is the item at
+    position s)."""
     one = field.one()
-    start = 2 if (field.q - 1) % n == 0 else field.q
-    for index in range(start, min(field.order, start + (1 << 20))):
-        zeta = element_by_index(field, index) ** exp
-        if zeta != one and zeta ** (n // p) != one:
-            return zeta
-    raise InvariantViolation("no primitive root of unity found")
+    for index in range(1, field.order):
+        zeta = element_by_index(field, index) ** ((field.order - 1) // order)
+        if all(zeta ** (order // r) != one for r in factor_integer(order)):
+            yield zeta
 
 
 _SWEEP = [
@@ -225,9 +221,14 @@ def _check_against_scalar_walks(field):
     n = field.order - 1
     for r, v in factor_integer(n).items():
         for order in {r, r**v}:
-            zeta = _nth_root_of_unity(field, order, r)
-            assert zeta.coeffs == _scalar_nth_root_of_unity(field, order, r).coeffs
-            assert root_of_unity(field, order) == expected[0] ** (n // order)
+            roots = _scalar_roots_of_unity(field, order)
+            first, second = next(roots), next(roots, None)
+            assert root_of_unity(field, order).coeffs == first.coeffs
+            if second is not None:
+                assert _root_search(field, order, 1).coeffs == second.coeffs
+            if order <= 4096:
+                table = _root_powers(field, order, 1 if second else 0)
+                assert tuple(table[1].tolist()) == (second or first).coeffs
 
 
 @pytest.mark.parametrize("q", sorted({q for q, _ in _SWEEP}))
@@ -282,7 +283,8 @@ def test_one_cache_entry_per_field_and_skip():
 
 def test_survey_loop_searches_each_field_once(monkeypatch):
     # the calls of a pass over the acceptance grid, from cold caches: one
-    # search per distinct (field, skip) and one ExtensionField per (q, t, skip)
+    # root search per distinct (field, order, skip) and one ExtensionField
+    # per (q, t, skip)
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
@@ -296,8 +298,8 @@ def test_survey_loop_searches_each_field_once(monkeypatch):
 
         return functools.lru_cache(maxsize=None)(wrapper)
 
-    search, build = fields._primitive_element.__wrapped__, fields._extension_field.__wrapped__
-    monkeypatch.setattr(fields, "_primitive_element", counting(searched, search))
+    search, build = fields._root_search.__wrapped__, fields._extension_field.__wrapped__
+    monkeypatch.setattr(fields, "_root_search", counting(searched, search))
     monkeypatch.setattr(fields, "_extension_field", counting(built, build))
     factor = functools.lru_cache(maxsize=None)(structure._factor_cached.__wrapped__)
     monkeypatch.setattr(structure, "_factor_cached", factor)
@@ -318,20 +320,21 @@ def test_survey_loop_searches_each_field_once(monkeypatch):
 
 
 def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
-    # a degree-1 extension F_{q^1}, which the factorization uses when t = 1,
-    # reuses the search of F_q that the split case ran: 43 searches, not 49
+    # the closed forms and the factorization ask for the same primitive
+    # p^m'-th root of unity, in F_q and F_{q^1} when t = 1: one search per
+    # field and order, each at a prime power, so none factors q^t - 1
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
 
     searched = []
-    search = fields._primitive_element.__wrapped__
+    search = fields._root_search.__wrapped__
 
-    def counting(field, skip):
-        searched.append((field, skip))
-        return search(field, skip)
+    def counting(field, order, skip):
+        searched.append((field, order, skip))
+        return search(field, order, skip)
 
-    monkeypatch.setattr(fields, "_primitive_element", functools.lru_cache(maxsize=None)(counting))
+    monkeypatch.setattr(fields, "_root_search", functools.lru_cache(maxsize=None)(counting))
     factor = functools.lru_cache(maxsize=None)(structure._factor_cached.__wrapped__)
     monkeypatch.setattr(structure, "_factor_cached", factor)
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
@@ -341,8 +344,10 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
                     inst = instance_parameters(q, p, k)
                     dispatch(inst)
                     factor_xn_minus_1(inst)
-    assert len(searched) == 43
-    assert not any(isinstance(f, fields.ExtensionField) and f.degree == 1 for f, _ in searched)
+    # 60 = one per field and order; a t = 1 instance searches F_q for the
+    # split case and F_{q^1} for its factorization
+    assert len(searched) == len(set(searched)) == 60
+    assert all(len(factor_integer(order)) == 1 for _, order, _ in searched)
 
 
 def test_survey_loop_tests_each_certified_modulus_once(monkeypatch):
@@ -402,7 +407,7 @@ def test_primitive_element_budget_guard():
 def test_root_of_unity_examples(f7, f8):
     assert root_of_unity(f8, 7) == f8.gen()
     assert root_of_unity(f7, 1) == f7.one()
-    assert root_of_unity(f7, 3) == f7.element(2)
+    assert root_of_unity(f7, 3) == f7.element(4)  # u = 2, the first with u^2 != 1
 
 
 def test_root_of_unity_rejects_bad_order(f7):
@@ -420,7 +425,7 @@ def test_root_of_unity_has_exact_order():
 def test_root_of_unity_checks_every_prime_of_the_order(f7, monkeypatch):
     # 6 has order 2 in F_7: 6^(6/2) != 1 passes the check at the prime 2,
     # and only the prime 3 (6^2 = 1) exposes it
-    monkeypatch.setattr(fields, "primitive_element", lambda field, skip=0: field.element(6))
+    monkeypatch.setattr(fields, "_root_search", lambda field, order, skip: field.element(6))
     with pytest.raises(InvariantViolation, match="not primitive"):
         root_of_unity(f7, 6)
 

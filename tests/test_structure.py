@@ -12,6 +12,7 @@ from idemforge import (
     instance_parameters,
     multiplicative_order,
 )
+from idemforge.structure import euler_phi_prime_power
 
 
 def test_multiplicative_order_examples():
@@ -189,3 +190,49 @@ def test_expected_count_matches_cosets_on_samples():
         assert expected_idempotent_count(inst) == len(
             cyclotomic_cosets(q, inst.n).cosets
         )
+
+
+def test_expected_count_holds_for_every_p_2_instance():
+    # q = 3 (mod 4) takes its roots of unity in F_{q^2}: (T, M) = (2, v_2(q^2 - 1))
+    # from k = 2 on, and the count 1 + 2^(m'-1) + (k-m')*2^(M-2)
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for k in range(11):
+            inst = instance_parameters(q, 2, k)
+            levels = sum(
+                euler_phi_prime_power(2, s) // multiplicative_order(q, 2**s) for s in range(k + 1)
+            )
+            assert expected_idempotent_count(inst) == len(cyclotomic_cosets(q, inst.n).cosets) == levels
+            big_t, big_m = inst.root_field
+            assert (q**big_t - 1) % 2**big_m == 0 and (q**big_t - 1) % 2 ** (big_m + 1)
+            assert big_t == (2 if q % 4 == 3 and k >= 2 else 1)
+
+
+def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch):
+    # over the acceptance grid from cold caches, the closed forms, the
+    # factorization and the oracle factor p^m' alone, never q^t - 1
+    import functools
+
+    from idemforge import all_idempotents_euclid, dispatch, fields, structure
+
+    factored = []
+    factor = fields.factor_integer
+
+    def recording(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(fields, "factor_integer", recording)
+    for module, name in ((fields, "_root_search"), (structure, "_factor_cached")):
+        fresh = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, fresh)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        for p in (3, 5, 7, 11, 13):
+            for k in range(9):
+                if p != q and p**k <= 400:
+                    inst = instance_parameters(q, p, k)
+                    factored.clear()
+                    dispatch(inst)
+                    factor_xn_minus_1(inst)
+                    all_idempotents_euclid(inst)
+                    assert all(n <= inst.n and len(factor(n)) == 1 for n in factored)
+                    assert factored or k == 0
