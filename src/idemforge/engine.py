@@ -27,12 +27,13 @@ import numpy as np
 from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import _root_powers, get_extension_field, get_prime_field
-from .polys import CyclicRingElement, Poly
+from .polys import CyclicRingElement, Poly, render_poly
 from .structure import (
     ProblemInstance,
     cyclotomic_cosets,
     euler_phi_prime_power,
     factor_xn_minus_1,
+    inflation_stride,
     multiplicative_order,
 )
 
@@ -100,58 +101,66 @@ def euclid_idempotent(f: Poly, n: int, q: int) -> IdempotentRecord:
         raise UsageError("exponent must be >= 1")
     if n % q == 0:
         raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    row = _euclid_stack([f], n, n, q)[0].tolist()
+    row = _euclid_stack(fp.as_vec([f.coeffs]), n, n, q)[0].tolist()
     return _record_from_ints(q, row, f"euclid:deg{f.degree}", KIND_GENERIC, None, "euclid")
 
 
-def _euclid_stack(factors: list[Poly], order: int, n: int, q: int) -> np.ndarray:
-    """Rows e_f = P_f*h_f (n coefficients each) for monic factors f of
-    x^order - 1 that share one degree d, where order divides n and
-    gcd(n, q) = 1.
+def _euclid_stack(mods: np.ndarray, order: int, n: int, q: int) -> np.ndarray:
+    """Rows e_f = P_f*h_f (n coefficients each) for the monic factors f of
+    x^order - 1 in the rows of `mods` (ascending, one degree d), where order
+    divides n and gcd(n, q) = 1.
 
     With P_f = (x^n - 1)/f, differentiating x^n - 1 = P*f gives
     P*(x*f') = n (mod f), so the inverse of P modulo f is
     h = (x*f' - d*f)/n, of degree < d, and no gcd is needed.  The cofactors
     C_f = (x^order - 1)/f come from one division walk of order - d steps
-    over the stack, and P = C*(1 + x^order + ... + x^(n - order)).  As
-    deg(C*h) < order, e is C*h repeated n/order times.  The guard e*e = e
-    runs over the whole stack."""
-    d = factors[0].degree
+    over the stack, and P = C*T with T = 1 + x^order + ... + x^(n - order).
+    As deg(C*h) < order, e is C*h repeated n/order times.  Since
+    T*T = (n/order)*T, e*e = e iff (n/order)*((C*h)^2 mod x^order - 1) = C*h:
+    the guard squares the rows C*h, not the tiled e."""
+    d = mods.shape[1] - 1
     if d > order:
-        raise UsageError(f"{factors[0]!r} does not divide x^{order} - 1")
-    mods = fp.as_vec([f.coeffs for f in factors])
+        raise UsageError(f"{render_poly(mods[0].tolist())} does not divide x^{order} - 1")
     xo1 = np.zeros((1, order + 1), dtype=np.int64)
     xo1[0, 0], xo1[0, order] = q - 1, 1
     cofactors, rems = fp.divmod_rows(xo1, mods, q)
-    for f, rem in zip(factors, rems):
-        if rem.any():
-            raise UsageError(f"{f!r} does not divide x^{order} - 1")
+    bad = np.flatnonzero(rems.any(axis=1))
+    if bad.size:
+        raise UsageError(f"{render_poly(mods[bad[0]].tolist())} does not divide x^{order} - 1")
     del rems  # a view that keeps the whole walk array alive
     inv_n = pow(n, -1, q)
     scale = fp.as_vec([(i - d) * inv_n % q for i in range(d)])
-    e = np.tile(fp.conv_rows(cofactors, scale * mods[:, :d] % q, q), n // order)
-    if not np.array_equal(fp.conv_rows(e, e, q, n), e):
+    ch = fp.conv_rows(cofactors, scale * mods[:, :d] % q, q)
+    if not np.array_equal(fp.conv_rows(ch, ch, q, order) * (n // order % q) % q, ch):
         raise InvariantViolation("Euclid construction produced a non-idempotent")
-    return e
+    return np.tile(ch, n // order)
 
 
 def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord, ...]:
     """One record per irreducible factor of x^n - 1: the oracle set.
-    Factors of one degree and one order (the coset divisor, so that they
-    divide x^order - 1) are computed together, in stacks whose working
-    arrays hold at most TABLE_ENTRIES coefficients."""
+
+    Factors of one degree, one order N (the coset divisor, so that they
+    divide x^N - 1) and one stride s (`inflation_stride`, so f = g(x^s) and
+    g divides y^(N/s) - 1) are computed together, in stacks whose working
+    arrays hold at most TABLE_ENTRIES coefficients.  y -> x^s is a ring
+    homomorphism F_q[y]/(y^(n/s) - 1) -> F_q[x]/(x^n - 1) that sends g's
+    idempotent to f's (h_f = h_g(x^s) by the derivative formula), so
+    `_euclid_stack` runs on the g's, with order N/s in length n/s, and its
+    rows are placed at stride s."""
     q, n = instance.q, instance.n
     factors = factor_xn_minus_1(instance)
     cosets = cyclotomic_cosets(q, n).cosets
-    stacks: dict[tuple[int, int], list[int]] = {}
+    stacks: dict[tuple[int, int, int], list[int]] = {}
     for index, (order, f) in enumerate(factors):
-        stacks.setdefault((f.degree, order), []).append(index)
+        stacks.setdefault((f.degree, order, inflation_stride(order, f)), []).append(index)
     records: list = [None] * len(factors)
     step = max(1, fp.TABLE_ENTRIES // (16 * (n + 1)))  # about a dozen n-wide arrays a row
-    for (_, order), indices in stacks.items():
+    for (_, order, stride), indices in stacks.items():
         for start in range(0, len(indices), step):
             chunk = indices[start : start + step]
-            block = _euclid_stack([factors[i][1] for i in chunk], order, n, q)
+            mods = fp.as_vec([factors[i][1].int_coeffs()[::stride] for i in chunk])
+            block = np.zeros((len(chunk), n), dtype=np.int64)
+            block[:, ::stride] = _euclid_stack(mods, order // stride, n // stride, q)
             for i, row in zip(chunk, block):
                 label = f"e_{{d,r}}:{order},{cosets[i].rep}"
                 records[i] = _record_from_ints(q, row.tolist(), label, KIND_GENERIC, None, "euclid")

@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from . import _fastpoly as fp
+from ._fastpoly import index_rows as _index_rows
 from .errors import BudgetExceededError, InvariantViolation, UsageError
 from .polys import Poly, extended_gcd, render_poly
 
@@ -399,18 +400,6 @@ def element_by_index(field, index: int) -> FieldElement:
     return field.element(digits)
 
 
-def _index_rows(q: int, t: int, index) -> np.ndarray:
-    """Coefficient rows of the elements with the given indices in the
-    canonical enumeration (`element_by_index`)."""
-    index = np.asarray(index, dtype=np.int64)
-    rows = np.zeros((index.size, t), dtype=np.int64)
-    j, top = 0, int(index.max(initial=0))
-    while top:  # as many digits as the largest index has
-        index, rows[:, j] = np.divmod(index, q)
-        j, top = j + 1, top // q
-    return rows
-
-
 def _canonical_search(field, candidates, exponents: list[int], skip: int = 0) -> int | None:
     """The index of the (skip+1)-th of the `candidates` (indices in
     canonical order) none of whose powers to `exponents` is one; None when
@@ -501,8 +490,10 @@ def _root_powers(field, order: int, skip: int = 0):
     rule of `root_of_unity` (skip 0), of the factorization and of the
     closed forms' `generator_skip`.  Python ints in F_q (q may pass int64),
     int64 rows in F_{q^t}.  The table runs one power past `order`, so
-    zeta's exact order is read from it."""
-    zeta = _root_search(field, order, skip)
+    zeta's exact order is read from it.  F_{q^1} takes the zeta of F_q,
+    embedded, so each q is searched once."""
+    degree_one = isinstance(field, ExtensionField) and field.t == 1
+    zeta = _root_search(field.base if degree_one else field, order, skip)
     if zeta is None:
         raise UsageError(f"no primitive {order}-th root of unity for skip {skip}")
     if isinstance(field, PrimeField):

@@ -239,6 +239,13 @@ def _factor_cached(instance: ProblemInstance):
     return tuple(factors)
 
 
+def inflation_stride(order: int, f: Poly) -> int:
+    """The gcd s of `order` and the exponents of f's terms, for a factor f
+    of x^order - 1: f = g(x^s) with g dividing y^(order/s) - 1.  Above level
+    m every factor is such an inflation (Lidl-Niederreiter, Thm 3.35)."""
+    return math.gcd(order, *(e for e, c in enumerate(f.int_coeffs()) if c))
+
+
 def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]:
     """Irreducible factorization of x^n - 1 over F_q, one monic factor per
     q-cyclotomic coset (same order as `cyclotomic_cosets`).  Each factor is

@@ -7,7 +7,6 @@ first counterexample so regressions stay debuggable."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from . import _fastpoly as fp
 from ._fastpoly import TABLE_ENTRIES
 from .engine import _element, all_idempotents_euclid
 from .errors import UsageError
-from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
+from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_stride
 
 #: The schema tag of every JSON document and report.
 SCHEMA = "idemforge/1"
@@ -90,12 +89,11 @@ def _residues(matrix: np.ndarray, instance: ProblemInstance):
     no factor sees a nonzero residue in both.
 
     A factor f of order N divides x^N - 1, so each record is first folded
-    mod x^N - 1 (its n/N blocks of N coefficients summed).  With s the gcd
-    of N and the exponents of f's terms, f = h(x^s) and h divides
-    y^(N/s) - 1; the factors above level m are such inflations
-    (Lidl-Niederreiter, Thm 3.35).  Writing a folded row as the sum over
-    j < s of x^j E_j(x^s), its residue is the sum of x^j (E_j mod h)(x^s),
-    so only the s slices E_j of each record are reduced, modulo h.
+    mod x^N - 1 (its n/N blocks of N coefficients summed).  With
+    s = `inflation_stride(N, f)`, f = h(x^s) and h divides y^(N/s) - 1.
+    Writing a folded row as the sum over j < s of x^j E_j(x^s), its residue
+    is the sum of x^j (E_j mod h)(x^s), so only the s slices E_j of each
+    record are reduced, modulo h.
     Factors sharing (N, s, deg h) share their slices: one table of
     y^i mod h (i < N/s) and one product serve each chunk of at most
     TABLE_ENTRIES table entries.  A group whose table alone would pass that
@@ -107,7 +105,7 @@ def _residues(matrix: np.ndarray, instance: ProblemInstance):
     factors = factor_xn_minus_1(instance)
     groups: dict[tuple[int, int, int], list[int]] = {}
     for index, (order, f) in enumerate(factors):
-        stride = gcd(order, *(e for e, c in enumerate(f.int_coeffs()) if c))
+        stride = inflation_stride(order, f)
         groups.setdefault((order, stride, f.degree // stride), []).append(index)
     out = [None] * len(factors)
     folded_order = None

@@ -125,6 +125,67 @@ def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
     assert sum(walks) == len(expected) == 13
 
 
+@pytest.mark.parametrize("q,p,k", [(2, 3, 5), (13, 3, 6), (41, 5, 3), (101, 5, 4), (3, 2, 5)])
+def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, q, p, k):
+    # the oracle computes each factor f = g(x^s) of order N from g, with
+    # order N/s in the ring of length n/s, and places the rows at stride s;
+    # euclid_idempotent runs the construction on f itself, at stride 1.
+    # (3,2,5) is p = 2 with q = 3 (mod 4), where x^2 + 1 has stride 2.
+    from idemforge import _fastpoly as fp
+    from idemforge.structure import inflation_stride
+
+    inst = instance_parameters(q, p, k)
+    factors = factor_xn_minus_1(inst)
+    widths = []
+    walk = fp.divmod_rows
+
+    def counted(a, mods, q_):
+        widths.append(a.shape[1])
+        return walk(a, mods, q_)
+
+    monkeypatch.setattr(fp, "divmod_rows", counted)
+    records = all_idempotents_euclid(inst)
+    monkeypatch.undo()
+    strides = [inflation_stride(order, f) for order, f in factors]
+    assert max(strides) > 1
+    # every division walk runs over x^(N/s) - 1, never over x^N - 1
+    assert set(widths) == {order // s + 1 for (order, _), s in zip(factors, strides)}
+    for record, (_, f) in zip(records, factors):
+        assert record.value == euclid_idempotent(f, inst.n, q).value
+
+
+def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys):
+    # one coefficient of C*h changed in the stride-compressed stacks alone:
+    # (n/N)*((C*h)^2 mod x^N - 1) = C*h fails, and gen --method euclid
+    # exits 3 with the guard's message
+    from idemforge import _fastpoly as fp
+    from idemforge import engine
+    from idemforge.cli import main
+
+    stack, conv = engine._euclid_stack, fp.conv_rows
+    compressed = []
+
+    def tampered(a, b, q, n=None):
+        out = conv(a, b, q, n)
+        if n is None and compressed and compressed[-1]:  # a C*h product
+            out[0, -1] = (out[0, -1] + 1) % q
+        return out
+
+    def tracked(mods, order, n, q):
+        compressed.append(n < 729)
+        try:
+            return stack(mods, order, n, q)
+        finally:
+            compressed.pop()
+
+    monkeypatch.setattr(fp, "conv_rows", tampered)
+    monkeypatch.setattr(engine, "_euclid_stack", tracked)
+    code = main(["gen", "--q", "13", "--p", "3", "--k", "6", "--method", "euclid"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and "non-idempotent" in err
+
+
 def test_euclid_reducible_divisor_matches_gcd_reference():
     # (x+1)(x^3+x+1) divides x^7 - 1 over F_2; its idempotent is the sum
     # of the two primitive ones

@@ -113,6 +113,88 @@ def test_lex_irreducible_matches_sympy(q, t):
     assert lex_irreducible(q, t) == tuple(digits) + (1,)
 
 
+def _scalar_irreducibles(q, t, count):
+    """The first `count` monic irreducibles of degree t over F_q (fewer when
+    F_q has fewer), walked one candidate at a time in lex order from index
+    0: a zero constant term or a root in F_q rules a candidate out, and
+    `is_irreducible` decides the rest."""
+    from idemforge._fastpoly import is_irreducible
+
+    found = []
+    for index in range(q**t):
+        digits = [index // q**i % q for i in range(t)] + [1]
+        if t > 1 and (digits[0] == 0 or any(
+            sum(c * pow(a, i, q) for i, c in enumerate(digits)) % q == 0 for a in range(1, q)
+        )):
+            continue
+        if is_irreducible(q, digits):
+            found.append(tuple(digits))
+            if len(found) == count:
+                break
+    return found
+
+
+_LEX_SWEEP = [(q, t) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for t in range(1, 13)]
+_LEX_SWEEP += [(q, t) for q in (31, 101) for t in range(1, 7)]
+
+
+@pytest.mark.parametrize("q", sorted({q for q, _ in _LEX_SWEEP}))
+def test_lex_irreducible_matches_the_scalar_walk(q):
+    # the stacked walk (blocks, root filter, Frobenius filter, binomial
+    # skip) returns what a one-at-a-time walk finds, skips and refusals
+    # included
+    from idemforge._fastpoly import lex_irreducible
+
+    for t in sorted(t for p, t in _LEX_SWEEP if p == q):
+        found = _scalar_irreducibles(q, t, 4)
+        for skip in (0, 1, 3):
+            if skip < len(found):
+                assert lex_irreducible(q, t, skip) == found[skip], (q, t, skip)
+            else:  # F_2 has 1, 2 and 3 irreducibles of degree 2, 3, 4; F_3 has 3 quadratics
+                with pytest.raises(UsageError, match=f"fewer than {skip + 1} monic irreducibles"):
+                    lex_irreducible(q, t, skip)
+
+
+def test_is_irreducible_agrees_with_sympy():
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    from idemforge._fastpoly import is_irreducible
+
+    rng = random.Random(17)
+    cases = []
+    for _ in range(2000):
+        q, t = rng.choice((2, 3, 5, 13, 101)), rng.randrange(1, 21)
+        cases.append((q, [rng.randrange(q) for _ in range(t)] + [1]))
+    verdicts = [is_irreducible(q, c) for q, c in cases]
+    assert verdicts == [galois.gf_irreducible_p(c[::-1], q, ZZ) for q, c in cases]
+    assert 200 < sum(verdicts) < 1800  # both verdicts are well represented
+
+
+def test_frobenius_filter_keeps_exactly_the_squarefree_products_of_degrees_dividing_t():
+    # x^(q^t) - x is the product of the monic irreducibles whose degree
+    # divides t, each once: the filter keeps f iff f divides it, so it
+    # never drops an irreducible of degree t
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    from idemforge._fastpoly import frobenius_fixes_x, lex_irreducible
+
+    rng = random.Random(5)
+    for q, t in [(2, 6), (2, 12), (2, 20), (3, 4), (3, 9), (5, 6), (13, 10), (19, 10), (101, 4)]:
+        mods = [[rng.randrange(1, q)] + [rng.randrange(q) for _ in range(t - 1)] + [1]
+                for _ in range(150)]
+        mods += [list(lex_irreducible(q, t, skip)) for skip in range(4)]
+        expected = []
+        for c in mods:
+            f = c[::-1]
+            degrees = [len(g) - 1 for g in galois.gf_factor_sqf(f, q, ZZ)[1]]
+            expected.append(galois.gf_sqf_p(f, q, ZZ) and all(t % d == 0 for d in degrees))
+        kept = frobenius_fixes_x(np.array(mods, dtype=np.int64), q).tolist()
+        assert kept == expected, (q, t)
+        assert all(kept[-4:]) and not all(kept)
+
+
 def _powmod(base, e, mod):
     acc_field = base.field
     from idemforge.polys import Poly
@@ -321,8 +403,9 @@ def test_survey_loop_searches_each_field_once(monkeypatch):
 
 def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
     # the closed forms and the factorization ask for the same primitive
-    # p^m'-th root of unity, in F_q and F_{q^1} when t = 1: one search per
-    # field and order, each at a prime power, so none factors q^t - 1
+    # p^m'-th root of unity, in F_q and F_{q^1} when t = 1, and F_{q^1}
+    # takes F_q's: one search per q^t and order, each at a prime power, so
+    # none factors q^t - 1
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
@@ -344,9 +427,10 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
                     inst = instance_parameters(q, p, k)
                     dispatch(inst)
                     factor_xn_minus_1(inst)
-    # 60 = one per field and order; a t = 1 instance searches F_q for the
-    # split case and F_{q^1} for its factorization
-    assert len(searched) == len(set(searched)) == 60
+    # 53 = one per q^t and order: F_{q^1} reads the root of F_q, so no
+    # search runs in a degree-1 extension
+    assert len(searched) == len(set(searched)) == 53
+    assert all(field.degree > 1 or isinstance(field, fields.PrimeField) for field, _, _ in searched)
     assert all(len(factor_integer(order)) == 1 for _, order, _ in searched)
 
 
