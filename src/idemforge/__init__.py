@@ -11,6 +11,7 @@ from .codes import (
 )
 from .engine import (
     IdempotentRecord,
+    IdempotentSystem,
     all_idempotents_euclid,
     dispatch,
     euclid_idempotent,

@@ -13,10 +13,9 @@ import os
 import sys
 
 from .codes import DEFAULT_DISTANCE_BUDGET, code_summary, summaries_for
-from .engine import KIND_GENERIC, KIND_SECOND, KIND_THIRD, METHODS, IdempotentRecord, dispatch
+from .engine import KIND_GENERIC, KIND_SECOND, KIND_THIRD, METHODS, IdempotentSystem, dispatch
 from .errors import IdemforgeError, InvariantViolation, UsageError
-from .fields import get_prime_field
-from .polys import CyclicRingElement, render_poly
+from .polys import render_poly
 from .structure import (
     DEFAULT_MAX_N,
     cyclotomic_cosets,
@@ -27,17 +26,16 @@ from .structure import (
 from .verifier import SCHEMA, verify_system
 
 
-def _params_json(record):
-    if record.params is None:
-        return None
-    if record.kind == KIND_SECOND:
-        return {"j": record.params[0]}
-    if record.kind == KIND_THIRD:
-        return {"s": record.params[0], "l": record.params[1]}
-    return None
+# the names of a record's params in a document, by its kind
+_PARAM_NAMES = {KIND_SECOND: ("j",), KIND_THIRD: ("s", "l")}
 
 
-def build_document(instance, records) -> dict:
+def _params_json(kind, params):
+    names = _PARAM_NAMES.get(kind)
+    return None if params is None or names is None else dict(zip(names, params))
+
+
+def build_document(instance, system: IdempotentSystem) -> dict:
     return {
         "schema": SCHEMA,
         "q": instance.q,
@@ -46,15 +44,17 @@ def build_document(instance, records) -> dict:
         "n": instance.n,
         "t": instance.t,
         "m": instance.m,
-        "method": records[0].method if records else "none",
+        "method": system.method if len(system) else "none",
         "idempotents": [
             {
-                "label": r.label,
-                "kind": r.kind,
-                "params": _params_json(r),
-                "coeffs": list(r.value.int_coeffs()),
+                "label": label,
+                "kind": kind,
+                "params": _params_json(kind, params),
+                "coeffs": row.tolist(),
             }
-            for r in records
+            for label, kind, params, row in zip(
+                system.labels, system.kinds, system.params, system.coeffs
+            )
         ],
     }
 
@@ -84,6 +84,8 @@ def parse_document(text: str) -> dict:
 
 
 def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
+    """(instance, system) of a parsed document.  Its rows are claims for the
+    verifier: a zero row is reported there, not refused here."""
     try:
         q, p, k = doc["q"], doc["p"], doc["k"]
         entries = doc["idempotents"]
@@ -94,8 +96,7 @@ def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
     if not isinstance(entries, list):
         raise UsageError("malformed document: 'idempotents' must be a list")
     instance = instance_parameters(q, p, k, max_n=max_n)
-    field = get_prime_field(q)
-    records = []
+    rows, labels, kinds, params_list = [], [], [], []
     for entry in entries:
         if not isinstance(entry, dict):
             raise UsageError("each idempotent entry must be a JSON object")
@@ -104,23 +105,18 @@ def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
             raise UsageError("entry coefficient list must have exactly n entries")
         if set(map(type, coeffs)) != {int}:  # bool, float and str are not int
             raise UsageError("entry coefficients must be integers")
-        if min(coeffs) >= 0 and max(coeffs) < q:
-            value = CyclicRingElement._reduced(field, tuple(coeffs))
-        else:  # negative or past q: reduced, as any caller's ints are
-            value = CyclicRingElement.from_ints(field, coeffs)
+        if min(coeffs) < 0 or max(coeffs) >= q:  # reduced, as any caller's ints are
+            coeffs = [c % q for c in coeffs]
         params = entry.get("params")
         if isinstance(params, dict):
             params = tuple(params.values())
-        records.append(
-            IdempotentRecord(
-                value=value,
-                label=entry.get("label", "?"),
-                kind=entry.get("kind", KIND_GENERIC),
-                params=params,
-                method=doc.get("method", "unknown"),
-            )
-        )
-    return instance, records
+        rows.append(coeffs)
+        labels.append(entry.get("label", "?"))
+        kinds.append(entry.get("kind", KIND_GENERIC))
+        params_list.append(params)
+    method = doc.get("method", "unknown")
+    system = IdempotentSystem(q, instance.n, rows, labels, kinds, params_list, method, claimed=True)
+    return instance, system
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -160,9 +156,9 @@ def cmd_gen(args) -> int:
     if args.format == "json":
         _write_out(render_document(doc), args.out)
     else:
-        lines = [instance.describe() + f" method={records[0].method}"]
-        for r in records:
-            lines.append(f"{r.label} = {render_poly(r.value.int_coeffs())}")
+        lines = [instance.describe() + f" method={records.method}"]
+        for label, row in zip(records.labels, records.coeffs):
+            lines.append(f"{label} = {render_poly(row.tolist())}")
         if args.codes:
             for entry in doc["codes"]:
                 lines.append(
@@ -185,8 +181,8 @@ def cmd_verify(args) -> int:
                     text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
-        doc = parse_document(text)
-        instance, records = records_from_document(doc, args.max_n)
+        instance, records = records_from_document(parse_document(text), args.max_n)
+        del text  # freed, as the parsed document is, before the checks run
     else:
         if args.q is None or args.p is None or args.k is None:
             raise UsageError("verify needs --q/--p/--k or --in")
@@ -234,12 +230,12 @@ def cmd_params(args) -> int:
 def cmd_code(args) -> int:
     instance = _instance_from_args(args)
     records = dispatch(instance, args.method)
-    matches = [r for r in records if r.label == args.label]
-    if not matches:
-        known = ", ".join(r.label for r in records)
+    if args.label not in records.labels:
+        known = ", ".join(records.labels)
         raise UsageError(f"no idempotent labeled {args.label!r}; known labels: {known}")
+    record = records[records.labels.index(args.label)]
     summary = code_summary(
-        matches[0], instance.n, instance.q, with_distance=args.min_distance, budget=args.budget
+        record, instance.n, instance.q, with_distance=args.min_distance, budget=args.budget
     )
     sys.stdout.write(
         f"{summary.label}: {summary.params()} g = {render_poly(summary.generator.int_coeffs())}\n"
@@ -315,8 +311,8 @@ def _code_args(code):
         "--budget",
         type=int,
         default=DEFAULT_DISTANCE_BUDGET,
-        help="most orbits of <x, F_q^*> the distance search walks on a minimal code, "
-        "or codewords it enumerates on any other",
+        help="most Frobenius orbits of the cosets of <x, F_q^*> that the distance search "
+        "walks on a minimal code, or codewords it enumerates on any other",
     )
     code.set_defaults(func=cmd_code)
 

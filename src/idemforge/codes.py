@@ -8,7 +8,7 @@ candidates that can be the first; any other code by exhaustive search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -123,17 +123,18 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     orbits of a -> q*a mod N too, and the walk forms one codeword
     gamma^a * e per orbit, at its least exponent a (Baumert & McEliece,
     "Weights of irreducible cyclic codes", Inf. Control 20, 1972), marked
-    `_MARK_SPAN` exponents at a time.  There `budget` bounds the N cosets,
-    not the orbits walked.  Otherwise this is `min_distance_exhaustive`,
-    and `budget` bounds the codewords."""
+    `_MARK_SPAN` exponents at a time.  There `budget` bounds the orbits
+    walked, counted before the walk by Burnside's lemma.  Otherwise this is
+    `min_distance_exhaustive`, and `budget` bounds the codewords."""
     dim = _dimension(g, n)
-    # d divides n, so there are at least this many cosets, and at least as
-    # many codewords; refuse before anything is built
+    # d divides n, so there are at least (q^dim - 1)/lcm(n, q - 1) cosets, an
+    # orbit holds at most dim of them, and there are more codewords than
+    # cosets; refuse before anything is built
     floor = lcm(n, q - 1)
-    least = (q**dim - 1) // floor
+    least = (q**dim - 1) // floor // dim
     if least > budget:
         raise BudgetExceededError(
-            f"the minimum distance needs at least ({q}^{dim} - 1)/{floor} orbits or "
+            f"the minimum distance needs at least ({q}^{dim} - 1)/{floor}/{dim} orbits or "
             f"codewords, over the budget {budget}",
             required=least,
         )
@@ -150,23 +151,28 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
         while d % r == 0 and np.array_equal(ring.pow(x, d // r), one):
             d //= r
     order = lcm(d, q - 1)
-    orbits = (q**dim - 1) // order
+    cosets = (q**dim - 1) // order
+    # q^steps = 1 mod N: every orbit is met within `steps` Frobenius steps
+    steps = multiplicative_order(q, cosets)
+    # Burnside: the orbits number the mean over j < steps of the exponents
+    # that q^j fixes, gcd(q^j - 1, N); grouped by e = gcd(j, steps), that is
+    # (1/steps) * sum over e | steps of phi(steps/e) * gcd(q^e - 1, N)
+    orbits = sum(gcd(pow(q, j, cosets) - 1, cosets) for j in range(steps)) // steps
     if orbits > budget:
         raise BudgetExceededError(
-            f"walking ({q}^{dim} - 1)/{order} orbits of <x, F_q^*> exceeds the budget {budget}",
+            f"walking the {orbits} Frobenius orbits of the ({q}^{dim} - 1)/{order} cosets "
+            f"of <x, F_q^*> exceeds the budget {budget}",
             required=orbits,
         )
-    if orbits > _MAX_COSETS:
-        raise BudgetExceededError("the orbit walk is capped at 2^31 cosets", required=orbits)
+    if cosets > _MAX_COSETS:
+        raise BudgetExceededError("the orbit walk is capped at 2^31 cosets", required=cosets)
     gamma = one
-    if orbits > 1:  # then dim > 1
-        exponents = [(q**dim - 1) // r for r in factor_integer(orbits)]
+    if cosets > 1:  # then dim > 1
+        exponents = [(q**dim - 1) // r for r in factor_integer(cosets)]
         index = _canonical_search(field, _generator_candidates(q, dim), exponents)
         gamma = _index_rows(q, dim, [index])[0]
-    # q^steps = 1 mod N: every orbit is met within `steps` Frobenius steps
-    steps = multiplicative_order(q, orbits)
     # a = N - b with q*b < N maps to N - q*b < a: no such a is least in its orbit
-    span = orbits - (orbits - 1) // q
+    span = cosets - (cosets - 1) // q
     block = min(span, max(1, _BLOCK_ENTRIES // n))
     theta = ring.powers(gamma, block)  # gamma^a, a < block
     # block j holds the codewords of gamma^(jB + a) = theta[a] @ M(gamma^B)^j
@@ -176,7 +182,7 @@ def min_distance(g: Poly, n: int, q: int, budget: int = DEFAULT_DISTANCE_BUDGET)
     u = ring.reduce(np.arange(dim + 1) * fp.as_vec(h.int_coeffs()) % q * pow(n, -1, q))
     rows = fp.mat_mul(ring.matrix(u), _generator_rows(g, n, dim), q)  # x^i * e
     best = n
-    for start, walked in _block_minima(span, block, q % orbits, orbits, steps):
+    for start, walked in _block_minima(span, block, q % cosets, cosets, steps):
         if start:
             rows = fp.mat_mul(advance, rows, q)
         words = fp.mat_mul(theta[walked - start], rows, q)

@@ -10,7 +10,9 @@ Five routes produce the same set of ring elements:
   * general-case  — t > 1: coefficients built in F_{q^t} and mapped down by
                     the trace, with orbit deduplication of the indices.
 
-Records are returned in a canonical order: the unit-sum element first, then
+Every route returns an `IdempotentSystem`: one (r, n) coefficient array,
+written by the route's kernel, with the label, kind and params of each row.
+Records are in a canonical order: the unit-sum element first, then
 second-type records by index, then third-type records by (level, index).
 The closed forms take the power table of their root of unity from `fields`,
 which picks the root by its one search and checks its exact order;
@@ -20,6 +22,7 @@ root of a later one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +58,55 @@ class IdempotentRecord:
     params: tuple[int, ...] | None
     method: str
 
-    def key(self):
-        return self.value.key()
+
+class IdempotentSystem(Sequence):
+    """The records of one construction as one r x n array `coeffs` over F_q,
+    with the label, kind and params of each row and the method of all.
+
+    It is an immutable sequence of `IdempotentRecord`, each built when it is
+    asked for; a slice is a tuple of records.  The array is int64, or
+    `object` where q is past int64 (t = 1 admits any prime q).  A zero row
+    is a broken construction and raises, unless the rows are `claimed`
+    (read from a document), where `verify_system` reports it."""
+
+    __slots__ = ("q", "n", "coeffs", "labels", "kinds", "params", "method")
+
+    def __init__(self, q, n, rows, labels, kinds, params, method, *, claimed=False):
+        coeffs = np.asarray(rows, dtype=self.dtype(q)).reshape(len(labels), n)
+        coeffs.flags.writeable = False
+        zero = np.flatnonzero(~coeffs.any(axis=1))
+        if zero.size and not claimed:
+            raise InvariantViolation(f"constructed a zero idempotent for {labels[zero[0]]}")
+        values = (q, n, coeffs, tuple(labels), tuple(kinds), tuple(params), method)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def dtype(q: int):
+        """The coefficient dtype of a system over F_q: every residue fits int64
+        while q <= 2^63."""
+        return np.int64 if q <= 1 << 63 else object
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IdempotentSystem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IdempotentSystem):
+            return NotImplemented
+        return np.array_equal(self.coeffs, other.coeffs) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__ if name != "coeffs"
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        field = get_prime_field(self.q)
+        value = CyclicRingElement(field, self.n, self.coeffs[index].tolist())
+        label, kind, params = self.labels[index], self.kinds[index], self.params[index]
+        return IdempotentRecord(value, label, kind, params, self.method)
 
 
 def _element(item) -> CyclicRingElement:
@@ -81,13 +131,6 @@ def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[i
     )
 
 
-def _record_from_ints(q: int, ints, label: str, kind: str, params, method: str) -> IdempotentRecord:
-    value = CyclicRingElement._reduced(get_prime_field(q), tuple(ints))  # callers reduce mod q
-    if value.is_zero():
-        raise InvariantViolation(f"constructed a zero idempotent for {label}")
-    return IdempotentRecord(value=value, label=label, kind=kind, params=params, method=method)
-
-
 def euclid_idempotent(f: Poly, n: int, q: int) -> IdempotentRecord:
     """Idempotent attached to one monic factor f of x^n - 1 (q not dividing
     n): e = P*h with P = (x^n-1)/f and h the inverse of P modulo f, of
@@ -101,8 +144,9 @@ def euclid_idempotent(f: Poly, n: int, q: int) -> IdempotentRecord:
         raise UsageError("exponent must be >= 1")
     if n % q == 0:
         raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    row = _euclid_stack(fp.as_vec([f.coeffs]), n, n, q)[0].tolist()
-    return _record_from_ints(q, row, f"euclid:deg{f.degree}", KIND_GENERIC, None, "euclid")
+    row = _euclid_stack(fp.as_vec([f.coeffs]), n, n, q)
+    label = f"euclid:deg{f.degree}"
+    return IdempotentSystem(q, n, row, [label], [KIND_GENERIC], [None], "euclid")[0]
 
 
 def _euclid_stack(mods: np.ndarray, order: int, n: int, q: int) -> np.ndarray:
@@ -136,7 +180,7 @@ def _euclid_stack(mods: np.ndarray, order: int, n: int, q: int) -> np.ndarray:
     return np.tile(ch, n // order)
 
 
-def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord, ...]:
+def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
     """One record per irreducible factor of x^n - 1: the oracle set.
 
     Factors of one degree, one order N (the coset divisor, so that they
@@ -153,18 +197,16 @@ def all_idempotents_euclid(instance: ProblemInstance) -> tuple[IdempotentRecord,
     stacks: dict[tuple[int, int, int], list[int]] = {}
     for index, (order, f) in enumerate(factors):
         stacks.setdefault((f.degree, order, inflation_stride(order, f)), []).append(index)
-    records: list = [None] * len(factors)
+    coeffs = np.zeros((len(factors), n), dtype=np.int64)
     step = max(1, fp.TABLE_ENTRIES // (16 * (n + 1)))  # about a dozen n-wide arrays a row
     for (_, order, stride), indices in stacks.items():
         for start in range(0, len(indices), step):
             chunk = indices[start : start + step]
             mods = fp.as_vec([factors[i][1].int_coeffs()[::stride] for i in chunk])
-            block = np.zeros((len(chunk), n), dtype=np.int64)
-            block[:, ::stride] = _euclid_stack(mods, order // stride, n // stride, q)
-            for i, row in zip(chunk, block):
-                label = f"e_{{d,r}}:{order},{cosets[i].rep}"
-                records[i] = _record_from_ints(q, row.tolist(), label, KIND_GENERIC, None, "euclid")
-    return tuple(records)
+            coeffs[chunk, ::stride] = _euclid_stack(mods, order // stride, n // stride, q)
+    labels = [f"e_{{d,r}}:{order},{c.rep}" for (order, _), c in zip(factors, cosets)]
+    count = len(factors)
+    return IdempotentSystem(q, n, coeffs, labels, [KIND_GENERIC] * count, [None] * count, "euclid")
 
 
 def _root_table(
@@ -180,46 +222,41 @@ def _root_table(
     return _sigma_table(instance, pm, modulus_skip, generator_skip), "general-case"
 
 
-def _gather_rows(table: list[int], scale: int, q: int, indices, count: int) -> np.ndarray:
-    """Rows i, l < count of scale * table[(-indices[i] * l) % len(table)]
-    mod q, as one gather (object entries past int64, where t = 1 admits q)."""
-    values = np.array(
-        [v * scale % q for v in table], dtype=np.int64 if q <= 1 << 63 else object
-    )
-    exponents = -np.outer(np.asarray(indices, dtype=np.int64), np.arange(count))
-    return values[exponents % len(table)]
+def _gather_into(out: np.ndarray, table: list[int], scale: int, q: int, indices) -> None:
+    """out[i, l] = scale * table[(-indices[i] * l) % len(table)] mod q, for
+    every row i and column l of `out`, as one gather."""
+    values = np.array([v * scale % q for v in table], dtype=out.dtype)
+    exponents = -np.outer(np.asarray(indices, dtype=np.int64), np.arange(out.shape[1]))
+    out[...] = values[exponents % len(table)]
 
 
-def _records_from_table(
-    instance: ProblemInstance, table: list[int], method: str
-) -> tuple[IdempotentRecord, ...]:
-    """Shared assembly for the split and general cases from `_root_table`."""
+def _records_from_table(instance: ProblemInstance, table: list[int], method: str) -> IdempotentSystem:
+    """Shared assembly for the split and general cases from `_root_table`:
+    each level's rows are gathered straight into the system's array."""
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
     m_eff = instance.effective_m
     pm = p**m_eff
     inv_n = pow(n % q, -1, q)
-    records = [
-        _record_from_ints(q, [inv_n] * n, "e_0", KIND_UNIT_SUM, None, method)
-    ]
     js = orbit_representatives(pm, q, "all-nonzero")
-    for j, row in zip(js, _gather_rows(table, inv_n, q, js, n)):
-        records.append(_record_from_ints(q, row.tolist(), f"e_j:{j}", KIND_SECOND, (j,), method))
     ls = orbit_representatives(pm, q, "units")
-    for s in range(m_eff + 1, k + 1):
+    levels = range(m_eff + 1, k + 1)
+    coeffs = np.zeros((1 + len(js) + len(ls) * len(levels), n), dtype=IdempotentSystem.dtype(q))
+    coeffs[0] = inv_n
+    _gather_into(coeffs[1 : 1 + len(js)], table, inv_n, q, js)
+    for level, s in enumerate(levels):
+        row = 1 + len(js) + level * len(ls)
         inv_c = pow(pow(p, k + m_eff - s, q), -1, q)
-        step = p ** (s - m_eff)
-        gathered = _gather_rows(table, inv_c, q, ls, p ** (k - s + m_eff))
-        rows = np.zeros((len(ls), n), dtype=gathered.dtype)
-        rows[:, ::step] = gathered  # supported on the multiples of p^(s - m)
-        for l, row in zip(ls, rows):
-            label = f"e_{{s,l}}:{s},{l}"
-            records.append(_record_from_ints(q, row.tolist(), label, KIND_THIRD, (s, l), method))
-    return tuple(records)
+        # supported on the multiples of p^(s - m)
+        _gather_into(coeffs[row : row + len(ls), :: p ** (s - m_eff)], table, inv_c, q, ls)
+    labels = ["e_0"] + [f"e_j:{j}" for j in js] + [f"e_{{s,l}}:{s},{l}" for s in levels for l in ls]
+    kinds = [KIND_UNIT_SUM] + [KIND_SECOND] * len(js) + [KIND_THIRD] * (len(ls) * len(levels))
+    params = [None] + [(j,) for j in js] + [(s, l) for s in levels for l in ls]
+    return IdempotentSystem(q, n, coeffs, labels, kinds, params, method)
 
 
 def split_case_idempotents(
     instance: ProblemInstance, *, generator_skip: int = 0
-) -> tuple[IdempotentRecord, ...]:
+) -> IdempotentSystem:
     """Closed form for t = 1 (p divides q - 1): a primitive p^min(m,k)-th
     root of unity lives in F_q, giving p^min(m,k) block idempotents plus,
     for each level s in (m, k], one record per unit index."""
@@ -227,7 +264,7 @@ def split_case_idempotents(
     if instance.t != 1:
         raise UsageError("split case requires ord_p q = 1")
     if k == 0:
-        return (_record_from_ints(q, [1], "e_0", KIND_UNIT_SUM, None, "split-case"),)
+        return IdempotentSystem(q, 1, [[1]], ["e_0"], [KIND_UNIT_SUM], [None], "split-case")
     if p == 2 and q % 4 == 3:
         raise UnsupportedInstanceError(
             "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
@@ -254,7 +291,7 @@ def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generato
 
 def general_case_idempotents(
     instance: ProblemInstance, *, modulus_skip: int = 0, generator_skip: int = 0
-) -> tuple[IdempotentRecord, ...]:
+) -> IdempotentSystem:
     """Closed form for t = ord_p q > 1: coefficients are traces of root-of-
     unity powers computed in F_{q^t}; indices are deduplicated by their
     multiplication-by-q orbits mod p^min(m,k)."""
@@ -264,7 +301,7 @@ def general_case_idempotents(
     if p == 2:
         raise UsageError("p = 2 never reaches the general case (t is always 1)")
     if k == 0:
-        return (_record_from_ints(q, [1], "e_0", KIND_UNIT_SUM, None, "general-case"),)
+        return IdempotentSystem(q, 1, [[1]], ["e_0"], [KIND_UNIT_SUM], [None], "general-case")
     return _records_from_table(instance, *_root_table(instance, modulus_skip, generator_skip))
 
 
@@ -278,31 +315,27 @@ def second_type_idempotent(
     if not 0 < j < pm:
         raise UsageError(f"index must lie in (0, {pm})")
     table, method = _root_table(instance, modulus_skip, generator_skip)
-    ints = _gather_rows(table, pow(n % q, -1, q), q, [j], n)[0].tolist()
-    return _record_from_ints(q, ints, f"e_j:{j}", KIND_SECOND, (j,), method)
+    row = np.zeros((1, n), dtype=IdempotentSystem.dtype(q))
+    _gather_into(row, table, pow(n % q, -1, q), q, [j])
+    return IdempotentSystem(q, n, row, [f"e_j:{j}"], [KIND_SECOND], [(j,)], method)[0]
 
 
-def fully_split_idempotents(q: int, n: int) -> tuple[IdempotentRecord, ...]:
+def fully_split_idempotents(q: int, n: int) -> IdempotentSystem:
     """Closed form when q = 1 (mod n): x^n - 1 splits into linear factors,
     and the idempotents are the DFT characters e_j = (1/n) sum zeta^(-jl) x^l."""
     if n < 1:
         raise UsageError("n must be >= 1")
     if (q - 1) % n:
         raise UsageError(f"requires q = 1 (mod n); got q={q}, n={n}")
-    if n == 1:
-        return (_record_from_ints(q, [1], "e_0", KIND_UNIT_SUM, None, "fully-split"),)
-    rows = _gather_rows(_root_powers(get_prime_field(q), n), pow(n % q, -1, q), q, range(n), n)
-    records = []
-    for j, ints in enumerate(rows.tolist()):
-        kind = KIND_UNIT_SUM if j == 0 else KIND_SECOND
-        label = "e_0" if j == 0 else f"e_j:{j}"
-        records.append(
-            _record_from_ints(q, ints, label, kind, None if j == 0 else (j,), "fully-split")
-        )
-    return tuple(records)
+    coeffs = np.zeros((n, n), dtype=IdempotentSystem.dtype(q))
+    _gather_into(coeffs, _root_powers(get_prime_field(q), n), pow(n % q, -1, q), q, range(n))
+    labels = ["e_0"] + [f"e_j:{j}" for j in range(1, n)]
+    kinds = [KIND_UNIT_SUM] + [KIND_SECOND] * (n - 1)
+    params = [None] + [(j,) for j in range(1, n)]
+    return IdempotentSystem(q, n, coeffs, labels, kinds, params, "fully-split")
 
 
-def primitive_root_idempotents(q: int, p: int, k: int) -> tuple[IdempotentRecord, ...]:
+def primitive_root_idempotents(q: int, p: int, k: int) -> IdempotentSystem:
     """Closed form when q generates the units mod p^k (every cyclotomic level
     is irreducible): k+1 records, each the difference of two successive
     subgroup-averaging idempotents u_i = (1/p^(k-i)) sum_l x^(p^i l)."""
@@ -310,22 +343,14 @@ def primitive_root_idempotents(q: int, p: int, k: int) -> tuple[IdempotentRecord
     phi = euler_phi_prime_power(p, k)
     if multiplicative_order(q, n) != phi:
         raise UsageError(f"requires ord_{{{n}}} {q} = phi({n}) = {phi}")
-
-    def avg(i: int) -> list[int]:
-        c = pow(pow(p, k - i, q), -1, q)
-        out = [0] * n
-        for l in range(p ** (k - i)):
-            out[l * p**i] = c
-        return out
-
-    records = [_record_from_ints(q, avg(0), "e_0", KIND_UNIT_SUM, None, "primitive-root")]
-    for j in range(1, k + 1):
-        upper, lower = avg(j), avg(j - 1)
-        ints = [(a - b) % q for a, b in zip(upper, lower)]
-        kind = KIND_SECOND if j == 1 else KIND_THIRD
-        params = (j,) if j == 1 else (j, 1)
-        records.append(_record_from_ints(q, ints, f"e_j:{j}", kind, params, "primitive-root"))
-    return tuple(records)
+    coeffs = np.zeros((k + 1, n), dtype=IdempotentSystem.dtype(q))
+    for i in range(k + 1):
+        coeffs[i, :: p**i] = pow(pow(p, k - i, q), -1, q)  # u_i
+    coeffs[1:] = (coeffs[1:] - coeffs[:-1]) % q
+    labels = ["e_0"] + [f"e_j:{j}" for j in range(1, k + 1)]
+    kinds = [KIND_UNIT_SUM] + [KIND_SECOND if j == 1 else KIND_THIRD for j in range(1, k + 1)]
+    params = [None] + [(j,) if j == 1 else (j, 1) for j in range(1, k + 1)]
+    return IdempotentSystem(q, n, coeffs, labels, kinds, params, "primitive-root")
 
 
 def dispatch(
@@ -334,7 +359,7 @@ def dispatch(
     *,
     modulus_skip: int = 0,
     generator_skip: int = 0,
-) -> tuple[IdempotentRecord, ...]:
+) -> IdempotentSystem:
     """Pick the applicable closed form (t = 1 -> split case, t > 1 -> general
     case) or force a specific route.  Forcing `euclid` works even where the
     closed forms are unsupported (p = 2 with q = 3 mod 4).  `modulus_skip`

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _fastpoly as fp
 from ._fastpoly import TABLE_ENTRIES
-from .engine import _element, all_idempotents_euclid
+from .engine import IdempotentSystem, _element, all_idempotents_euclid
 from .errors import UsageError
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_stride
 
@@ -71,13 +71,28 @@ def check_orthogonality(records, instance: ProblemInstance) -> bool:
 
 
 def _record_matrix(records, q: int, n: int) -> np.ndarray:
-    """The r x n int64 matrix of record coefficients over F_q."""
+    """The r x n coefficient array of records over F_q (`_stacked`)."""
+    got_q, got_n, matrix = _stacked(records)
+    if len(matrix) and got_n != n:
+        raise UsageError(f"every record must have n={n} coefficients")
+    if len(matrix) and got_q != q:
+        raise UsageError(f"every record must live over F_{q}")
+    return matrix
+
+
+def _stacked(records):
+    """(q, n, r x n array) of a system, its own array as it is; or of a plain
+    sequence of records or ring elements over one field and length, stacked
+    into int64 (q = None if it is empty)."""
+    if isinstance(records, IdempotentSystem):
+        return records.q, records.n, records.coeffs
     values = [_element(r) for r in records]
+    q, n = (values[0].field.q, values[0].n) if values else (None, 0)
     if any(v.n != n for v in values):
         raise UsageError(f"every record must have n={n} coefficients")
     if any(v.field.q != q for v in values):
         raise UsageError(f"every record must live over F_{q}")
-    return fp.as_vec([v.int_coeffs() for v in values]).reshape(len(values), n)
+    return q, n, fp.as_vec([v.coeffs for v in values]).reshape(len(values), n)
 
 
 def _residues(matrix: np.ndarray, instance: ProblemInstance):
@@ -174,11 +189,8 @@ def _orthogonality_detail(pattern: np.ndarray):
 
 def check_completeness(records) -> bool:
     """The records sum to the ring identity."""
-    values = [_element(r) for r in records]
-    if not values:
-        return False
-    q, n = values[0].field.q, values[0].n
-    return _completeness_detail(_record_matrix(values, q, n), q)[0]
+    q, _, matrix = _stacked(records)
+    return _completeness_detail(matrix, q)[0]
 
 
 def _completeness_detail(matrix: np.ndarray, q: int):
@@ -220,8 +232,13 @@ def _primitivity_detail(residues, nonzero: np.ndarray, ones: np.ndarray):
 
 
 def sets_equal(a, b) -> bool:
-    """Equality of the underlying ring-element sets, label-agnostic."""
-    return {_element(x).key() for x in a} == {_element(x).key() for x in b}
+    """Equality of the underlying ring-element sets, label-agnostic: the same
+    field, the same ring length and the same set of coefficient rows."""
+    (qa, na, ra), (qb, nb, rb) = _stacked(a), _stacked(b)
+    if not (len(ra) and len(rb)):
+        return len(ra) == len(rb)
+    key = tuple if ra.dtype == object or rb.dtype == object else np.ndarray.tobytes
+    return (qa, na) == (qb, nb) and set(map(key, ra)) == set(map(key, rb))
 
 
 def verify_system(records, instance: ProblemInstance, *, against_oracle: bool = False) -> VerificationReport:
@@ -229,53 +246,22 @@ def verify_system(records, instance: ProblemInstance, *, against_oracle: bool = 
     completeness are computed on the coefficients; idempotency,
     orthogonality and primitivity are read from one pass of residues
     modulo the certified factorization of x^n - 1."""
-    checks: list[CheckResult] = []
-
-    zero_idx = [i for i, r in enumerate(records) if _element(r).is_zero()]
-    checks.append(
-        CheckResult(
-            "nonzero",
-            not zero_idx,
-            None if not zero_idx else f"records {zero_idx} are zero",
-        )
-    )
-
     matrix = _record_matrix(records, instance.q, instance.n)
-    residues = _residues(matrix, instance)
+    residues = _residues(matrix, instance)  # refuses a q past the int64 rule
     nonzero, ones = _residue_pattern(residues)
-    ok, detail = _idempotency_detail(nonzero, ones)
-    checks.append(CheckResult("idempotency", ok, detail))
-
-    ok, detail = _orthogonality_detail(nonzero)
-    checks.append(CheckResult("orthogonality", ok, detail))
-
-    ok, detail = _completeness_detail(matrix, instance.q)
-    checks.append(CheckResult("completeness", ok, detail))
-
-    expected = len(cyclotomic_cosets(instance.q, instance.n).cosets)
-    checks.append(
-        CheckResult(
-            "cardinality",
-            len(records) == expected,
-            None
-            if len(records) == expected
-            else f"{len(records)} records but {expected} cyclotomic cosets",
-        )
-    )
-
-    ok, detail = _primitivity_detail(residues, nonzero, ones)
-    checks.append(CheckResult("primitivity", ok, detail))
+    zero = np.flatnonzero(~matrix.any(axis=1)).tolist()
+    count, expected = len(matrix), len(cyclotomic_cosets(instance.q, instance.n).cosets)
+    outcomes = {  # name -> (passed, detail if failed)
+        "nonzero": (not zero, f"records {zero} are zero"),
+        "idempotency": _idempotency_detail(nonzero, ones),
+        "orthogonality": _orthogonality_detail(nonzero),
+        "completeness": _completeness_detail(matrix, instance.q),
+        "cardinality": (count == expected, f"{count} records but {expected} cyclotomic cosets"),
+        "primitivity": _primitivity_detail(residues, nonzero, ones),
+    }
     del matrix, residues  # freed before the oracle builds its own records
-
     if against_oracle:
-        oracle = all_idempotents_euclid(instance)
-        ok = sets_equal(records, oracle)
-        checks.append(
-            CheckResult(
-                "oracle-equality",
-                ok,
-                None if ok else "set differs from the Euclid oracle set",
-            )
-        )
-
-    return VerificationReport(instance=instance.describe(), checks=tuple(checks))
+        ok = sets_equal(records, all_idempotents_euclid(instance))
+        outcomes["oracle-equality"] = (ok, "set differs from the Euclid oracle set")
+    checks = tuple(CheckResult(name, ok, None if ok else why) for name, (ok, why) in outcomes.items())
+    return VerificationReport(instance=instance.describe(), checks=checks)

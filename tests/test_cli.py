@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idemforge import cli, fields
@@ -260,15 +266,20 @@ def test_code_min_distance_output_is_pinned(capsys, q, p, k, label, expected):
     ],
 )
 def test_code_over_budget_exits_1(capsys, q, p, k, label, count):
-    # 101^4374 has more decimal digits than int() will print
+    # `count` is the least number of cosets of <x, F_q^*>; an orbit holds at
+    # most dim of them.  101^4374 has more decimal digits than int() will
+    # print.  (3^20 - 1)/50/20 is under the default budget, so a lower one
+    # is set.
+    dim = count.split("^")[1].split(" ")[0]
     code, out, err = run_cli(
-        capsys, "code", "--q", q, "--p", p, "--k", k, "--label", label, "--min-distance"
+        capsys, "code", "--q", q, "--p", p, "--k", k, "--label", label, "--min-distance",
+        "--budget", "1000000",
     )
     assert code == 1
     assert out == ""
     assert err == (
-        f"error: the minimum distance needs at least {count} orbits or codewords, "
-        "over the budget 16777216\n"
+        f"error: the minimum distance needs at least {count}/{dim} orbits or codewords, "
+        "over the budget 1000000\n"
     )
 
 
@@ -679,3 +690,120 @@ def test_document_reloading_preserves_records(capsys):
     instance, records = records_from_document(doc)
     rebuilt = build_document(instance, records)
     assert rebuilt == doc
+
+
+# SHA-256 of the `gen --format json` document followed by the text `gen`
+# output, and of the `verify --in - --against euclid --format json` report
+# on that document, for the six benchmark `verify` instances and the golden
+# instance.  They were taken before records became one coefficient array.
+PINNED_OUTPUTS = {
+    (251, 5, 3): (
+        "ac79d15a7d437625e8051dd4a6f161c18784480179a74092599d2a3e154b0f26",
+        "50e8a161da32a7263adb34385f78af1e535d7bed465ddf9540848bdfaa28531c",
+    ),
+    (101, 5, 4): (
+        "6eaa790889593cf17b3fbdfd996a4e6ca9eed437d82e89fdc458a084761c4930",
+        "4c9c936fd0132fd812036103a8852b53fac5c8ec1b457d2736e400e9bd5051a6",
+    ),
+    (163, 3, 4): (
+        "57669b4c00beefc198c1dd1ed282893fba1e5a8a045f2df9284299d2123aeb21",
+        "727cce6964209a9c778022a48e789417ad7add6a1257449467e3524389fab73c",
+    ),
+    (41, 5, 3): (
+        "c0f07bd91f49a7a9927dedc55a794cada4f4c30815e8c9e7cb307f2294a21cc3",
+        "ab50df556ddd23414eb34cdc2d707fd7b8caaa57ab596db06c3231ff13981b26",
+    ),
+    (181, 3, 4): (
+        "99937672323503e48b942d3ab17746e6647c84c5b6ed8815d6975f512ae374fa",
+        "109606fc572078d1bf0886dbbf7994b6159d0eaf1197c331b90cae859672f878",
+    ),
+    (13, 3, 6): (
+        "acb6b10484d360aeb60f0717b69ee3b6666edfcc4a5541c4eda76028b5a8ef1a",
+        "8f825ff5a597d2779c3209359f71f123cbd2ce8f62ca96044e776bbefc7929dc",
+    ),
+    (17, 13, 2): ("d8cc666fad4da72ddc68ca17283880543c8fe19e86ca087a7d25de7a13a1695e", None),
+}
+# the report on the (13, 3, 6) document with coefficient 7 of record 5 raised by 1
+PINNED_TAMPERED_REPORT = "7fc040d1dadc677d5480b56b4dcdaed76c00bb9e9d96d55bd6a3183d64bef2d6"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q,p,k", list(PINNED_OUTPUTS))
+def test_documents_and_reports_keep_their_bytes(capsys, monkeypatch, q, p, k):
+    instance = ["--q", str(q), "--p", str(p), "--k", str(k)]
+    code, doc, _ = run_cli(capsys, "gen", *instance, "--format", "json")
+    assert code == 0
+    code, text, _ = run_cli(capsys, "gen", *instance)
+    assert code == 0
+    generated, reported = PINNED_OUTPUTS[q, p, k]
+    assert _sha256(doc + text) == generated
+    if reported is None:
+        return
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, report, _ = run_cli(capsys, "verify", "--in", "-", "--against", "euclid", "--format", "json")
+    assert code == 0 and _sha256(report) == reported
+    if (q, p, k) == (13, 3, 6):
+        tampered = json.loads(doc)
+        coeffs = tampered["idempotents"][5]["coeffs"]
+        coeffs[7] = (coeffs[7] + 1) % q
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(tampered)))
+        code, report, _ = run_cli(
+            capsys, "verify", "--in", "-", "--against", "euclid", "--format", "json"
+        )
+        assert code == 2 and _sha256(report) == PINNED_TAMPERED_REPORT
+
+
+@pytest.mark.parametrize("q,p,k", [(17, 13, 2), (13, 3, 6), (2, 3, 5)])
+def test_every_route_returns_one_int64_coefficient_array(capsys, q, p, k):
+    from idemforge import IdempotentSystem, all_idempotents_euclid, dispatch, instance_parameters
+
+    inst = instance_parameters(q, p, k)
+    _, out, _ = run_cli(capsys, "gen", "--q", str(q), "--p", str(p), "--k", str(k), "--format", "json")
+    _, from_document = records_from_document(parse_document(out))
+    for system in (dispatch(inst), all_idempotents_euclid(inst), from_document):
+        assert isinstance(system, IdempotentSystem)
+        assert system.coeffs.shape == (len(system), inst.n)
+        assert system.coeffs.dtype == np.int64
+
+
+def test_a_split_q_past_int64_keeps_exact_object_coefficients(capsys):
+    from idemforge import dispatch, instance_parameters
+
+    q = 1267650600228229401496703205823  # 101 bits, t = 1
+    inst = instance_parameters(q, 3, 1)
+    system = dispatch(inst)
+    assert system.coeffs.shape == (3, 3) and system.coeffs.dtype == object
+    code, out, _ = run_cli(capsys, "gen", "--q", str(q), "--p", "3", "--k", "1", "--format", "json")
+    assert code == 0
+    doc = parse_document(out)
+    assert [e["coeffs"] for e in doc["idempotents"]] == system.coeffs.tolist()
+    assert max(max(e["coeffs"]) for e in doc["idempotents"]) >= 1 << 63
+    _, reread = records_from_document(doc)
+    assert reread.coeffs.dtype == object and reread == system
+
+
+@pytest.mark.slow
+def test_verify_against_euclid_at_14407_7_4_stays_under_320_mb():
+    # a fresh interpreter, so the peak is the command's; VmHWM, not
+    # ru_maxrss, which carries the RSS of the process before exec
+    script = (
+        "import contextlib, io, json\n"
+        "from idemforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['verify', '--q', '14407', '--p', '7', '--k', '4', '--against', 'euclid'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "hwm = next(l for l in status.splitlines() if l.startswith('VmHWM'))\n"
+        "print(json.dumps([code, out.getvalue().splitlines()[-1], int(hwm.split()[1]) // 1024]))\n"
+    )
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **threads, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+    )
+    code, verdict, peak_mb = json.loads(result.stdout)
+    assert (code, verdict) == (0, "overall: pass"), result.stderr
+    assert peak_mb < 320

@@ -89,18 +89,23 @@ def _code_generator(q, p, k, label):
 
 
 def test_min_distance_budget_refusal():
-    # [9,2,6] over F_11: x has order d = 3 < n and q - 1 = 10, so the walk
-    # covers (11^2 - 1)/lcm(3, 10) = 4 orbits, next to the bound
-    # (11^2 - 1)//lcm(9, 10) = 1 checked before anything is built
+    # [9,2,6] over F_11: x has order d = 3 < n and q - 1 = 10, so there are
+    # (11^2 - 1)/lcm(3, 10) = 4 cosets, in the 3 orbits {0}, {1, 3}, {2} of
+    # a -> 11a mod 4; the budget counts the orbits
     g, n = _code_generator(11, 3, 2, "e_j:1")
-    assert min_distance(g, n, 11, budget=4) == 6
-    for budget in (1, 3):  # the bound admits the code, its orbits do not
-        with pytest.raises(BudgetExceededError, match=r"\(11\^2 - 1\)/30 orbits") as err:
+    assert min_distance(g, n, 11, budget=3) == 6
+    for budget in (0, 2):
+        with pytest.raises(
+            BudgetExceededError, match=r"the 3 Frobenius orbits of the \(11\^2 - 1\)/30 cosets"
+        ) as err:
             min_distance(g, n, 11, budget=budget)
-        assert err.value.required == 4
-    with pytest.raises(BudgetExceededError, match=r"at least \(11\^2 - 1\)/90") as err:
-        min_distance(g, n, 11, budget=0)
-    assert err.value.required == 1
+        assert err.value.required == 3
+    # [25,20,2] over F_3: at least (3^20 - 1)/lcm(25, 2) cosets, at most 20
+    # to an orbit, refused before anything is built
+    g, n = _code_generator(3, 5, 2, "e_{s,l}:2,1")
+    with pytest.raises(BudgetExceededError, match=r"at least \(3\^20 - 1\)/50/20 orbits") as err:
+        min_distance(g, n, 3, budget=10**6)
+    assert err.value.required == (3**20 - 1) // 50 // 20
 
     # (x^7 - 1)/(x + 1) is reducible: the budget counts codewords
     g = Poly.from_ints(get_prime_field(2), [1, 1])
@@ -162,6 +167,28 @@ def _check_polynomial_and_cosets(g, n, q):
 
 def _prime_divisors(n):
     return [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+
+
+@pytest.mark.parametrize("q,p,k", DIFFERENTIAL)
+def test_budget_counts_the_frobenius_orbits_that_the_walk_forms(q, p, k):
+    # the Burnside count is the number of orbits walked, and a budget of
+    # exactly that many admits the code even where the cosets exceed it
+    inst = instance_parameters(q, p, k)
+    below_cosets = 0
+    for record in dispatch(inst):
+        g = generator_polynomial(record, inst.n)
+        h, cosets = _check_polynomial_and_cosets(g, inst.n, q)
+        if cosets > 1 << 16 or not fp.is_irreducible(q, h.int_coeffs()):
+            continue
+        orbits = len(_frobenius_orbits(q, cosets))
+        expected = min_distance(g, inst.n, q)
+        assert min_distance(g, inst.n, q, budget=orbits) == expected, record.label
+        with pytest.raises(BudgetExceededError) as err:
+            min_distance(g, inst.n, q, budget=orbits - 1)
+        assert err.value.required == orbits
+        below_cosets += orbits < cosets
+    # there every code walked has one coset to each orbit
+    assert below_cosets or (q, p, k) in {(2, 7, 1), (13, 3, 1)}
 
 
 @pytest.mark.parametrize("q,p,k", DIFFERENTIAL)

@@ -492,3 +492,32 @@ def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch):
         dispatch(inst)
     with pytest.raises(InvariantViolation, match="not primitive"):
         dispatch(inst, generator_skip=1)
+
+
+def test_a_system_is_a_sequence_of_records_built_on_access():
+    inst = instance_parameters(7, 3, 2)
+    system = dispatch(inst)
+    records = list(system)
+    assert len(system) == len(records) == 5
+    assert system[-1] == records[-1] and system[1].value.int_coeffs() == (4, 1, 2, 4, 1, 2, 4, 1, 2)
+    assert system[1:] == tuple(records[1:]) and system[::2] == tuple(records[::2])
+    assert [r.label for r in system] == list(system.labels)
+    assert all(r.method == "split-case" for r in system)
+    with pytest.raises(IndexError):
+        system[5]
+    with pytest.raises(AttributeError):
+        system.q = 11
+    with pytest.raises(ValueError):
+        system.coeffs[0, 0] = 1
+    assert system == dispatch(inst) and system != dispatch(inst, "euclid")
+
+
+def test_a_zero_row_is_an_invariant_violation_unless_claimed():
+    from idemforge import IdempotentSystem
+
+    rows = [[1, 0, 0], [0, 0, 0]]
+    with pytest.raises(InvariantViolation, match="zero idempotent for b"):
+        IdempotentSystem(7, 3, rows, ["a", "b"], ["generic"] * 2, [None] * 2, "m")
+    claimed = IdempotentSystem(7, 3, rows, ["a", "b"], ["generic"] * 2, [None] * 2, "m", claimed=True)
+    assert claimed[1].value.is_zero()
+    assert IdempotentSystem(2**89 - 1, 1, [[1]], ["e_0"], ["unit-sum"], [None], "m").coeffs.dtype == object

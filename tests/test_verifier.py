@@ -20,7 +20,7 @@ from idemforge import (
     sets_equal,
     verify_system,
 )
-from idemforge.engine import IdempotentRecord
+from idemforge.engine import IdempotentRecord, IdempotentSystem
 
 
 @pytest.fixture(scope="module")
@@ -385,3 +385,33 @@ def test_records_over_another_field_are_rejected():
     recs = dispatch(instance_parameters(13, 3, 2))
     with pytest.raises(UsageError, match="over F_7"):
         verify_system(recs, inst)
+
+
+def test_sets_equal_compares_the_field():
+    # the same rows over F_7 and F_11 are different ring elements
+    x7 = CyclicRingElement.from_ints(get_prime_field(7), [1, 0, 0])
+    x11 = CyclicRingElement.from_ints(get_prime_field(11), [1, 0, 0])
+    assert x7 != x11
+    assert not sets_equal([x7], [x11])
+    assert sets_equal([x7], [CyclicRingElement.from_ints(get_prime_field(7), [8, 7, 14])])
+    systems = [IdempotentSystem(q, 3, [[1, 0, 0]], ["e"], ["generic"], [None], "m") for q in (7, 11)]
+    assert not sets_equal(*systems)
+    assert not sets_equal(systems[0], [x11]) and sets_equal(systems[0], [x7])
+    assert not sets_equal([CyclicRingElement.from_ints(get_prime_field(7), [1, 0])], [x7])
+
+
+def test_verify_reads_the_system_array_as_it_is(monkeypatch):
+    from idemforge import verifier
+
+    inst = instance_parameters(13, 3, 3)
+    system = dispatch(inst)
+    assert verifier._record_matrix(system, 13, inst.n) is system.coeffs
+    seen = []
+    residues = verifier._residues
+    monkeypatch.setattr(verifier, "_residues", lambda m, i: seen.append(m) or residues(m, i))
+    assert verify_system(system, inst, against_oracle=True).passed
+    assert seen[0] is system.coeffs
+    # a plain list of the same records is stacked, with the same verdict
+    assert verify_system(list(system), inst, against_oracle=True) == verify_system(
+        system, inst, against_oracle=True
+    )
