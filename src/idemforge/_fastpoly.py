@@ -5,7 +5,10 @@ reduced into [0, q).  The zero polynomial is the empty array.  These
 routines are the one implementation of polynomial arithmetic over F_q
 (products, division, gcds, extension-field arithmetic, irreducibility
 scans, residues modulo the factors of x^n - 1); the classes in `fields`
-and `polys` wrap them.
+and `polys` wrap them.  There is one long division, `divmod_rows`, whose
+one-row case is `poly_divmod`, and one irreducibility test,
+`irreducible_rows` (Rabin's, on a stack of moduli), whose one-row case is
+`is_irreducible`.
 
 Exactness: a sum of `length` products of residues stays exact in int64
 while length * (q-1)^2 < 2^63, and `check_int64_exact` enforces that rule
@@ -154,25 +157,19 @@ def poly_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def poly_divmod(a: np.ndarray, b: np.ndarray, q: int):
-    """Return (quotient, remainder) with deg(remainder) < deg(b)."""
-    check_int64_exact(1, q)  # each step subtracts a product of two residues
+    """Return (quotient, remainder) with deg(remainder) < deg(b): the
+    one-row case of `divmod_rows`, by b made monic, with the quotient
+    scaled back by b's leading coefficient."""
+    check_int64_exact(1, q)  # each product below is of two residues
     b = trim(b % q)
     if b.size == 0:
         raise ZeroDivisionError("polynomial division by zero")
     a = trim(a % q)
-    db = b.size - 1
-    if a.size - 1 < db:
+    if a.size < b.size:
         return a[:0], a.copy()
     inv_lead = pow(int(b[-1]), -1, q)
-    rem = a.copy()
-    quot = np.zeros(a.size - db, dtype=np.int64)
-    for i in range(a.size - 1, db - 1, -1):
-        c = int(rem[i])
-        if c:
-            f = (c * inv_lead) % q
-            quot[i - db] = f
-            rem[i - db : i + 1] = (rem[i - db : i + 1] - f * b) % q
-    return trim(quot), trim(rem[:db])
+    quot, rem = divmod_rows(a[None], (b * inv_lead % q)[None], q)
+    return quot[0] * inv_lead % q, trim(rem[0])  # the quotient leads with a's lead
 
 
 def divmod_rows(a: np.ndarray, mods: np.ndarray, q: int):
@@ -187,12 +184,16 @@ def divmod_rows(a: np.ndarray, mods: np.ndarray, q: int):
     moduli g(x^r) and their sparse quotients cost few updates."""
     check_int64_exact(1, q)  # each step subtracts a product of two residues
     rows = max(a.shape[0], mods.shape[0])
-    rem = np.repeat(a % q, rows // a.shape[0], axis=0)
+    rem = a % q
+    if rem.shape[0] < rows:
+        rem = np.repeat(rem, rows, axis=0)
     d = mods.shape[1] - 1
     quot = np.zeros((rows, rem.shape[1] - d), dtype=np.int64)
-    cols = np.flatnonzero((mods[:, :d] % q).any(axis=0))
-    low = mods[:, cols] % q
+    low = mods[:, :d] % q
+    cols = np.flatnonzero(low.any(axis=0))
     dense = cols.size == d
+    if not dense:
+        low = low[:, cols]
     for i in range(rem.shape[1] - 1, d - 1, -1):
         c = rem[:, i : i + 1]
         if not np.count_nonzero(c):
@@ -210,10 +211,13 @@ def divmod_rows(a: np.ndarray, mods: np.ndarray, q: int):
 
 def poly_gcd(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Monic gcd; empty input pairs are rejected by callers."""
+    check_int64_exact(1, q)  # each step multiplies two residues
     a, b = trim(a % q), trim(b % q)
     while b.size:
-        _, r = poly_divmod(a, b, q)
-        a, b = b, r
+        b = b * pow(int(b[-1]), -1, q) % q  # divmod_rows divides by monic moduli
+        if a.size >= b.size:
+            a = trim(divmod_rows(a[None], b[None], q)[1][0])
+        a, b = b, a
     if a.size == 0:
         raise UsageError("gcd of two zero polynomials")
     lead = int(a[-1])
@@ -374,16 +378,8 @@ def _small_prime_factors(n: int) -> list[int]:
 
 def is_irreducible(q: int, vec) -> bool:
     """Exact irreducibility test for a monic polynomial M of degree t over
-    F_q (Rabin, SIAM J. Comput. 9, 1980): M is irreducible iff
-    x^(q^t) = x mod M and gcd(x^(q^(t/r)) - x, M) = 1 for every prime r
-    dividing t.
-
-    The Frobenius walk tau_i = x^(q^i) mod M (one product with the matrix of
-    a -> a^q per step) runs to i = t first and keeps the tau_(t/r); the gcds
-    run only once tau_t = x holds.  A reducible M with a factor whose degree
-    does not divide t fails tau_t = x and pays for no gcd: at t = 10 one gcd
-    costs as much as 40 to 100 Frobenius steps (0.1-0.2 ms against 2-3 us).
-    """
+    F_q: `irreducible_rows` on a stack of one, once M has passed the int64
+    rule t*(q-1)^2 < 2^63 and the kernel degree limit."""
     vec = trim(as_vec(vec)) % q
     t = vec.size - 1
     if t < 1:
@@ -394,34 +390,27 @@ def is_irreducible(q: int, vec) -> bool:
         return True
     if int(vec[0]) == 0:
         return False
-    ring = ReducedRing(q, vec)
-    frob = ring.powers(ring.pow(ring.x(), q), t)  # rows x^(i*q) mod M
-    checkpoints = {t // r for r in _small_prime_factors(t)}
-    tau, kept = frob[1], []
-    for i in range(1, t):
-        if i in checkpoints:
-            kept.append(tau)
-        tau = (tau @ frob) % q
-    x_vec = ring.x()
-    if not np.array_equal(tau, x_vec):
-        return False
-    for tau in kept:
-        diff = trim((tau - x_vec) % q)
-        if diff.size == 0 or poly_gcd(diff, vec, q).size != 1:
-            return False
-    return True
+    check_int64_exact(t, q)
+    _check_degree(t)
+    return bool(irreducible_rows(vec[None], q)[0])
 
 
-def frobenius_fixes_x(mods: np.ndarray, q: int) -> np.ndarray:
-    """Whether x^(q^t) = x mod f_j, for each row of a stack of monic moduli
-    f_j of one degree t >= 2 ((rows, t + 1), ascending), under the int64
-    rule t*(q-1)^2 < 2^63.  Every irreducible f_j passes: its roots lie in
-    F_{q^t}.
+def irreducible_rows(mods: np.ndarray, q: int) -> np.ndarray:
+    """Rabin's test (SIAM J. Comput. 9, 1980) on each row of a stack of
+    monic moduli f_j of one degree t >= 2 ((rows, t + 1), ascending, under
+    the int64 rule t*(q-1)^2 < 2^63): f_j is irreducible iff
+    x^(q^t) = x mod f_j and gcd(x^(q^(t/r)) - x, f_j) = 1 for every prime
+    r dividing t.
 
     Products are reduced by the rows x^i mod f_j of residue_matrix(mods,
     2t - 1).  x^q mod f_j comes from square-and-multiply, its
     multiplication matrix gives the Frobenius matrices (rows x^(i*q) mod
-    f_j), and t - 1 batched products with them carry x^q to x^(q^t)."""
+    f_j), and t - 1 batched products with them walk tau_i = x^(q^i) to
+    i = t, multiplying up the tau_(t/r) - x on the way.  The gcds run
+    last, one per row with tau_t = x, of that product and f_j: a row with
+    a factor whose degree does not divide t fails tau_t = x and pays for
+    no gcd, and at t = 10 one gcd costs as much as 40 to 100 Frobenius
+    steps (0.1-0.2 ms against 2-3 us)."""
     rows, t = mods.shape[0], mods.shape[1] - 1
     high = residue_matrix(mods, 2 * t - 1, q)[t:].transpose(1, 0, 2)  # x^(t+i) mod f_j
 
@@ -446,15 +435,20 @@ def frobenius_fixes_x(mods: np.ndarray, q: int) -> np.ndarray:
     frob[:, 0, 0] = 1
     for i in range(1, t):
         frob[:, i] = (frob[:, i - 1, None] @ times_xq)[:, 0] % q
-    tau = xq
-    for _ in range(t - 1):
+    checkpoints = {t // r for r in _small_prime_factors(t)}
+    tau, product = xq, None  # product: prod over r of (tau_(t/r) - x) mod f_j
+    for i in range(1, t):
+        if i in checkpoints:
+            diff = (tau - x) % q
+            product = diff if product is None else reduce(_full_products(product, diff))
         tau = tau @ frob % q
-    return (tau == x).all(axis=(1, 2))
-
-
-# Root-free candidates from which one stacked Frobenius pass costs less
-# than testing each on its own (measured at q = 2 to 101, t = 2 to 20).
-STACK_MIN = 4
+    passed = (tau == x).all(axis=(1, 2))
+    # a prime factor of f_j divides the product iff it divides some factor,
+    # so one gcd per row stands for the gcd with each tau_(t/r) - x
+    for j in np.flatnonzero(passed):
+        diff = trim(product[j, 0])
+        passed[j] = diff.size > 0 and poly_gcd(diff, mods[j], q).size == 1
+    return passed
 
 
 def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
@@ -464,18 +458,17 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
 
     Candidates go in blocks of 2, 4, 8, ... in that order.  One Horner
     pass over a block drops the candidates with a root in F_q, for
-    q <= 4096, or with a zero constant term, above.  When at least
-    STACK_MIN remain, `frobenius_fixes_x` keeps those with x^(q^t) = x, which
-    every irreducible of degree t satisfies.  The rest go to the full
-    `is_irreducible` in order, so every modulus returned is certified by
-    it, and the walk finds the modulus a one-at-a-time walk finds."""
+    q <= 4096, or with a zero constant term, above.  The rest go through
+    `irreducible_rows` as one stack, and its passing rows are taken in
+    order, so every modulus returned is certified by Rabin's test and the
+    walk finds the modulus a one-at-a-time walk finds."""
     if t < 1:
         raise UsageError("degree must be >= 1")
     if t == 1:
         if skip >= q:
             raise UsageError(f"fewer than {skip + 1} monic irreducibles of degree 1 over F_{q}")
         return (skip, 1)
-    check_int64_exact(t, q)  # the rules of every ring on a candidate
+    check_int64_exact(t, q)  # the rules of the stacked test on a candidate
     _check_degree(t)
     index = 0
     if any((q - 1) % r for r in _small_prime_factors(t)) or (t % 4 == 0 and q % 4 == 3):
@@ -506,13 +499,10 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
         for i in range(width - 1, -1, -1):
             acc = (acc * points + mods[:, i, None]) % q
         mods = mods[((acc + lead) % q).all(axis=1)]  # no root among the points
-        if len(mods) >= STACK_MIN:
-            mods = mods[frobenius_fixes_x(mods, q)]
-        for mod in mods:
-            if is_irreducible(q, mod):
-                if remaining == 0:
-                    return tuple(mod.tolist())
-                remaining -= 1
+        passed = mods[irreducible_rows(mods, q)] if len(mods) else mods
+        if remaining < len(passed):
+            return tuple(passed[remaining].tolist())
+        remaining -= len(passed)
     if skip > 0:
         raise UsageError(f"fewer than {skip + 1} monic irreducibles of degree {t} over F_{q}")
     raise InvariantViolation("exhausted candidates without finding an irreducible")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +157,52 @@ def test_lex_irreducible_matches_the_scalar_walk(q):
                     lex_irreducible(q, t, skip)
 
 
+# SHA-256 of repr() of the list of (q, t, skip, lex_irreducible(q, t, skip))
+# over the _LEX_SWEEP pairs and (4099, 4), (4127, 3), skips 0, 1 and 3 where
+# F_q has that many irreducibles of degree t: 395 moduli, taken when a
+# scalar Frobenius walk still certified each modulus on its own
+PINNED_LEX_MODULI = "e66ccd12315d1fcfc424741b03663ceda35fb236173f226d4a06f664601e4c84"
+
+
+def test_lex_irreducible_moduli_keep_their_digest():
+    from idemforge._fastpoly import lex_irreducible
+
+    found = []
+    for q, t in _LEX_SWEEP + [(4099, 4), (4127, 3)]:
+        for skip in (0, 1, 3):
+            try:
+                found.append((q, t, skip, lex_irreducible(q, t, skip)))
+            except UsageError as err:
+                assert "fewer than" in str(err)
+    assert len(found) == 395
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == PINNED_LEX_MODULI
+
+
+@pytest.mark.parametrize(
+    "q, t, message",
+    [
+        (2, 4097, "modulus degree 4097 exceeds the kernel limit 4096"),
+        (
+            3037000507,  # the first prime past the int64 rule at length 1
+            2,
+            "q=3037000507 is too large for exact int64 arithmetic on length 2: "
+            "needs length*(q-1)^2 < 2^63",
+        ),
+    ],
+)
+def test_irreducibility_tests_refuse_before_building_a_table(monkeypatch, q, t, message):
+    from idemforge import _fastpoly as fp
+
+    def forbidden(*args):
+        raise AssertionError("a residue table was built")
+
+    monkeypatch.setattr(fp, "residue_matrix", forbidden)
+    with pytest.raises(UsageError, match=re.escape(message)):
+        fp.is_irreducible(q, [1, 1] + [0] * (t - 2) + [1])
+    with pytest.raises(UsageError, match=re.escape(message)):
+        fp.lex_irreducible(q, t)
+
+
 def test_is_irreducible_agrees_with_sympy():
     galois = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
@@ -171,28 +219,42 @@ def test_is_irreducible_agrees_with_sympy():
     assert 200 < sum(verdicts) < 1800  # both verdicts are well represented
 
 
-def test_frobenius_filter_keeps_exactly_the_squarefree_products_of_degrees_dividing_t():
-    # x^(q^t) - x is the product of the monic irreducibles whose degree
-    # divides t, each once: the filter keeps f iff f divides it, so it
-    # never drops an irreducible of degree t
+def test_stacked_rabin_test_matches_sympy_and_rejects_the_products_that_fix_x():
+    # irreducible_rows decides every row of a stack as sympy does.  Each
+    # stack holds reducible rows with x^(q^t) = x, the squarefree products
+    # of irreducibles whose degrees divide t: the Frobenius walk alone keeps
+    # them, and only the gcds gcd(x^(q^(t/r)) - x, f) reject them.  The
+    # product of r distinct irreducibles of degree t/r, for a prime r
+    # dividing t, is rejected by the gcd for that r alone.
     galois = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
-    from idemforge._fastpoly import frobenius_fixes_x, lex_irreducible
+    from idemforge._fastpoly import irreducible_rows, lex_irreducible
 
     rng = random.Random(5)
     for q, t in [(2, 6), (2, 12), (2, 20), (3, 4), (3, 9), (5, 6), (13, 10), (19, 10), (101, 4)]:
         mods = [[rng.randrange(1, q)] + [rng.randrange(q) for _ in range(t - 1)] + [1]
                 for _ in range(150)]
         mods += [list(lex_irreducible(q, t, skip)) for skip in range(4)]
-        expected = []
+        for r in (r for r in (2, 3, 5) if t % r == 0):  # the primes dividing these t
+            try:
+                factors = [lex_irreducible(q, t // r, skip) for skip in range(r)]
+            except UsageError:  # F_2 has 1 quadratic and 3 quartics
+                continue
+            f = [1]
+            for g in factors:
+                f = galois.gf_mul(f, list(g[::-1]), q, ZZ)
+            mods.append(f[::-1])
+        expected, fixes_x = [], []
         for c in mods:
             f = c[::-1]
             degrees = [len(g) - 1 for g in galois.gf_factor_sqf(f, q, ZZ)[1]]
-            expected.append(galois.gf_sqf_p(f, q, ZZ) and all(t % d == 0 for d in degrees))
-        kept = frobenius_fixes_x(np.array(mods, dtype=np.int64), q).tolist()
-        assert kept == expected, (q, t)
-        assert all(kept[-4:]) and not all(kept)
+            fixes_x.append(galois.gf_sqf_p(f, q, ZZ) and all(t % d == 0 for d in degrees))
+            expected.append(galois.gf_irreducible_p(f, q, ZZ))
+        passed = irreducible_rows(np.array(mods, dtype=np.int64), q).tolist()
+        assert passed == expected, (q, t)
+        assert all(passed[150:154]) and not any(passed[154:])
+        assert len(mods) > 154 and all(fixes_x[154:])  # reducible rows that fix x
 
 
 def _powmod(base, e, mod):
@@ -437,20 +499,22 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
 def test_survey_loop_tests_each_certified_modulus_once(monkeypatch):
     # get_extension_field builds its field on the modulus that
     # lex_irreducible has just certified, with no second test: from cold
-    # caches, every irreducibility test in a pass over the acceptance grid
-    # is one of lex_irreducible's candidates, none of them repeated.  A
-    # second test per field built would add 43.
+    # caches, every row that enters the stacked irreducibility test in a
+    # pass over the acceptance grid is one of lex_irreducible's candidates,
+    # tested inside the scan and never twice.  A second test per field
+    # built would add 43 rows outside a scan, and a second walk over the
+    # rows of a stack would repeat them.
     import functools
 
     from idemforge import _fastpoly as fp
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
 
     tests, scans = [], []
-    test, scan = fp.is_irreducible, fp.lex_irreducible
+    test, scan = fp.irreducible_rows, fp.lex_irreducible
 
-    def counted(q, vec):
-        tests.append((q, tuple(int(c) for c in vec), bool(scans)))
-        return test(q, vec)
+    def counted(mods, q):
+        tests.extend((q, tuple(row.tolist()), bool(scans)) for row in mods)
+        return test(mods, q)
 
     def scanning(*args):
         scans.append(args)
@@ -459,7 +523,7 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch):
         finally:
             scans.pop()
 
-    monkeypatch.setattr(fp, "is_irreducible", counted)
+    monkeypatch.setattr(fp, "irreducible_rows", counted)
     monkeypatch.setattr(fp, "lex_irreducible", scanning)
     for module, name in ((fields, "find_irreducible"), (fields, "_extension_field"),
                          (structure, "_factor_cached")):

@@ -297,3 +297,53 @@ def test_kernel_refuses_sums_that_could_overflow_int64():
         fp.conv_rows(ones, ones, q)
     with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
         fp.mat_mul(ones, ones.T, q)
+
+
+def _long_division(a, b, q):
+    """Quotient and remainder of a by b over F_q (ascending ints, no
+    trailing zeros), by schoolbook long division in Python ints."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = pow(b[-1], -1, q)
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv_lead % q
+        quot[i] = c
+        for j, bj in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * bj) % q
+    rem = rem[: len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+Q_BELOW_2_POW_31_5 = 3037000493  # the largest prime q with (q-1)^2 < 2^63
+
+
+@pytest.mark.parametrize("q", [2, 101, Q_BELOW_2_POW_31_5])
+def test_poly_divmod_and_divrem_match_a_pure_int_long_division(q):
+    rng = random.Random(q)
+    field = get_prime_field(q)
+    cases = []
+    for _ in range(40):
+        a = [rng.randrange(q) for _ in range(rng.randrange(0, 30))] + [rng.randrange(1, q)]
+        # leads other than 1, where q > 2, so the divisor is not monic
+        b = [rng.randrange(q) for _ in range(rng.randrange(0, 12))] + [rng.randrange(1, q)]
+        cases.append((a, b))
+    lead = max(q - 1, 1)  # the largest lead, not monic for q > 2
+    cases += [
+        ([3 % q, 1], [1, 2 % q, 0, lead]),  # a dividend shorter than the divisor
+        ([], [1, lead]),  # the zero dividend
+        ([q - 1] * 9 + [lead], [lead]),  # a constant divisor
+        ([q - 1] * 20, [q - 1] * 5),  # every coefficient at q - 1
+    ]
+    for a, b in cases:
+        quot, rem = _long_division(a, b, q)
+        got = fp.poly_divmod(fp.as_vec(a), fp.as_vec(b), q)
+        assert [v.tolist() for v in got] == [quot, rem], (a, b)
+        pq, pr = Poly.from_ints(field, a).divrem(Poly.from_ints(field, b))
+        assert (list(pq.coeffs), list(pr.coeffs)) == (quot, rem), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        fp.poly_divmod(fp.as_vec([1, 2]), fp.as_vec([0, 0]), q)
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_ints(field, [1, 2]).divrem(Poly.zero(field))
