@@ -15,13 +15,7 @@ from .engine import (
     all_idempotents_euclid,
     dispatch,
     euclid_idempotent,
-    fully_split_idempotents,
-    general_case_idempotents,
     orbit_representatives,
-    primitive_root_idempotents,
-    second_type_idempotent,
-    split_case_idempotents,
-    third_type_census,
 )
 from .errors import (
     BudgetExceededError,
@@ -60,10 +54,6 @@ from .structure import (
 )
 from .verifier import (
     VerificationReport,
-    check_completeness,
-    check_idempotency,
-    check_orthogonality,
-    check_primitivity,
     sets_equal,
     verify_system,
 )

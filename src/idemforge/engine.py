@@ -1,20 +1,20 @@
 """Constructors for the complete set of primitive idempotents of
 F_q[x]/(x^(p^k) - 1).
 
-Five routes produce the same set of ring elements:
-  * euclid        — generic route through the irreducible factors of x^n - 1
-                    (serves as the independent oracle),
-  * fully-split   — q = 1 (mod n): DFT-style basis from a residing n-th root,
-  * primitive-root— ord_{p^k} q = phi(p^k): differences of subgroup averages,
-  * split-case    — t = ord_p q = 1: roots of unity live in F_q itself,
-  * general-case  — t > 1: coefficients built in F_{q^t} and mapped down by
-                    the trace, with orbit deduplication of the indices.
+Two routes produce the same set of ring elements:
+  * the paper's closed form (`dispatch`) — one expression for every q and
+    p^k with gcd(q, p) = 1, whose coefficients are the powers of a
+    primitive p^min(m,k)-th root of unity in F_q when t = ord_p q = 1
+    ("split-case"), or their traces from F_{q^t} when t > 1
+    ("general-case"), with orbit deduplication of the indices;
+  * euclid — generic route through the irreducible factors of x^n - 1
+    (serves as the independent oracle).
 
 Every route returns an `IdempotentSystem`: one (r, n) coefficient array,
 written by the route's kernel, with the label, kind and params of each row.
 Records are in a canonical order: the unit-sum element first, then
 second-type records by index, then third-type records by (level, index).
-The closed forms take the power table of their root of unity from `fields`,
+The closed form takes the power table of its root of unity from `fields`,
 which picks the root by its one search and checks its exact order;
 `generator_skip` counts the search's passing candidates u, so it picks the
 root of a later one.
@@ -31,21 +31,14 @@ from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import _root_powers, get_extension_field, get_prime_field
 from .polys import CyclicRingElement, Poly, render_poly
-from .structure import (
-    ProblemInstance,
-    cyclotomic_cosets,
-    euler_phi_prime_power,
-    factor_xn_minus_1,
-    inflation_stride,
-    multiplicative_order,
-)
+from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_stride
 
 KIND_UNIT_SUM = "unit-sum"
 KIND_SECOND = "second-type"
 KIND_THIRD = "third-type"
 KIND_GENERIC = "generic"
 
-METHODS = ("auto", "euclid", "fully-split", "primitive-root", "split-case", "general-case")
+METHODS = ("auto", "euclid")
 
 
 @dataclass(frozen=True)
@@ -209,14 +202,14 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
     return IdempotentSystem(q, n, coeffs, labels, [KIND_GENERIC] * count, [None] * count, "euclid")
 
 
-def _root_table(
-    instance: ProblemInstance, modulus_skip: int = 0, generator_skip: int = 0
-) -> tuple[list[int], str]:
-    """(table, method) for the split and general cases: table[i] holds the
-    F_q value attached to the i-th power of a primitive p^min(m,k)-th root of
-    unity, the power itself when t = 1 (the root lives in F_q) and its trace
-    from F_{q^t} when t > 1."""
+def _root_table(instance: ProblemInstance, modulus_skip: int, generator_skip: int) -> tuple[list[int], str]:
+    """(table, method) of the closed form, the one place that branches on t:
+    table[i] holds the F_q value attached to the i-th power of a primitive
+    p^min(m,k)-th root of unity, the power itself when t = 1 (the root lives
+    in F_q) and its trace from F_{q^t} when t > 1."""
     pm = instance.p**instance.effective_m
+    if pm == 1:  # k = 0, so t = 1: zeta = 1, with no root search to run
+        return [1], "split-case"
     if instance.t == 1:
         return _root_powers(get_prime_field(instance.q), pm, generator_skip), "split-case"
     return _sigma_table(instance, pm, modulus_skip, generator_skip), "general-case"
@@ -231,8 +224,8 @@ def _gather_into(out: np.ndarray, table: list[int], scale: int, q: int, indices)
 
 
 def _records_from_table(instance: ProblemInstance, table: list[int], method: str) -> IdempotentSystem:
-    """Shared assembly for the split and general cases from `_root_table`:
-    each level's rows are gathered straight into the system's array."""
+    """The closed form's records from `_root_table`, for both cases: each
+    level's rows are gathered straight into the system's array."""
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
     m_eff = instance.effective_m
     pm = p**m_eff
@@ -254,25 +247,6 @@ def _records_from_table(instance: ProblemInstance, table: list[int], method: str
     return IdempotentSystem(q, n, coeffs, labels, kinds, params, method)
 
 
-def split_case_idempotents(
-    instance: ProblemInstance, *, generator_skip: int = 0
-) -> IdempotentSystem:
-    """Closed form for t = 1 (p divides q - 1): a primitive p^min(m,k)-th
-    root of unity lives in F_q, giving p^min(m,k) block idempotents plus,
-    for each level s in (m, k], one record per unit index."""
-    q, p, k = instance.q, instance.p, instance.k
-    if instance.t != 1:
-        raise UsageError("split case requires ord_p q = 1")
-    if k == 0:
-        return IdempotentSystem(q, 1, [[1]], ["e_0"], [KIND_UNIT_SUM], [None], "split-case")
-    if p == 2 and q % 4 == 3:
-        raise UnsupportedInstanceError(
-            "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
-            "of x^(2^s) - zeta needs q = 1 (mod 4)"
-        )
-    return _records_from_table(instance, *_root_table(instance, generator_skip=generator_skip))
-
-
 def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generator_skip: int) -> list[int]:
     """table[i] = trace of zeta^i from F_{q^t} down to F_q, for a primitive
     pm-th root of unity zeta from `fields._root_powers`: the sum over u < t
@@ -289,70 +263,6 @@ def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generato
     return traces[:, 0].tolist()
 
 
-def general_case_idempotents(
-    instance: ProblemInstance, *, modulus_skip: int = 0, generator_skip: int = 0
-) -> IdempotentSystem:
-    """Closed form for t = ord_p q > 1: coefficients are traces of root-of-
-    unity powers computed in F_{q^t}; indices are deduplicated by their
-    multiplication-by-q orbits mod p^min(m,k)."""
-    q, p, k = instance.q, instance.p, instance.k
-    if instance.t <= 1:
-        raise UsageError("general case requires ord_p q > 1")
-    if p == 2:
-        raise UsageError("p = 2 never reaches the general case (t is always 1)")
-    if k == 0:
-        return IdempotentSystem(q, 1, [[1]], ["e_0"], [KIND_UNIT_SUM], [None], "general-case")
-    return _records_from_table(instance, *_root_table(instance, modulus_skip, generator_skip))
-
-
-def second_type_idempotent(
-    instance: ProblemInstance, j: int, *, modulus_skip: int = 0, generator_skip: int = 0
-) -> IdempotentRecord:
-    """Second-type record for an explicit index j (no orbit deduplication);
-    useful to confirm that orbit-equivalent indices give the same element."""
-    q, n = instance.q, instance.n
-    pm = instance.p**instance.effective_m
-    if not 0 < j < pm:
-        raise UsageError(f"index must lie in (0, {pm})")
-    table, method = _root_table(instance, modulus_skip, generator_skip)
-    row = np.zeros((1, n), dtype=IdempotentSystem.dtype(q))
-    _gather_into(row, table, pow(n % q, -1, q), q, [j])
-    return IdempotentSystem(q, n, row, [f"e_j:{j}"], [KIND_SECOND], [(j,)], method)[0]
-
-
-def fully_split_idempotents(q: int, n: int) -> IdempotentSystem:
-    """Closed form when q = 1 (mod n): x^n - 1 splits into linear factors,
-    and the idempotents are the DFT characters e_j = (1/n) sum zeta^(-jl) x^l."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    if (q - 1) % n:
-        raise UsageError(f"requires q = 1 (mod n); got q={q}, n={n}")
-    coeffs = np.zeros((n, n), dtype=IdempotentSystem.dtype(q))
-    _gather_into(coeffs, _root_powers(get_prime_field(q), n), pow(n % q, -1, q), q, range(n))
-    labels = ["e_0"] + [f"e_j:{j}" for j in range(1, n)]
-    kinds = [KIND_UNIT_SUM] + [KIND_SECOND] * (n - 1)
-    params = [None] + [(j,) for j in range(1, n)]
-    return IdempotentSystem(q, n, coeffs, labels, kinds, params, "fully-split")
-
-
-def primitive_root_idempotents(q: int, p: int, k: int) -> IdempotentSystem:
-    """Closed form when q generates the units mod p^k (every cyclotomic level
-    is irreducible): k+1 records, each the difference of two successive
-    subgroup-averaging idempotents u_i = (1/p^(k-i)) sum_l x^(p^i l)."""
-    n = p**k
-    phi = euler_phi_prime_power(p, k)
-    if multiplicative_order(q, n) != phi:
-        raise UsageError(f"requires ord_{{{n}}} {q} = phi({n}) = {phi}")
-    coeffs = np.zeros((k + 1, n), dtype=IdempotentSystem.dtype(q))
-    for i in range(k + 1):
-        coeffs[i, :: p**i] = pow(pow(p, k - i, q), -1, q)  # u_i
-    coeffs[1:] = (coeffs[1:] - coeffs[:-1]) % q
-    labels = ["e_0"] + [f"e_j:{j}" for j in range(1, k + 1)]
-    kinds = [KIND_UNIT_SUM] + [KIND_SECOND if j == 1 else KIND_THIRD for j in range(1, k + 1)]
-    params = [None] + [(j,) if j == 1 else (j, 1) for j in range(1, k + 1)]
-    return IdempotentSystem(q, n, coeffs, labels, kinds, params, "primitive-root")
-
-
 def dispatch(
     instance: ProblemInstance,
     method: str = "auto",
@@ -360,33 +270,21 @@ def dispatch(
     modulus_skip: int = 0,
     generator_skip: int = 0,
 ) -> IdempotentSystem:
-    """Pick the applicable closed form (t = 1 -> split case, t > 1 -> general
-    case) or force a specific route.  Forcing `euclid` works even where the
-    closed forms are unsupported (p = 2 with q = 3 mod 4).  `modulus_skip`
-    picks a later modulus of F_{q^t}; `generator_skip` counts the passing
+    """The primitive idempotents by the paper's closed form ("auto"), or by
+    the Euclid oracle ("euclid").  The closed form takes its table from
+    `_root_table`, which names the case: "split-case" when t = 1,
+    "general-case" when t > 1.  The oracle also serves p = 2 with
+    q = 3 (mod 4), which the closed form does not.  `modulus_skip` picks a
+    later modulus of F_{q^t}; `generator_skip` counts the passing
     candidates u of the root search in `fields`, so a later u gives the
     closed form's root of unity."""
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
-    q, p, k, n = instance.q, instance.p, instance.k, instance.n
     if method == "euclid":
         return all_idempotents_euclid(instance)
-    if method == "fully-split":
-        return fully_split_idempotents(q, n)
-    if method == "primitive-root":
-        return primitive_root_idempotents(q, p, k)
-    if method == "split-case" or (method == "auto" and instance.t == 1):
-        return split_case_idempotents(instance, generator_skip=generator_skip)
-    return general_case_idempotents(
-        instance, modulus_skip=modulus_skip, generator_skip=generator_skip
-    )
-
-
-def third_type_census(records) -> dict[int, int]:
-    """Count of third-type records per level s."""
-    out: dict[int, int] = {}
-    for r in records:
-        if r.kind == KIND_THIRD and r.params is not None:
-            s = r.params[0]
-            out[s] = out.get(s, 0) + 1
-    return dict(sorted(out.items()))
+    if instance.p == 2 and instance.q % 4 == 3 and instance.k >= 1:
+        raise UnsupportedInstanceError(
+            "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
+            "of x^(2^s) - zeta needs q = 1 (mod 4)"
+        )
+    return _records_from_table(instance, *_root_table(instance, modulus_skip, generator_skip))

@@ -15,7 +15,7 @@ order r (r dividing |F| - 1) is u^((|F| - 1)/r) for the (skip+1)-th element
 u with u^((|F| - 1)/l) != 1 for every prime l dividing r, walked from 1, or
 from index q when no constant can pass (`_root_search`, which factors r
 alone).  `primitive_element` is the case r = |F| - 1; the factorization and
-the closed forms ask for r = p^m', so they never factor |F| - 1.  In F_{q^t}
+the closed form ask for r = p^m', so they never factor |F| - 1.  In F_{q^t}
 the search tests candidates in blocks of 1, 2, 4, ... int64 rows by one
 stacked `ReducedRing.pow` each, and returns the first candidate that passes
 in index order: the element a one-at-a-time walk finds.  Each (field, order,
@@ -488,7 +488,7 @@ def root_of_unity(field, order: int) -> FieldElement:
 def _root_powers(field, order: int, skip: int = 0):
     """zeta^i for i < order, for the zeta of the root search at `skip`: the
     rule of `root_of_unity` (skip 0), of the factorization and of the
-    closed forms' `generator_skip`.  Python ints in F_q (q may pass int64),
+    closed form's `generator_skip`.  Python ints in F_q (q may pass int64),
     int64 rows in F_{q^t}.  The table runs one power past `order`, so
     zeta's exact order is read from it.  F_{q^1} takes the zeta of F_q,
     embedded, so each q is searched once."""

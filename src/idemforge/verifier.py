@@ -57,19 +57,6 @@ class VerificationReport:
         }
 
 
-def check_idempotency(e) -> bool:
-    """e * e == e in the cyclic ring."""
-    v = _element(e)
-    return v * v == v
-
-
-def check_orthogonality(records, instance: ProblemInstance) -> bool:
-    """e_i * e_j = 0 for every pair i != j, read from the residues modulo
-    the irreducible factors of x^n - 1."""
-    matrix = _record_matrix(records, instance.q, instance.n)
-    return _orthogonality_detail(_residue_pattern(_residues(matrix, instance))[0])[0]
-
-
 def _record_matrix(records, q: int, n: int) -> np.ndarray:
     """The r x n coefficient array of records over F_q (`_stacked`)."""
     got_q, got_n, matrix = _stacked(records)
@@ -83,7 +70,7 @@ def _record_matrix(records, q: int, n: int) -> np.ndarray:
 def _stacked(records):
     """(q, n, r x n array) of a system, its own array as it is; or of a plain
     sequence of records or ring elements over one field and length, stacked
-    into int64 (q = None if it is empty)."""
+    with the dtype a system over that field has (q = None if it is empty)."""
     if isinstance(records, IdempotentSystem):
         return records.q, records.n, records.coeffs
     values = [_element(r) for r in records]
@@ -92,7 +79,8 @@ def _stacked(records):
         raise UsageError(f"every record must have n={n} coefficients")
     if any(v.field.q != q for v in values):
         raise UsageError(f"every record must live over F_{q}")
-    return q, n, fp.as_vec([v.coeffs for v in values]).reshape(len(values), n)
+    dtype = IdempotentSystem.dtype(q) if values else np.int64
+    return q, n, np.array([v.coeffs for v in values], dtype=dtype).reshape(len(values), n)
 
 
 def _residues(matrix: np.ndarray, instance: ProblemInstance):
@@ -187,12 +175,6 @@ def _orthogonality_detail(pattern: np.ndarray):
     return False, f"records {i} and {j} have a nonzero product"
 
 
-def check_completeness(records) -> bool:
-    """The records sum to the ring identity."""
-    q, _, matrix = _stacked(records)
-    return _completeness_detail(matrix, q)[0]
-
-
 def _completeness_detail(matrix: np.ndarray, q: int):
     if not matrix.shape[0]:
         return False, "empty system"
@@ -202,14 +184,6 @@ def _completeness_detail(matrix: np.ndarray, q: int):
     if bad.size:
         return False, f"sum differs from 1 at coefficient {int(bad[0])}"
     return True, None
-
-
-def check_primitivity(records, instance: ProblemInstance) -> bool:
-    """Cardinality equals the number of irreducible factors of x^n - 1 and
-    each record is = 1 modulo exactly one factor and = 0 modulo the rest."""
-    matrix = _record_matrix(records, instance.q, instance.n)
-    residues = _residues(matrix, instance)
-    return _primitivity_detail(residues, *_residue_pattern(residues))[0]
 
 
 def _primitivity_detail(residues, nonzero: np.ndarray, ones: np.ndarray):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
+import numpy as np
 import pytest
+from reference import fully_split_idempotents, primitive_root_idempotents, third_type_census
 
 from idemforge import (
     CyclicRingElement,
@@ -11,25 +14,21 @@ from idemforge import (
     UnsupportedInstanceError,
     UsageError,
     all_idempotents_euclid,
-    check_idempotency,
     dispatch,
     euclid_idempotent,
     extended_gcd,
     factor_xn_minus_1,
-    fully_split_idempotents,
-    general_case_idempotents,
     get_prime_field,
     instance_parameters,
     orbit_representatives,
-    primitive_root_idempotents,
-    second_type_idempotent,
     sets_equal,
-    split_case_idempotents,
-    third_type_census,
 )
-from idemforge import fields
+from idemforge import engine, fields
 from idemforge.fields import FieldElement
 from idemforge.structure import _factor_cached
+
+#: the --method values of the routes folded into the one closed form
+REMOVED_METHODS = ("fully-split", "primitive-root", "split-case", "general-case")
 
 
 def _coeff_sets(records):
@@ -58,7 +57,8 @@ def test_euclid_cubic_factor_over_f2():
 def test_euclid_linear_factor_matches_split_formula():
     # in the split regime the idempotent of x - zeta^j is the DFT character
     inst = instance_parameters(7, 3, 2)
-    split = split_case_idempotents(inst)
+    split = dispatch(inst)
+    assert split.method == "split-case"
     factors = factor_xn_minus_1(inst)
     f7 = get_prime_field(7)
     zeta = 2
@@ -230,7 +230,7 @@ def test_euclid_residues_one_mod_own_factor_zero_mod_rest():
                 assert residue == (one if i == j else Poly.zero(field))
 
 
-# -- fully-split route ----------------------------------------------------
+# -- reference closed forms: fully split and primitive root ---------------
 
 
 def test_fully_split_7_3_exact():
@@ -248,13 +248,6 @@ def test_fully_split_13_3_unit_sum():
     assert recs[0].label == "e_0"
     assert recs[0].value.int_coeffs() == (9, 9, 9)
 
-
-def test_fully_split_requires_regime():
-    with pytest.raises(UsageError):
-        fully_split_idempotents(7, 4)
-
-
-# -- primitive-root route -------------------------------------------------
 
 
 def test_primitive_root_2_3_2():
@@ -274,12 +267,7 @@ def test_primitive_root_2_3_1():
 def test_primitive_root_3_5_1():
     recs = primitive_root_idempotents(3, 5, 1)
     assert _coeff_sets(recs) == {(2, 2, 2, 2, 2), (2, 1, 1, 1, 1)}
-    assert all(check_idempotency(r) for r in recs)
-
-
-def test_primitive_root_requires_regime():
-    with pytest.raises(UsageError):
-        primitive_root_idempotents(7, 3, 1)  # ord_3 7 = 1 != phi(3)
+    assert all(r.value * r.value == r.value for r in recs)
 
 
 # -- split case -----------------------------------------------------------
@@ -287,7 +275,8 @@ def test_primitive_root_requires_regime():
 
 def test_split_case_7_3_2_exact():
     inst = instance_parameters(7, 3, 2)
-    recs = split_case_idempotents(inst)
+    recs = dispatch(inst)
+    assert recs.method == "split-case"
     assert _coeff_sets(recs) == {
         (4,) * 9,
         (4, 2, 1, 4, 2, 1, 4, 2, 1),
@@ -301,13 +290,15 @@ def test_split_case_7_3_2_exact():
 
 def test_split_case_m_at_least_k_reduces_to_fully_split():
     inst = instance_parameters(19, 3, 2)  # 19 = 1 mod 9, m = 2 = k
-    recs = split_case_idempotents(inst)
+    recs = dispatch(inst)
+    assert recs.method == "split-case"
     assert sets_equal(recs, fully_split_idempotents(19, 9))
 
 
 def test_split_case_trivial_ring():
     inst = instance_parameters(7, 3, 0)
-    recs = split_case_idempotents(inst)
+    recs = dispatch(inst)
+    assert recs.method == "split-case"
     assert len(recs) == 1 and recs[0].value.int_coeffs() == (1,)
 
 
@@ -332,7 +323,8 @@ def test_split_case_p2_rejected_when_q_3_mod_4():
 
 def test_general_case_2_7_1():
     inst = instance_parameters(2, 7, 1)
-    recs = general_case_idempotents(inst)
+    recs = dispatch(inst)
+    assert recs.method == "general-case"
     assert _coeff_sets(recs) == {
         (1, 1, 1, 1, 1, 1, 1),
         (1, 1, 1, 0, 1, 0, 0),
@@ -342,24 +334,38 @@ def test_general_case_2_7_1():
 
 
 def test_general_case_orbit_equivalent_indices_coincide():
+    # second-type rows for every index j = 1, 2, 3, with no orbit
+    # deduplication: 1 and 2 share the orbit {1, 2, 4} mod 7, 3 does not
     inst = instance_parameters(2, 7, 1)
-    assert (
-        second_type_idempotent(inst, 1).value == second_type_idempotent(inst, 2).value
-    )
-    assert (
-        second_type_idempotent(inst, 1).value != second_type_idempotent(inst, 3).value
-    )
+    table, method = engine._root_table(inst, 0, 0)
+    assert method == "general-case"
+    rows = np.zeros((3, inst.n), dtype=np.int64)
+    engine._gather_into(rows, table, pow(inst.n, -1, inst.q), inst.q, [1, 2, 3])
+    assert rows[0].tolist() == rows[1].tolist() != rows[2].tolist()
+    assert rows[0].tolist() == list(dispatch(inst)[1].value.int_coeffs())
 
 
-def test_general_case_requires_t_above_one():
-    inst = instance_parameters(7, 3, 2)
-    with pytest.raises(UsageError):
-        general_case_idempotents(inst)
+def test_the_closed_form_names_its_case_by_t_and_takes_no_forced_case(capsys):
+    # split-case and general-case are no longer --method values, but the
+    # records and documents still name the case that t selects
+    from idemforge.cli import main
+
+    assert dispatch(instance_parameters(7, 3, 2)).method == "split-case"  # t = 1
+    assert dispatch(instance_parameters(2, 7, 1)).method == "general-case"  # t = 3
+    for q in (3, 7):  # q = 3 mod 4 at k = 0: the single e_0 = 1 of the split case
+        system = dispatch(instance_parameters(q, 2, 0))
+        assert system.method == "split-case" and system.coeffs.tolist() == [[1]]
+    assert main(["gen", "--q", "2", "--p", "7", "--k", "1", "--format", "json"]) == 0
+    assert '"method": "general-case",' in capsys.readouterr().out
+    for method in ("split-case", "general-case"):
+        with pytest.raises(UsageError, match="unknown method"):
+            dispatch(instance_parameters(2, 7, 1), method)
 
 
 def test_general_case_m_above_k_uses_clamped_root_order():
     inst = instance_parameters(19, 13, 2)  # t=12, m=2=k
-    recs = general_case_idempotents(inst)
+    recs = dispatch(inst)
+    assert recs.method == "general-case"
     assert len(recs) == 1 + (13**2 - 1) // 12
     assert sets_equal(recs, all_idempotents_euclid(inst))
 
@@ -404,6 +410,26 @@ def test_dispatch_euclid_method_forces_oracle():
 def test_dispatch_rejects_unknown_method():
     with pytest.raises(UsageError):
         dispatch(instance_parameters(2, 7, 1), "magic")
+
+
+def test_dispatch_refuses_the_removed_methods():
+    assert engine.METHODS == ("auto", "euclid")
+    inst = instance_parameters(7, 3, 1)  # fully split and primitive root at once
+    for method in REMOVED_METHODS:
+        with pytest.raises(UsageError, match=re.escape("choose from ('auto', 'euclid')")):
+            dispatch(inst, method)
+
+
+def test_cli_rejects_the_removed_methods_as_invalid_choices(capsys):
+    from idemforge.cli import main
+
+    instance = ["--q", "7", "--p", "3", "--k", "1"]
+    for argv in (["gen", *instance], ["verify", *instance], ["code", *instance, "--label", "e_0"]):
+        for method in REMOVED_METHODS:
+            assert main(argv + ["--method", method]) == 1, (argv[0], method)
+            out, err = capsys.readouterr()
+            assert out == "" and f"invalid choice: '{method}'" in err, (argv[0], method)
+            assert "Traceback" not in err
 
 
 def test_dispatch_choice_independence_small():
@@ -458,6 +484,33 @@ def test_factor_lists_and_closed_forms_keep_their_bytes():
             else:
                 digest.update(repr([(r.label, r.value.int_coeffs()) for r in records]).encode())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+# Every acceptance-grid instance, p = 2 with q = 1 mod 4, and k = 0 with
+# q = 3 mod 4: the digest fixes the method, labels, kinds, params and array
+# bytes of every closed-form system.
+SYSTEM_INSTANCES = [
+    (q, p, k)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for p in (3, 5, 7, 11, 13)
+    if p != q
+    for k in range(6)
+    if p**k <= 400
+] + [(5, 2, k) for k in range(5)] + [(3, 2, 0), (7, 2, 0)]
+SYSTEM_DIGEST = "3b4a80076ef691a57649ac59d64b8eae65360e774a13ce781d8326a1df2f4e79"
+
+
+def test_closed_form_systems_keep_their_digest():
+    assert len(SYSTEM_INSTANCES) == 180 + 7
+    digest = hashlib.sha256()
+    for q, p, k in SYSTEM_INSTANCES:
+        system = dispatch(instance_parameters(q, p, k))
+        digest.update(repr((system.method, system.labels, system.kinds, system.params)).encode())
+        digest.update(system.coeffs.tobytes())
+    assert digest.hexdigest() == SYSTEM_DIGEST
+    for k in (1, 2):  # p = 2 with q = 3 mod 4 is still refused once k >= 1
+        with pytest.raises(UnsupportedInstanceError, match="q = 3 \\(mod 4\\) is unsupported"):
+            dispatch(instance_parameters(3, 2, k))
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 41, 1), (17, 13, 2), (251, 5, 3)])

@@ -9,10 +9,6 @@ from idemforge import _fastpoly as fp
 from idemforge import (
     CyclicRingElement,
     UsageError,
-    check_completeness,
-    check_idempotency,
-    check_orthogonality,
-    check_primitivity,
     dispatch,
     factor_xn_minus_1,
     get_prime_field,
@@ -29,6 +25,11 @@ def golden():
     return inst, dispatch(inst)
 
 
+def _check(records, inst, name):
+    """Whether the named check of `verify_system` passes."""
+    return next(c.passed for c in verify_system(records, inst).checks if c.name == name)
+
+
 def _replace_value(record, value):
     return IdempotentRecord(
         value=value,
@@ -40,15 +41,15 @@ def _replace_value(record, value):
 
 
 def test_idempotency_on_golden(golden):
-    _, recs = golden
-    assert all(check_idempotency(r) for r in recs)
+    inst, recs = golden
+    assert _check(recs, inst, "idempotency")
 
 
 def test_zero_is_idempotent_but_rejected_by_system(golden):
     inst, recs = golden
     field = get_prime_field(17)
     zero = CyclicRingElement.from_ints(field, [0] * 169)
-    assert check_idempotency(zero)  # 0*0 = 0
+    assert zero * zero == zero
     tampered = list(recs[:-1]) + [_replace_value(recs[-1], zero)]
     report = verify_system(tampered, inst)
     names = {c.name for c in report.checks if not c.passed}
@@ -58,26 +59,27 @@ def test_zero_is_idempotent_but_rejected_by_system(golden):
 def test_unit_sum_idempotent_over_f2():
     field = get_prime_field(2)
     sigma = CyclicRingElement.from_ints(field, [1] * 7)
-    assert check_idempotency(sigma)  # squaring permutes exponents
+    assert sigma * sigma == sigma  # squaring permutes exponents
+    assert _check([sigma], instance_parameters(2, 7, 1), "idempotency")
 
 
 def test_orthogonality_and_completeness(golden):
     inst, recs = golden
-    assert check_orthogonality(recs, inst)
-    assert check_completeness(recs)
+    assert _check(recs, inst, "orthogonality")
+    assert _check(recs, inst, "completeness")
 
 
 def test_singleton_identity_system():
     inst = instance_parameters(5, 3, 0)
     recs = dispatch(inst)
-    assert check_orthogonality(recs, inst)  # vacuous
-    assert check_completeness(recs)
-    assert check_primitivity(recs, inst)
+    assert _check(recs, inst, "orthogonality")  # vacuous
+    assert _check(recs, inst, "completeness")
+    assert _check(recs, inst, "primitivity")
 
 
 def test_primitivity_on_golden(golden):
     inst, recs = golden
-    assert check_primitivity(recs, inst)
+    assert _check(recs, inst, "primitivity")
 
 
 def test_primitivity_fails_for_merged_records():
@@ -86,11 +88,11 @@ def test_primitivity_fails_for_merged_records():
     recs = dispatch(inst)
     merged = recs[0].value + recs[1].value
     smaller = [_replace_value(recs[0], merged)] + list(recs[2:])
-    assert check_idempotency(smaller[0])  # still an idempotent
-    assert not check_primitivity(smaller, inst)  # cardinality mismatch
+    assert merged * merged == merged  # still an idempotent
+    assert not _check(smaller, inst, "primitivity")  # cardinality mismatch
     # keeping the cardinality but duplicating residues also fails
     padded = [_replace_value(recs[0], merged), recs[1]] + list(recs[2:])
-    assert not check_primitivity(padded, inst)
+    assert not _check(padded, inst, "primitivity")
 
 
 def test_sets_equal_is_label_agnostic(golden):
@@ -173,7 +175,7 @@ def test_records_of_another_length_are_rejected():
     inst = instance_parameters(7, 3, 2)
     recs = dispatch(instance_parameters(7, 3, 1))
     with pytest.raises(UsageError, match="n=9 coefficients"):
-        check_orthogonality(recs, inst)
+        verify_system(recs, inst)
 
 
 def _cyclic_product(a, b, q):
@@ -210,12 +212,12 @@ def _tampered_systems(recs, q):
         out[i] = (out[i] + 1) % q
         return out
 
+    def idempotent(ints):
+        v = CyclicRingElement.from_ints(field, ints)
+        return v * v == v
+
     # the first single-coefficient change that leaves record 1 non-idempotent
-    flipped = next(
-        flip(i)
-        for i in range(len(coeffs[1]))
-        if not check_idempotency(CyclicRingElement.from_ints(field, flip(i)))
-    )
+    flipped = next(flip(i) for i in range(len(coeffs[1])) if not idempotent(flip(i)))
     return {
         "sum": with_value(1, [(a + b) % q for a, b in zip(coeffs[1], coeffs[last])]),
         "duplicate": with_value(last, coeffs[0]),
@@ -236,7 +238,6 @@ def test_orthogonality_matches_pairwise_products(q, p, k):
         assert check.passed == (pair is None), name
         if pair is not None:
             assert check.detail == f"records {pair[0]} and {pair[1]} have a nonzero product", name
-        assert check_orthogonality(system, inst) == (pair is None), name
 
 
 def test_verify_makes_no_pairwise_products(monkeypatch):
@@ -415,3 +416,15 @@ def test_verify_reads_the_system_array_as_it_is(monkeypatch):
     assert verify_system(list(system), inst, against_oracle=True) == verify_system(
         system, inst, against_oracle=True
     )
+
+
+def test_a_list_of_records_past_int64_is_stacked_as_its_system_is():
+    # q = 2^64 + 51: the system holds object rows, and a plain list of its
+    # records stacks to the same dtype, so only the int64 rule refuses it
+    inst = instance_parameters(18446744073709551667, 3, 1)
+    system = dispatch(inst)
+    assert system.coeffs.dtype == object
+    assert sets_equal(list(system), system) and sets_equal(system, list(system))
+    for records in (system, list(system)):
+        with pytest.raises(UsageError, match=r"length\*\(q-1\)\^2 < 2\^63"):
+            verify_system(records, inst)
