@@ -7,8 +7,8 @@ routines are the one implementation of polynomial arithmetic over F_q
 scans, residues modulo the factors of x^n - 1); the classes in `fields`
 and `polys` wrap them.  There is one long division, `divmod_rows`, whose
 one-row case is `poly_divmod`, and one irreducibility test,
-`irreducible_rows` (Rabin's, on a stack of moduli), whose one-row case is
-`is_irreducible`.
+`_rabin_passing` (Rabin's, on a stack of moduli), whose mask is
+`irreducible_rows` and whose one-row case is `is_irreducible`.
 
 Exactness: a sum of `length` products of residues stays exact in int64
 while length * (q-1)^2 < 2^63, and `check_int64_exact` enforces that rule
@@ -396,9 +396,18 @@ def is_irreducible(q: int, vec) -> bool:
 
 
 def irreducible_rows(mods: np.ndarray, q: int) -> np.ndarray:
-    """Rabin's test (SIAM J. Comput. 9, 1980) on each row of a stack of
-    monic moduli f_j of one degree t >= 2 ((rows, t + 1), ascending, under
-    the int64 rule t*(q-1)^2 < 2^63): f_j is irreducible iff
+    """Rabin's test on each row of a stack of monic moduli (see
+    `_rabin_passing`), as a mask."""
+    passed = np.zeros(mods.shape[0], dtype=bool)
+    passed[list(_rabin_passing(mods, q))] = True
+    return passed
+
+
+def _rabin_passing(mods: np.ndarray, q: int):
+    """The indices, ascending, of the rows that pass Rabin's test (SIAM J.
+    Comput. 9, 1980) in a stack of monic moduli f_j of one degree t >= 2
+    ((rows, t + 1), ascending, under the int64 rule t*(q-1)^2 < 2^63):
+    f_j is irreducible iff
     x^(q^t) = x mod f_j and gcd(x^(q^(t/r)) - x, f_j) = 1 for every prime
     r dividing t.
 
@@ -410,8 +419,13 @@ def irreducible_rows(mods: np.ndarray, q: int) -> np.ndarray:
     last, one per row with tau_t = x, of that product and f_j: a row with
     a factor whose degree does not divide t fails tau_t = x and pays for
     no gcd, and at t = 10 one gcd costs as much as 40 to 100 Frobenius
-    steps (0.1-0.2 ms against 2-3 us)."""
+    steps (0.1-0.2 ms against 2-3 us).  This is a generator: the walk runs
+    on the whole stack when the first index is asked for, and each gcd when
+    its row's turn comes, so a caller that stops at the row it needs pays
+    for no later gcd."""
     rows, t = mods.shape[0], mods.shape[1] - 1
+    if not rows:
+        return
     high = residue_matrix(mods, 2 * t - 1, q)[t:].transpose(1, 0, 2)  # x^(t+i) mod f_j
 
     def reduce(full):  # full rows of at most 2t - 1 coefficients, per f_j
@@ -442,13 +456,12 @@ def irreducible_rows(mods: np.ndarray, q: int) -> np.ndarray:
             diff = (tau - x) % q
             product = diff if product is None else reduce(_full_products(product, diff))
         tau = tau @ frob % q
-    passed = (tau == x).all(axis=(1, 2))
     # a prime factor of f_j divides the product iff it divides some factor,
     # so one gcd per row stands for the gcd with each tau_(t/r) - x
-    for j in np.flatnonzero(passed):
+    for j in np.flatnonzero((tau == x).all(axis=(1, 2))):
         diff = trim(product[j, 0])
-        passed[j] = diff.size > 0 and poly_gcd(diff, mods[j], q).size == 1
-    return passed
+        if diff.size and poly_gcd(diff, mods[j], q).size == 1:
+            yield int(j)
 
 
 def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
@@ -459,9 +472,10 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
     Candidates go in blocks of 2, 4, 8, ... in that order.  One Horner
     pass over a block drops the candidates with a root in F_q, for
     q <= 4096, or with a zero constant term, above.  The rest go through
-    `irreducible_rows` as one stack, and its passing rows are taken in
-    order, so every modulus returned is certified by Rabin's test and the
-    walk finds the modulus a one-at-a-time walk finds."""
+    `_rabin_passing` as one stack, and its passing rows are taken in order
+    up to the one wanted, so every modulus returned is certified by Rabin's
+    test, no row past it pays for a gcd, and the walk finds the modulus a
+    one-at-a-time walk finds."""
     if t < 1:
         raise UsageError("degree must be >= 1")
     if t == 1:
@@ -499,10 +513,10 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
         for i in range(width - 1, -1, -1):
             acc = (acc * points + mods[:, i, None]) % q
         mods = mods[((acc + lead) % q).all(axis=1)]  # no root among the points
-        passed = mods[irreducible_rows(mods, q)] if len(mods) else mods
-        if remaining < len(passed):
-            return tuple(passed[remaining].tolist())
-        remaining -= len(passed)
+        for j in _rabin_passing(mods, q):
+            if not remaining:
+                return tuple(mods[j].tolist())
+            remaining -= 1
     if skip > 0:
         raise UsageError(f"fewer than {skip + 1} monic irreducibles of degree {t} over F_{q}")
     raise InvariantViolation("exhausted candidates without finding an irreducible")

@@ -8,9 +8,12 @@ invariant violated (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+
+import numpy as np
 
 from .codes import DEFAULT_DISTANCE_BUDGET, code_summary, summaries_for
 from .engine import KIND_GENERIC, KIND_SECOND, KIND_THIRD, METHODS, IdempotentSystem, dispatch
@@ -83,9 +86,16 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+def _check_integers(rows) -> None:
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:  # bool and float are not int
+        raise UsageError("entry coefficients must be integers")
+
+
 def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
     """(instance, system) of a parsed document.  Its rows are claims for the
-    verifier: a zero row is reported there, not refused here."""
+    verifier: a zero row is reported there, not refused here.  The
+    coefficients of all rows are type-checked in one pass and read into one
+    array; ints outside [0, q) are reduced mod q."""
     try:
         q, p, k = doc["q"], doc["p"], doc["k"]
         entries = doc["idempotents"]
@@ -98,15 +108,12 @@ def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
     instance = instance_parameters(q, p, k, max_n=max_n)
     rows, labels, kinds, params_list = [], [], [], []
     for entry in entries:
-        if not isinstance(entry, dict):
-            raise UsageError("each idempotent entry must be a JSON object")
-        coeffs = entry.get("coeffs")
+        coeffs = entry.get("coeffs") if isinstance(entry, dict) else None
         if not isinstance(coeffs, list) or len(coeffs) != instance.n:
+            _check_integers(rows)  # an earlier entry's fault is reported first
+            if not isinstance(entry, dict):
+                raise UsageError("each idempotent entry must be a JSON object")
             raise UsageError("entry coefficient list must have exactly n entries")
-        if set(map(type, coeffs)) != {int}:  # bool, float and str are not int
-            raise UsageError("entry coefficients must be integers")
-        if min(coeffs) < 0 or max(coeffs) >= q:  # reduced, as any caller's ints are
-            coeffs = [c % q for c in coeffs]
         params = entry.get("params")
         if isinstance(params, dict):
             params = tuple(params.values())
@@ -114,8 +121,16 @@ def records_from_document(doc: dict, max_n: int = DEFAULT_MAX_N):
         labels.append(entry.get("label", "?"))
         kinds.append(entry.get("kind", KIND_GENERIC))
         params_list.append(params)
+    _check_integers(rows)
+    dtype = IdempotentSystem.dtype(q)
+    try:
+        coeffs = np.array(rows, dtype=dtype)
+    except OverflowError:  # an int past int64: reduced first
+        coeffs = np.array([[c % q for c in row] for row in rows], dtype=dtype)
+    if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= q):  # reduced, as any caller's ints are
+        coeffs %= q
     method = doc.get("method", "unknown")
-    system = IdempotentSystem(q, instance.n, rows, labels, kinds, params_list, method, claimed=True)
+    system = IdempotentSystem(q, instance.n, coeffs, labels, kinds, params_list, method, claimed=True)
     return instance, system
 
 

@@ -22,6 +22,7 @@ root of a later one.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -137,24 +138,29 @@ def euclid_idempotent(f: Poly, n: int, q: int) -> IdempotentRecord:
         raise UsageError("exponent must be >= 1")
     if n % q == 0:
         raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    row = _euclid_stack(fp.as_vec([f.coeffs]), n, n, q)
+    row = _euclid_stack(fp.as_vec([f.coeffs]), n, q, pow(n, -1, q))
     label = f"euclid:deg{f.degree}"
     return IdempotentSystem(q, n, row, [label], [KIND_GENERIC], [None], "euclid")[0]
 
 
-def _euclid_stack(mods: np.ndarray, order: int, n: int, q: int) -> np.ndarray:
-    """Rows e_f = P_f*h_f (n coefficients each) for the monic factors f of
-    x^order - 1 in the rows of `mods` (ascending, one degree d), where order
-    divides n and gcd(n, q) = 1.
+def _euclid_stack(mods: np.ndarray, order: int, q: int, scale: int = 1) -> np.ndarray:
+    """Rows c*B_g, B_g = C_g*(x*g' - d*g) (`order` coefficients each, c =
+    `scale`), for the monic factors g of x^order - 1 in the rows of `mods`
+    (ascending, one degree d), where gcd(order, q) = 1.  B_g does not
+    depend on the ring: in F_q[x]/(x^n - 1), for every n that `order`
+    divides, the idempotent of g is B_g/n repeated n/order times, so c = 1/n
+    gives it unrepeated.
 
-    With P_f = (x^n - 1)/f, differentiating x^n - 1 = P*f gives
-    P*(x*f') = n (mod f), so the inverse of P modulo f is
-    h = (x*f' - d*f)/n, of degree < d, and no gcd is needed.  The cofactors
-    C_f = (x^order - 1)/f come from one division walk of order - d steps
-    over the stack, and P = C*T with T = 1 + x^order + ... + x^(n - order).
-    As deg(C*h) < order, e is C*h repeated n/order times.  Since
-    T*T = (n/order)*T, e*e = e iff (n/order)*((C*h)^2 mod x^order - 1) = C*h:
-    the guard squares the rows C*h, not the tiled e."""
+    With P = (x^n - 1)/g, differentiating x^n - 1 = P*g gives
+    P*(x*g') = n (mod g), so the inverse of P modulo g is
+    h = (x*g' - d*g)/n, of degree < d, and no gcd is needed.  The cofactors
+    C = (x^order - 1)/g come from one division walk of order - d steps
+    over the stack, and P = C*T with T = 1 + x^order + ... + x^(n - order),
+    so e = P*h is C*h = B/n, of degree < order, repeated.  Since
+    T*T = (n/order)*T, e*e = e iff (n/order)*((C*h)^2 mod x^order - 1) = C*h,
+    which multiplied through by n^2/(n/order) reads B^2 = order*B
+    (mod x^order - 1): the guard squares the rows c*B, whose square is
+    (c*order)*c*B, for every n at once."""
     d = mods.shape[1] - 1
     if d > order:
         raise UsageError(f"{render_poly(mods[0].tolist())} does not divide x^{order} - 1")
@@ -165,57 +171,74 @@ def _euclid_stack(mods: np.ndarray, order: int, n: int, q: int) -> np.ndarray:
     if bad.size:
         raise UsageError(f"{render_poly(mods[bad[0]].tolist())} does not divide x^{order} - 1")
     del rems  # a view that keeps the whole walk array alive
-    inv_n = pow(n, -1, q)
-    scale = fp.as_vec([(i - d) * inv_n % q for i in range(d)])
-    ch = fp.conv_rows(cofactors, scale * mods[:, :d] % q, q)
-    if not np.array_equal(fp.conv_rows(ch, ch, q, order) * (n // order % q) % q, ch):
+    lows = fp.as_vec([(i - d) * scale % q for i in range(d)])  # x*g' - d*g, times c
+    rows = fp.conv_rows(cofactors, lows * mods[:, :d] % q, q)
+    if not np.array_equal(fp.conv_rows(rows, rows, q, order), rows * (scale * order % q) % q):
         raise InvariantViolation("Euclid construction produced a non-idempotent")
-    return np.tile(ch, n // order)
+    return rows
 
 
 def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
     """One record per irreducible factor of x^n - 1: the oracle set.
 
-    Factors of one degree, one order N (the coset divisor, so that they
-    divide x^N - 1) and one stride s (`inflation_stride`, so f = g(x^s) and
-    g divides y^(N/s) - 1) are computed together, in stacks whose working
-    arrays hold at most TABLE_ENTRIES coefficients.  y -> x^s is a ring
+    A factor f of order N (the coset divisor) and stride s
+    (`inflation_stride`) is f = g(x^s), where g divides y^(N/s) - 1 with
+    roots of order N/s, so its degree is ord_(N/s) q.  y -> x^s is a ring
     homomorphism F_q[y]/(y^(n/s) - 1) -> F_q[x]/(x^n - 1) that sends g's
-    idempotent to f's (h_f = h_g(x^s) by the derivative formula), so
-    `_euclid_stack` runs on the g's, with order N/s in length n/s, and its
-    rows are placed at stride s."""
+    idempotent to f's (h_f = h_g(x^s) by the derivative formula), so f's
+    record is (n/s)^(-1)*B_g repeated n/N times and placed at stride s, with
+    B_g from `_euclid_stack`.  B_g does not depend on n or s, and above
+    level m every level inflates the same g's, so one walk serves each
+    distinct g once: the g's of one N/s form one stack, computed in blocks
+    whose working arrays hold at most TABLE_ENTRIES coefficients, and
+    scaled for the stride of its first factors.  Nothing is kept across
+    calls."""
     q, n = instance.q, instance.n
     factors = factor_xn_minus_1(instance)
     cosets = cyclotomic_cosets(q, n).cosets
-    stacks: dict[tuple[int, int, int], list[int]] = {}
+    # N/s -> ({g: its row in the stack}, {(N, s): [(factor index, row of its g)]})
+    stacks: dict[int, tuple[dict[tuple[int, ...], int], dict[tuple[int, int], list]]] = {}
     for index, (order, f) in enumerate(factors):
-        stacks.setdefault((f.degree, order, inflation_stride(order, f)), []).append(index)
+        stride = inflation_stride(order, f)
+        g = f.int_coeffs()[::stride]
+        rows, places = stacks.setdefault(order // stride, ({}, {}))
+        places.setdefault((order, stride), []).append((index, rows.setdefault(g, len(rows))))
     coeffs = np.zeros((len(factors), n), dtype=np.int64)
-    step = max(1, fp.TABLE_ENTRIES // (16 * (n + 1)))  # about a dozen n-wide arrays a row
-    for (_, order, stride), indices in stacks.items():
-        for start in range(0, len(indices), step):
-            chunk = indices[start : start + step]
-            mods = fp.as_vec([factors[i][1].int_coeffs()[::stride] for i in chunk])
-            coeffs[chunk, ::stride] = _euclid_stack(mods, order // stride, n // stride, q)
+    for width, (rows, places) in stacks.items():
+        gs = fp.as_vec(list(rows))
+        places = {key: np.array(members).T for key, members in places.items()}
+        first = next(iter(places))[1]  # the stride whose scale (n/s)^(-1) the stack takes
+        scale = pow(n // first, -1, q)
+        step = max(1, fp.TABLE_ENTRIES // (16 * (width + 1)))  # about a dozen arrays a row
+        for start in range(0, len(gs), step):
+            block = _euclid_stack(gs[start : start + step], width, q, scale)
+            for (order, stride), (index, row) in places.items():
+                hit = (row >= start) & (row < start + step)
+                part = block[row[hit] - start]
+                if stride != first:  # (n/s)^(-1) = (s/first)*(n/first)^(-1)
+                    part = part * (stride * pow(first, -1, q) % q) % q
+                # the rows of coeffs at stride s, as n/N tiles of N/s coefficients
+                tiles = coeffs[:, ::stride].reshape(len(factors), n // order, width)
+                tiles[index[hit]] = part[:, None]
     labels = [f"e_{{d,r}}:{order},{c.rep}" for (order, _), c in zip(factors, cosets)]
     count = len(factors)
     return IdempotentSystem(q, n, coeffs, labels, [KIND_GENERIC] * count, [None] * count, "euclid")
 
 
-def _root_table(instance: ProblemInstance, modulus_skip: int, generator_skip: int) -> tuple[list[int], str]:
+def _root_table(instance: ProblemInstance, modulus_skip: int, generator_skip: int) -> tuple[Sequence[int], str]:
     """(table, method) of the closed form, the one place that branches on t:
     table[i] holds the F_q value attached to the i-th power of a primitive
     p^min(m,k)-th root of unity, the power itself when t = 1 (the root lives
     in F_q) and its trace from F_{q^t} when t > 1."""
     pm = instance.p**instance.effective_m
     if pm == 1:  # k = 0, so t = 1: zeta = 1, with no root search to run
-        return [1], "split-case"
+        return (1,), "split-case"
     if instance.t == 1:
         return _root_powers(get_prime_field(instance.q), pm, generator_skip), "split-case"
-    return _sigma_table(instance, pm, modulus_skip, generator_skip), "general-case"
+    return _sigma_table(instance.q, instance.t, pm, modulus_skip, generator_skip), "general-case"
 
 
-def _gather_into(out: np.ndarray, table: list[int], scale: int, q: int, indices) -> None:
+def _gather_into(out: np.ndarray, table: Sequence[int], scale: int, q: int, indices) -> None:
     """out[i, l] = scale * table[(-indices[i] * l) % len(table)] mod q, for
     every row i and column l of `out`, as one gather."""
     values = np.array([v * scale % q for v in table], dtype=out.dtype)
@@ -223,7 +246,7 @@ def _gather_into(out: np.ndarray, table: list[int], scale: int, q: int, indices)
     out[...] = values[exponents % len(table)]
 
 
-def _records_from_table(instance: ProblemInstance, table: list[int], method: str) -> IdempotentSystem:
+def _records_from_table(instance: ProblemInstance, table: Sequence[int], method: str) -> IdempotentSystem:
     """The closed form's records from `_root_table`, for both cases: each
     level's rows are gathered straight into the system's array."""
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
@@ -247,11 +270,13 @@ def _records_from_table(instance: ProblemInstance, table: list[int], method: str
     return IdempotentSystem(q, n, coeffs, labels, kinds, params, method)
 
 
-def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generator_skip: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _sigma_table(q: int, t: int, pm: int, modulus_skip: int, generator_skip: int) -> tuple[int, ...]:
     """table[i] = trace of zeta^i from F_{q^t} down to F_q, for a primitive
     pm-th root of unity zeta from `fields._root_powers`: the sum over u < t
-    of zeta^(i*q^u), read from the power table of zeta."""
-    q, t = instance.q, instance.t
+    of zeta^(i*q^u), read from the power table of zeta.  It depends on k
+    only through pm = p^m', so it is built once per process for each
+    (q, t, pm, modulus_skip, generator_skip), and returned as a tuple."""
     powers = _root_powers(get_extension_field(q, t, modulus_skip), pm, generator_skip)
     index = np.arange(pm)
     traces = np.zeros_like(powers)
@@ -260,7 +285,7 @@ def _sigma_table(instance: ProblemInstance, pm: int, modulus_skip: int, generato
     traces %= q
     if traces[:, 1:].any():
         raise InvariantViolation("trace value left the base field")
-    return traces[:, 0].tolist()
+    return tuple(traces[:, 0].tolist())
 
 
 def dispatch(
@@ -274,7 +299,9 @@ def dispatch(
     the Euclid oracle ("euclid").  The closed form takes its table from
     `_root_table`, which names the case: "split-case" when t = 1,
     "general-case" when t > 1.  The oracle also serves p = 2 with
-    q = 3 (mod 4), which the closed form does not.  `modulus_skip` picks a
+    q = 3 (mod 4) and k >= 3, which the closed form does not: x^4 + 1
+    splits into two quadratics there, while at k <= 2 the factors x - 1,
+    x + 1 and x^2 + 1 are the closed form's.  `modulus_skip` picks a
     later modulus of F_{q^t}; `generator_skip` counts the passing
     candidates u of the root search in `fields`, so a later u gives the
     closed form's root of unity."""
@@ -282,7 +309,7 @@ def dispatch(
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "euclid":
         return all_idempotents_euclid(instance)
-    if instance.p == 2 and instance.q % 4 == 3 and instance.k >= 1:
+    if instance.p == 2 and instance.q % 4 == 3 and instance.k >= 3:
         raise UnsupportedInstanceError(
             "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
             "of x^(2^s) - zeta needs q = 1 (mod 4)"

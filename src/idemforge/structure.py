@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -184,25 +186,21 @@ def expected_idempotent_count(instance: ProblemInstance) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_cached(instance: ProblemInstance):
-    q, p, k, n = instance.q, instance.p, instance.k, instance.n
+def _minimal_polynomials(q: int, pm: int, big_t: int) -> Mapping[int, Poly]:
+    """Every exponent j mod pm -> the minimal polynomial over F_q of zeta^j,
+    for the primitive pm-th root of unity zeta that `fields` picks in
+    F_{q^T}.  It depends on (q, pm, T) alone, not on k, so it is built once
+    per process for each and returned read-only.
+
+    The minimal polynomial of zeta^j is the product of (x - zeta^i) over the
+    orbit of j under multiplication by q mod pm.  Orbits of one size are
+    multiplied out together: prods[o] holds the coefficients (each in
+    F_{q^T}) of the partial product for orbit o."""
     base = get_prime_field(q)
-    if n == 1:
-        return ((1, Poly.from_ints(base, [-1, 1])),)
-    # F_{q^T} holds a primitive p^M-th root of unity zeta, and the factors
-    # of Phi_{p^s} for s > M are those of Phi_{p^M} with x -> x^(p^(s-M)).
-    # zeta, from `fields`, fixes which factor each coset receives.
-    big_t, big_m = instance.root_field
-    m_eff = min(big_m, k)
-    pm = p**m_eff
     field = get_extension_field(q, big_t)
     ring = field.ring
     zeta_powers = _root_powers(field, pm)
-    # The minimal polynomial of zeta^j over F_q is the product of (x - zeta^i)
-    # over the orbit of j under multiplication by q mod p^m'.  Orbits of one
-    # size are multiplied out together: prods[o] holds the coefficients (each
-    # in F_{q^T}) of the partial product for orbit o.
-    minpolys: dict[int, Poly] = {}  # every exponent mod p^m' -> its minimal polynomial
+    minpolys: dict[int, Poly] = {}
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for orbit in cyclotomic_cosets(q, pm).cosets:
         by_size.setdefault(orbit.size, []).append(orbit.elements)
@@ -216,7 +214,25 @@ def _factor_cached(instance: ProblemInstance):
             raise InvariantViolation("minimal polynomial left the base field")
         for orbit, coeffs in zip(orbits, prods[:, :, 0].tolist()):
             minpolys.update(dict.fromkeys(orbit, Poly.from_ints(base, coeffs)))
+    return MappingProxyType(minpolys)
 
+
+@functools.lru_cache(maxsize=None)
+def _factor_cached(instance: ProblemInstance):
+    """The factors of x^n - 1 in coset order, checked: the minimal
+    polynomials come from `_minimal_polynomials`, shared by every k, and
+    the inflation, the degree check and the product check run per
+    instance."""
+    q, p, k, n = instance.q, instance.p, instance.k, instance.n
+    if n == 1:
+        return ((1, Poly.from_ints(get_prime_field(q), [-1, 1])),)
+    # F_{q^T} holds a primitive p^M-th root of unity zeta, and the factors
+    # of Phi_{p^s} for s > M are those of Phi_{p^M} with x -> x^(p^(s-M)).
+    # zeta, from `fields`, fixes which factor each coset receives.
+    big_t, big_m = instance.root_field
+    m_eff = min(big_m, k)
+    pm = p**m_eff
+    minpolys = _minimal_polynomials(q, pm, big_t)
     factors = []
     for coset in cyclotomic_cosets(q, n).cosets:
         s = p_adic_valuation(coset.divisor, p)

@@ -77,9 +77,11 @@ def test_gen_invalid_instance_exits_1(capsys):
 
 
 def test_gen_unsupported_p2_regime_exits_1(capsys):
-    code, _, err = run_cli(capsys, "gen", "--q", "3", "--p", "2", "--k", "2")
+    code, _, err = run_cli(capsys, "gen", "--q", "3", "--p", "2", "--k", "3")
     assert code == 1
     assert "q = 1 (mod 4)" in err
+    for k in ("1", "2"):  # below k = 3 the closed form serves
+        assert run_cli(capsys, "gen", "--q", "3", "--p", "2", "--k", k, "--verify")[0] == 0
 
 
 def test_bad_flags_exit_1(capsys):
@@ -558,7 +560,7 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert err.startswith("internal invariant violated")
 
 
-def test_gen_exits_3_when_the_closed_form_root_has_the_wrong_order(capsys, monkeypatch):
+def test_gen_exits_3_when_the_closed_form_root_has_the_wrong_order(capsys, monkeypatch, fresh_caches):
     search = fields._root_search
     monkeypatch.setattr(fields, "_root_search", lambda field, order, skip: search(field, order, skip) ** 5)
     code = main(["gen", "--q", "7", "--p", "5", "--k", "2", "--format", "json"])

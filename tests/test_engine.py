@@ -101,12 +101,24 @@ def test_euclid_derivative_identity_matches_gcd_reference(q, p, k):
         assert rec.value == _gcd_reference_idempotent(f, inst.n)
 
 
+def _compressed_stacks(inst):
+    """The distinct compressed stacks of the oracle at one instance: for
+    each group of factors of one degree, order N and stride s, the order
+    N/s and the rows of the g's with f = g(x^s)."""
+    from idemforge.structure import inflation_stride
+
+    groups = {}
+    for order, f in factor_xn_minus_1(inst):
+        s = inflation_stride(order, f)
+        groups.setdefault((f.degree, order, s), set()).add(f.int_coeffs()[::s])
+    return {(order // s, frozenset(rows)) for (_, order, s), rows in groups.items()}
+
+
 def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
     from idemforge import _fastpoly as fp
 
     inst = instance_parameters(13, 3, 6)  # six factor degrees, inflated factors
     expected = all_idempotents_euclid(inst)
-    stacks = {(f.degree, order) for order, f in factor_xn_minus_1(inst)}
     walks = []
     walk = fp.divmod_rows
 
@@ -120,9 +132,67 @@ def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
     monkeypatch.setattr(fp, "divmod_rows", counted)
     monkeypatch.setattr(fp, "poly_divmod", forbidden)
     assert all_idempotents_euclid(inst) == expected
-    # one walk per degree and order: x - 1 (order 1) has a stack of its own
-    assert len(walks) == len(stacks) == 7
-    assert sum(walks) == len(expected) == 13
+    # one walk per distinct compressed stack: x - 1 (order 1), and the
+    # y - zeta^j of order 3, which levels 2..6 inflate (levels 1..6 held
+    # seven stacks before compression)
+    assert len(walks) == len(_compressed_stacks(inst)) == 2
+    assert sum(walks) == 3 and len(expected) == 13
+
+
+def test_the_oracle_walks_each_distinct_stack_once_per_call(monkeypatch):
+    # two calls in a row walk the same stacks: nothing is kept across calls
+    from idemforge import _fastpoly as fp
+
+    inst = instance_parameters(13, 3, 6)
+    walks = []
+    walk = fp.divmod_rows
+
+    def counted(*args):
+        walks.append(args[1].shape[0])
+        return walk(*args)
+
+    monkeypatch.setattr(fp, "divmod_rows", counted)
+    first = all_idempotents_euclid(inst)
+    once = len(walks)
+    assert all_idempotents_euclid(inst) == first
+    assert len(walks) == 2 * once == 2 * len(_compressed_stacks(inst))
+
+
+# SHA-256 over the labels and coefficient bytes of the oracle system at
+# every `survey` instance of the benchmark (the acceptance grid, with k up
+# to 8, and two near-cap instances), taken before the stacks were shared
+# across levels
+SURVEY_INSTANCES = [
+    (q, p, k)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for p in (3, 5, 7, 11, 13)
+    if p != q
+    for k in range(9)
+    if p**k <= 400
+] + [(2, 3, 6), (2, 5, 4)]
+ORACLE_DIGEST = "940e77eb580d7a4b2aabf25a022f6cb7517fd54581d3ca14378c2690f459f4b9"
+
+
+def test_oracle_systems_keep_their_digest():
+    assert len(SURVEY_INSTANCES) == 182
+    digest = hashlib.sha256()
+    for q, p, k in SURVEY_INSTANCES:
+        system = all_idempotents_euclid(instance_parameters(q, p, k))
+        digest.update(repr(system.labels).encode())
+        digest.update(system.coeffs.tobytes())
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
+@pytest.mark.parametrize("entries", [16, 192])  # blocks of one row; of two rows at N/s = 5
+def test_oracle_stacks_in_small_blocks_give_the_same_systems(monkeypatch, entries):
+    # each level places its rows from the block that holds its g, at its
+    # own stride and scale
+    from idemforge import _fastpoly as fp
+
+    insts = [instance_parameters(*job) for job in ((13, 3, 6), (3, 2, 5), (41, 5, 3), (2, 5, 4))]
+    expected = [all_idempotents_euclid(inst) for inst in insts]
+    monkeypatch.setattr(fp, "TABLE_ENTRIES", entries)
+    assert [all_idempotents_euclid(inst) for inst in insts] == expected
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 3, 5), (13, 3, 6), (41, 5, 3), (101, 5, 4), (3, 2, 5)])
@@ -155,9 +225,10 @@ def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, q, p
 
 
 def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys):
-    # one coefficient of C*h changed in the stride-compressed stacks alone:
-    # (n/N)*((C*h)^2 mod x^N - 1) = C*h fails, and gen --method euclid
-    # exits 3 with the guard's message
+    # one coefficient of B = C*(x*g' - d*g) changed in the stack of order
+    # 3, whose rows the levels above 1 place at stride 3^(s-1):
+    # B^2 = 3*B (mod y^3 - 1) fails, and gen --method euclid exits 3 with
+    # the guard's message
     from idemforge import _fastpoly as fp
     from idemforge import engine
     from idemforge.cli import main
@@ -167,14 +238,14 @@ def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys):
 
     def tampered(a, b, q, n=None):
         out = conv(a, b, q, n)
-        if n is None and compressed and compressed[-1]:  # a C*h product
+        if n is None and compressed and compressed[-1]:  # a B product
             out[0, -1] = (out[0, -1] + 1) % q
         return out
 
-    def tracked(mods, order, n, q):
-        compressed.append(n < 729)
+    def tracked(mods, order, q, scale):
+        compressed.append(order == 3)
         try:
-            return stack(mods, order, n, q)
+            return stack(mods, order, q, scale)
         finally:
             compressed.pop()
 
@@ -310,12 +381,26 @@ def test_split_case_p2_allowed_when_q_1_mod_4():
 
 
 def test_split_case_p2_rejected_when_q_3_mod_4():
-    inst = instance_parameters(3, 2, 2)
+    inst = instance_parameters(3, 2, 3)
     with pytest.raises(UnsupportedInstanceError):
         dispatch(inst)
-    # the oracle path has no such restriction
+    # the oracle path has no such restriction: x^4 + 1 splits in two
     recs = dispatch(inst, "euclid")
-    assert len(recs) == 3
+    assert len(recs) == 5
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 31, 43])
+@pytest.mark.parametrize("k", [1, 2])
+def test_split_case_p2_with_q_3_mod_4_below_k_3(q, k):
+    # x^2 - 1 and x^4 - 1 = (x - 1)(x + 1)(x^2 + 1): the closed form's
+    # records are the oracle's, and they verify
+    from idemforge import verify_system
+
+    inst = instance_parameters(q, 2, k)
+    system = dispatch(inst)
+    assert system.method == "split-case" and len(system) == k + 1
+    assert sets_equal(system, all_idempotents_euclid(inst))
+    assert verify_system(system, inst, against_oracle=True).passed
 
 
 # -- general case ---------------------------------------------------------
@@ -508,9 +593,35 @@ def test_closed_form_systems_keep_their_digest():
         digest.update(repr((system.method, system.labels, system.kinds, system.params)).encode())
         digest.update(system.coeffs.tobytes())
     assert digest.hexdigest() == SYSTEM_DIGEST
-    for k in (1, 2):  # p = 2 with q = 3 mod 4 is still refused once k >= 1
+    for k in (3, 4):  # p = 2 with q = 3 mod 4 is still refused once k >= 3
         with pytest.raises(UnsupportedInstanceError, match="q = 3 \\(mod 4\\) is unsupported"):
             dispatch(instance_parameters(3, 2, k))
+
+
+def test_tables_shared_across_k_are_built_once_and_read_only():
+    # (2,7,k) has t = 3 and m' = 1 for every k >= 1: one trace table and
+    # one map of minimal polynomials serve them all, and no caller can
+    # write to either
+    from idemforge.structure import _minimal_polynomials
+
+    for k in (1, 2):
+        dispatch(instance_parameters(2, 7, k))
+        factor_xn_minus_1(instance_parameters(2, 7, k))
+    table = engine._sigma_table(2, 3, 7, 0, 0)
+    assert table is engine._sigma_table(2, 3, 7, 0, 0) and len(table) == 7
+    minpolys = _minimal_polynomials(2, 7, 3)
+    assert minpolys is _minimal_polynomials(2, 7, 3) and len(minpolys) == 7
+    with pytest.raises(TypeError):
+        table[1] = 0
+    with pytest.raises(TypeError):
+        minpolys[1] = minpolys[0]
+    with pytest.raises(TypeError):
+        del minpolys[1]
+    with pytest.raises(AttributeError):
+        minpolys[1].coeffs = (1, 1)
+    with pytest.raises(TypeError):
+        factor_xn_minus_1(instance_parameters(2, 7, 2))[0] = None
+    assert dispatch(instance_parameters(2, 7, 2)) == dispatch(instance_parameters(2, 7, 2))
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 41, 1), (17, 13, 2), (251, 5, 3)])
@@ -534,7 +645,7 @@ def test_factorization_and_closed_forms_build_few_field_elements(q, p, k, monkey
 
 
 @pytest.mark.parametrize("q,p,k", [(19, 3, 2), (7, 5, 2)])  # t = 1, t = 4
-def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch):
+def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch, fresh_caches):
     # the p-th power of the searched root has order p^(m'-1): nonzero and a
     # p^m'-th root of 1, but not primitive
     search = fields._root_search

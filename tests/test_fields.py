@@ -425,13 +425,13 @@ def test_one_cache_entry_per_field_and_skip():
     assert get_extension_field(5, 3, 0) is get_extension_field(5, 3, skip=0)
 
 
-def test_survey_loop_searches_each_field_once(monkeypatch):
+def test_survey_loop_searches_each_field_once(monkeypatch, fresh_caches):
     # the calls of a pass over the acceptance grid, from cold caches: one
     # root search per distinct (field, order, skip) and one ExtensionField
     # per (q, t, skip)
     import functools
 
-    from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
+    from idemforge import dispatch, factor_xn_minus_1, instance_parameters
 
     searched, built = [], []
 
@@ -445,8 +445,6 @@ def test_survey_loop_searches_each_field_once(monkeypatch):
     search, build = fields._root_search.__wrapped__, fields._extension_field.__wrapped__
     monkeypatch.setattr(fields, "_root_search", counting(searched, search))
     monkeypatch.setattr(fields, "_extension_field", counting(built, build))
-    factor = functools.lru_cache(maxsize=None)(structure._factor_cached.__wrapped__)
-    monkeypatch.setattr(structure, "_factor_cached", factor)
     grid = [
         (q, p, k)
         for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -463,14 +461,14 @@ def test_survey_loop_searches_each_field_once(monkeypatch):
     assert len(built) == len(set(built)) > 40
 
 
-def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
+def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, fresh_caches):
     # the closed forms and the factorization ask for the same primitive
     # p^m'-th root of unity, in F_q and F_{q^1} when t = 1, and F_{q^1}
     # takes F_q's: one search per q^t and order, each at a prime power, so
     # none factors q^t - 1
     import functools
 
-    from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
+    from idemforge import dispatch, factor_xn_minus_1, instance_parameters
 
     searched = []
     search = fields._root_search.__wrapped__
@@ -480,8 +478,6 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
         return search(field, order, skip)
 
     monkeypatch.setattr(fields, "_root_search", functools.lru_cache(maxsize=None)(counting))
-    factor = functools.lru_cache(maxsize=None)(structure._factor_cached.__wrapped__)
-    monkeypatch.setattr(structure, "_factor_cached", factor)
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         for p in (3, 5, 7, 11, 13):
             for k in range(9):
@@ -496,21 +492,20 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch):
     assert all(len(factor_integer(order)) == 1 for _, order, _ in searched)
 
 
-def test_survey_loop_tests_each_certified_modulus_once(monkeypatch):
+def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches):
     # get_extension_field builds its field on the modulus that
     # lex_irreducible has just certified, with no second test: from cold
     # caches, every row that enters the stacked irreducibility test in a
     # pass over the acceptance grid is one of lex_irreducible's candidates,
     # tested inside the scan and never twice.  A second test per field
     # built would add 43 rows outside a scan, and a second walk over the
-    # rows of a stack would repeat them.
-    import functools
-
+    # rows of a stack would repeat them.  lex_irreducible stacks its
+    # candidates in _rabin_passing, which irreducible_rows wraps.
     from idemforge import _fastpoly as fp
-    from idemforge import dispatch, factor_xn_minus_1, instance_parameters, structure
+    from idemforge import dispatch, factor_xn_minus_1, instance_parameters
 
     tests, scans = [], []
-    test, scan = fp.irreducible_rows, fp.lex_irreducible
+    test, scan = fp._rabin_passing, fp.lex_irreducible
 
     def counted(mods, q):
         tests.extend((q, tuple(row.tolist()), bool(scans)) for row in mods)
@@ -523,12 +518,8 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch):
         finally:
             scans.pop()
 
-    monkeypatch.setattr(fp, "irreducible_rows", counted)
+    monkeypatch.setattr(fp, "_rabin_passing", counted)
     monkeypatch.setattr(fp, "lex_irreducible", scanning)
-    for module, name in ((fields, "find_irreducible"), (fields, "_extension_field"),
-                         (structure, "_factor_cached")):
-        fresh = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
-        monkeypatch.setattr(module, name, fresh)
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         for p in (3, 5, 7, 11, 13):
             for k in range(9):

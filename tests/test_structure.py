@@ -207,12 +207,11 @@ def test_expected_count_holds_for_every_p_2_instance():
             assert big_t == (2 if q % 4 == 3 and k >= 2 else 1)
 
 
-def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch):
-    # over the acceptance grid from cold caches, the closed forms, the
+def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch, fresh_caches):
+    # over the acceptance grid, each instance from cold caches (a warm one
+    # would reuse the tables of a smaller k), the closed forms, the
     # factorization and the oracle factor p^m' alone, never q^t - 1
-    import functools
-
-    from idemforge import all_idempotents_euclid, dispatch, fields, structure
+    from idemforge import all_idempotents_euclid, dispatch, fields
 
     factored = []
     factor = fields.factor_integer
@@ -222,14 +221,12 @@ def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch):
         return factor(n)
 
     monkeypatch.setattr(fields, "factor_integer", recording)
-    for module, name in ((fields, "_root_search"), (structure, "_factor_cached")):
-        fresh = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
-        monkeypatch.setattr(module, name, fresh)
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         for p in (3, 5, 7, 11, 13):
             for k in range(9):
                 if p != q and p**k <= 400:
                     inst = instance_parameters(q, p, k)
+                    fresh_caches()
                     factored.clear()
                     dispatch(inst)
                     factor_xn_minus_1(inst)
