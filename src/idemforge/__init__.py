@@ -14,7 +14,6 @@ from .engine import (
     IdempotentSystem,
     all_idempotents_euclid,
     dispatch,
-    euclid_idempotent,
     orbit_representatives,
 )
 from .errors import (
@@ -29,18 +28,12 @@ from .fields import (
     FieldElement,
     PrimeField,
     find_irreducible,
-    frobenius,
     get_extension_field,
     get_prime_field,
-    primitive_element,
-    root_of_unity,
-    trace_sigma1,
 )
 from .polys import (
     CyclicRingElement,
     Poly,
-    cyclotomic_poly,
-    extended_gcd,
     inflate,
 )
 from .structure import (

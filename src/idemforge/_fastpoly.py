@@ -4,8 +4,10 @@ Coefficient vectors are int64 numpy arrays, ascending exponents, values
 reduced into [0, q).  The zero polynomial is the empty array.  These
 routines are the one implementation of polynomial arithmetic over F_q
 (products, division, gcds, extension-field arithmetic, irreducibility
-scans, residues modulo the factors of x^n - 1); the classes in `fields`
-and `polys` wrap them.  There is one long division, `divmod_rows`, whose
+scans, residues modulo the factors of x^n - 1).  `Poly` and
+`CyclicRingElement` in `polys` call them for their operators, and an
+`ExtensionField` of `fields` holds a `ReducedRing` whose rows are its
+values.  There is one long division, `divmod_rows`, whose
 one-row case is `poly_divmod`, and one irreducibility test,
 `_rabin_passing` (Rabin's, on a stack of moduli), whose mask is
 `irreducible_rows` and whose one-row case is `is_irreducible`.

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
-from .fields import _root_powers, get_extension_field, get_prime_field
-from .polys import CyclicRingElement, Poly, render_poly
+from .fields import _check_skip, _root_powers, get_extension_field, get_prime_field
+from .polys import CyclicRingElement, render_poly
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_stride
 
 KIND_UNIT_SUM = "unit-sum"
@@ -123,24 +123,6 @@ def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[i
         for c in cyclotomic_cosets(q, modulus).cosets
         if c.rep and (domain == "all-nonzero" or c.divisor == modulus)
     )
-
-
-def euclid_idempotent(f: Poly, n: int, q: int) -> IdempotentRecord:
-    """Idempotent attached to one monic factor f of x^n - 1 (q not dividing
-    n): e = P*h with P = (x^n-1)/f and h the inverse of P modulo f, of
-    degree < deg f, computed by `_euclid_stack` on a stack of one.
-    Then e = 1 mod f and e = 0 modulo every other irreducible factor."""
-    if f.field != get_prime_field(q):
-        raise UsageError("factor polynomial must live over F_q")
-    if f.is_zero() or f.lead != 1:
-        raise UsageError("factor must be monic")
-    if n < 1:
-        raise UsageError("exponent must be >= 1")
-    if n % q == 0:
-        raise UsageError(f"q={q} divides n={n}, so x^{n} - 1 is not squarefree")
-    row = _euclid_stack(fp.as_vec([f.coeffs]), n, q, pow(n, -1, q))
-    label = f"euclid:deg{f.degree}"
-    return IdempotentSystem(q, n, row, [label], [KIND_GENERIC], [None], "euclid")[0]
 
 
 def _euclid_stack(mods: np.ndarray, order: int, q: int, scale: int = 1) -> np.ndarray:
@@ -304,9 +286,12 @@ def dispatch(
     x + 1 and x^2 + 1 are the closed form's.  `modulus_skip` picks a
     later modulus of F_{q^t}; `generator_skip` counts the passing
     candidates u of the root search in `fields`, so a later u gives the
-    closed form's root of unity."""
+    closed form's root of unity.  A negative skip is refused before any
+    search runs."""
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
+    _check_skip("modulus_skip", modulus_skip)
+    _check_skip("generator_skip", generator_skip)
     if method == "euclid":
         return all_idempotents_euclid(instance)
     if instance.p == 2 and instance.q % 4 == 3 and instance.k >= 3:

@@ -1,9 +1,12 @@
-"""Exact arithmetic in the prime field F_q and one extension F_{q^t}.
+"""The prime field F_q, one extension F_{q^t}, and the one search that
+picks every root of unity.
 
-Elements carry their coefficient sequence over the prime field (length =
-extension degree, every entry reduced mod q) plus a handle to their parent
-field.  All values are immutable; every operation is a pure function, so
-elements are safe to share across threads.
+Values have one representation: Python ints in F_q, and int64 rows of t
+coefficients over F_q (ascending powers of y) in F_{q^t}, which the field's
+`ring`, a `_fastpoly.ReducedRing`, multiplies and raises to powers.  The
+fields, and the roots the search returns (`FieldElement`, a tuple of
+residues with no arithmetic of its own), are immutable, so they are safe to
+share across threads.
 
 Determinism: `find_irreducible` scans monic candidates in ascending order of
 the integer value sum(c_i * q^i) of their non-leading coefficients, and the
@@ -14,13 +17,12 @@ Every root of unity the library uses is chosen here, by one rule: a root of
 order r (r dividing |F| - 1) is u^((|F| - 1)/r) for the (skip+1)-th element
 u with u^((|F| - 1)/l) != 1 for every prime l dividing r, walked from 1, or
 from index q when no constant can pass (`_root_search`, which factors r
-alone).  `primitive_element` is the case r = |F| - 1; the factorization and
-the closed form ask for r = p^m', so they never factor |F| - 1.  In F_{q^t}
-the search tests candidates in blocks of 1, 2, 4, ... int64 rows by one
-stacked `ReducedRing.pow` each, and returns the first candidate that passes
-in index order: the element a one-at-a-time walk finds.  Each (field, order,
-skip) is searched once, and `get_extension_field` builds each (q, t, skip)
-once.
+alone).  The factorization and the closed form ask for r = p^m', so nothing
+factors |F| - 1.  In F_{q^t} the search tests candidates in blocks of 1, 2,
+4, ... int64 rows by one stacked `ReducedRing.pow` each, and returns the
+first candidate that passes in index order: the element a one-at-a-time
+walk finds.  Each (field, order, skip) is searched once, and
+`get_extension_field` builds each (q, t, skip) once.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import numpy as np
 from . import _fastpoly as fp
 from ._fastpoly import index_rows as _index_rows
 from .errors import BudgetExceededError, InvariantViolation, UsageError
-from .polys import Poly, extended_gcd, render_poly
+from .polys import Poly, render_poly
 
-#: Default bit-size guard on q^t - 1 for operations that must factor it.
+#: Bit-size bound on q^t - 1 for the t > 1 instances that
+#: `structure.instance_parameters` admits.  No step factors q^t - 1, so it
+#: bounds admission only.
 DEFAULT_ORDER_BUDGET_BITS = 96
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -97,8 +101,15 @@ def factor_integer(n: int) -> dict[int, int]:
     return out
 
 
+def _check_skip(name: str, skip: int) -> None:
+    """Refuse a negative skip before any search walks its candidates."""
+    if skip < 0:
+        raise UsageError(f"{name} must be >= 0, got {skip}")
+
+
 class FieldElement:
-    """An element of F_q or F_{q^t} as a tuple of residues in [0, q)."""
+    """A root of unity the search found in F_q or F_{q^t}, as a tuple of
+    residues in [0, q): a value, with no arithmetic of its own."""
 
     __slots__ = ("field", "coeffs")
 
@@ -109,71 +120,7 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def as_int(self) -> int:
-        """The value as a base-field integer; requires a constant element."""
-        if any(self.coeffs[1:]):
-            raise UsageError("element does not lie in the base field")
-        return self.coeffs[0]
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, int):
-            return self.field.element(other)
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise UsageError(f"field mismatch: {self.field} vs {other.field}")
-            return other
-        raise UsageError(f"cannot operate on {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        q = self.field.q
-        return FieldElement(self.field, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        q = self.field.q
-        return FieldElement(self.field, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        q = self.field.q
-        return FieldElement(self.field, tuple((-a) % q for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field._mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(self.field, self.field._inv(self.coeffs))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(self.field, self.field._pow(self.coeffs, e))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            try:
-                other = self.field.element(other)
-            except UsageError:
-                return NotImplemented
         return (
             isinstance(other, FieldElement)
             and self.field == other.field
@@ -182,9 +129,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __repr__(self) -> str:
         return render_poly(self.coeffs, "y")
@@ -210,33 +154,6 @@ class PrimeField:
     @property
     def order(self) -> int:
         return self.q
-
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise UsageError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, (value % self.q,))
-        seq = tuple(value)
-        if len(seq) != 1:
-            raise UsageError("prime-field elements have a single coefficient")
-        return FieldElement(self, (seq[0] % self.q,))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,))
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1 % self.q,))
-
-    def _mul(self, a, b):
-        return ((a[0] * b[0]) % self.q,)
-
-    def _inv(self, a):
-        return (pow(a[0], -1, self.q),)
-
-    def _pow(self, a, e):
-        return (pow(a[0], e, self.q),)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q
@@ -301,48 +218,6 @@ class ExtensionField:
     def order(self) -> int:
         return self.q**self.t
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field == self:
-                return value
-            if value.field == self.base:
-                return self.embed(value)
-            raise UsageError("element belongs to a different field")
-        if isinstance(value, int):
-            return self.embed(value)
-        seq = [c % self.q for c in value]
-        if len(seq) > self.t:
-            raise UsageError(f"coefficient sequence longer than degree {self.t}")
-        seq.extend([0] * (self.t - len(seq)))
-        return FieldElement(self, tuple(seq))
-
-    def embed(self, value) -> FieldElement:
-        """Embed a base-field value as a constant."""
-        c = value.coeffs[0] if isinstance(value, FieldElement) else value % self.q
-        return FieldElement(self, (c,) + (0,) * (self.t - 1))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.t)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.t - 1))
-
-    def gen(self) -> FieldElement:
-        """The residue class of y."""
-        return FieldElement(self, tuple(int(v) for v in self.ring.x()))
-
-    def _mul(self, a, b):
-        return tuple(int(v) for v in self.ring.mul(fp.as_vec(a), fp.as_vec(b)))
-
-    def _inv(self, a):
-        g, u, _ = extended_gcd(Poly(self.base, a), self.modulus)
-        if g.degree != 0:
-            raise InvariantViolation("modulus shares a factor with a nonzero element")
-        return u.coeffs + (0,) * (self.t - len(u.coeffs))  # g = 1, so u = 1/a
-
-    def _pow(self, a, e):
-        return tuple(int(v) for v in self.ring.pow(fp.as_vec(a), e))
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtensionField)
@@ -369,6 +244,7 @@ def find_irreducible(q: int, t: int, skip: int = 0) -> Poly:
     from the constant term up.  Deterministic across runs."""
     if t < 1:
         raise UsageError("extension degree must be >= 1")
+    _check_skip("skip", skip)
     field = get_prime_field(q)
     return Poly.from_ints(field, fp.lex_irreducible(q, t, skip))
 
@@ -383,21 +259,6 @@ def _extension_field(q: int, t: int, skip: int) -> ExtensionField:
     # one cache entry however the caller spells skip (lru_cache keys on the
     # call's form, so f(a) and f(a, 0) would be two entries)
     return ExtensionField._certified(get_prime_field(q), find_irreducible(q, t, skip))
-
-
-def element_by_index(field, index: int) -> FieldElement:
-    """The index-th field element in the canonical enumeration: digits of
-    index base q, constant term first."""
-    q = field.q
-    digits = []
-    for _ in range(field.degree):
-        digits.append(index % q)
-        index //= q
-    if index:
-        raise UsageError("element index out of range")
-    if field.degree == 1:
-        return field.element(digits[0])
-    return field.element(digits)
 
 
 def _canonical_search(field, candidates, exponents: list[int], skip: int = 0) -> int | None:
@@ -442,25 +303,12 @@ def _root_search(field, order: int, skip: int) -> FieldElement | None:
     if isinstance(field, PrimeField):  # q may pass int64: Python ints
         found = (u for u in range(start, q) if all(pow(u, e, q) != 1 for e in exponents))
         u = next(itertools.islice(found, skip, None), None)
-        return None if u is None else field.element(pow(u, group // order, q))
+        return None if u is None else FieldElement(field, (pow(u, group // order, q),))
     u = _canonical_search(field, range(start, field.order), exponents, skip)
-    return None if u is None else element_by_index(field, u) ** (group // order)
-
-
-def primitive_element(field, skip: int = 0) -> FieldElement:
-    """First element (in canonical enumeration order) of multiplicative
-    order q^t - 1; `skip` asks for a later one.  The root search at order
-    q^t - 1, which factors q^t - 1, guarded by DEFAULT_ORDER_BUDGET_BITS."""
-    n = field.order - 1
-    if n.bit_length() > DEFAULT_ORDER_BUDGET_BITS:
-        raise BudgetExceededError(
-            f"group order needs {n.bit_length()} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}",
-            required=n.bit_length(),
-        )
-    g = _root_search(field, n, skip)
-    if g is None:
-        raise UsageError("no primitive element found for requested skip")
-    return g
+    if u is None:
+        return None
+    zeta = field.ring.pow(_index_rows(q, field.t, [u])[0], group // order)
+    return FieldElement(field, tuple(zeta.tolist()))
 
 
 def _check_order(order: int, is_one) -> None:
@@ -472,23 +320,10 @@ def _check_order(order: int, is_one) -> None:
         raise InvariantViolation("root of unity is not primitive")
 
 
-def root_of_unity(field, order: int) -> FieldElement:
-    """The primitive `order`-th root of unity of the root search at skip 0;
-    verified to have exact multiplicative order `order`."""
-    n = field.order - 1
-    if order < 1:
-        raise UsageError("root order must be positive")
-    if n % order:
-        raise UsageError(f"{order} does not divide the group order {n}")
-    zeta, one = _root_search(field, order, 0), field.one()
-    _check_order(order, lambda e: zeta**e == one)
-    return zeta
-
-
 def _root_powers(field, order: int, skip: int = 0):
     """zeta^i for i < order, for the zeta of the root search at `skip`: the
-    rule of `root_of_unity` (skip 0), of the factorization and of the
-    closed form's `generator_skip`.  Python ints in F_q (q may pass int64),
+    rule of the factorization (skip 0) and of the closed form's
+    `generator_skip`.  Python ints in F_q (q may pass int64),
     int64 rows in F_{q^t}.  The table runs one power past `order`, so
     zeta's exact order is read from it.  F_{q^1} takes the zeta of F_q,
     embedded, so each q is searched once."""
@@ -505,24 +340,3 @@ def _root_powers(field, order: int, skip: int = 0):
         table = ring.powers(fp.as_vec(zeta.coeffs), order + 1)
         _check_order(order, lambda e: np.array_equal(table[e], ring.one()))
     return table[:order]
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    """a -> a^q; applying it `degree` times is the identity."""
-    return a**a.field.q
-
-
-def trace_sigma1(a: FieldElement) -> FieldElement:
-    """Sum of all Galois conjugates a + a^q + ... + a^(q^(t-1)), returned
-    as an element of the prime field."""
-    field = a.field
-    t = field.degree
-    acc = a
-    cur = a
-    for _ in range(t - 1):
-        cur = frobenius(cur)
-        acc = acc + cur
-    if any(acc.coeffs[1:]):
-        raise InvariantViolation("trace left the base field")
-    base = field.base if isinstance(field, ExtensionField) else field
-    return base.element(acc.coeffs[0])

@@ -10,8 +10,6 @@ fields are rejected: `fields` does its own arithmetic in F_{q^t}.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import _fastpoly as fp
@@ -168,52 +166,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return render_poly(self.coeffs)
-
-
-def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, u, v) with u*a + v*b = g, g the monic gcd.
-
-    Cofactors are the canonical minimal-degree ones: deg(u) < deg(b) - deg(g)
-    whenever b does not divide a.
-    """
-    _same_field(a, b)
-    field = a.field
-    if a.is_zero() and b.is_zero():
-        raise UsageError("extended gcd of two zero polynomials")
-    r0, r1 = a, b
-    u0, u1 = Poly.one(field), Poly.zero(field)
-    v0, v1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        quot, rem = r0.divrem(r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, u0 - quot * u1
-        v0, v1 = v1, v0 - quot * v1
-    scale = Poly(field, (pow(r0.lead, -1, field.q),))
-    return r0 * scale, u0 * scale, v0 * scale
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_cached(d: int, field) -> Poly:
-    xd_minus_1 = Poly.x_pow_minus_one(field, d)
-    if d == 1:
-        return xd_minus_1
-    quot = xd_minus_1
-    for e in range(1, d):
-        if d % e == 0:
-            quot, rem = quot.divrem(_cyclotomic_cached(e, field))
-            if not rem.is_zero():
-                raise UsageError("cyclotomic recursion produced a nonzero remainder")
-    return quot
-
-
-def cyclotomic_poly(d: int, field) -> Poly:
-    """d-th cyclotomic polynomial reduced into the field, via the recursive
-    quotient (x^d - 1) / prod of lower cyclotomics."""
-    if d < 1:
-        raise UsageError("cyclotomic index must be positive")
-    if d % field.q == 0:
-        raise UsageError(f"field characteristic {field.q} divides {d}")
-    return _cyclotomic_cached(d, field)
 
 
 def inflate(a: Poly, r: int) -> Poly:

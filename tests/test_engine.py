@@ -5,7 +5,13 @@ import re
 
 import numpy as np
 import pytest
-from reference import fully_split_idempotents, primitive_root_idempotents, third_type_census
+from reference import (
+    fully_split_idempotents,
+    primitive_root_idempotents,
+    ref_element_pow,
+    ref_xgcd,
+    third_type_census,
+)
 
 from idemforge import (
     CyclicRingElement,
@@ -15,8 +21,6 @@ from idemforge import (
     UsageError,
     all_idempotents_euclid,
     dispatch,
-    euclid_idempotent,
-    extended_gcd,
     factor_xn_minus_1,
     get_prime_field,
     instance_parameters,
@@ -38,20 +42,27 @@ def _coeff_sets(records):
 # -- Euclid route ---------------------------------------------------------
 
 
+def _euclid_value(f: Poly, n: int) -> CyclicRingElement:
+    """The idempotent of the monic factor f of x^n - 1 by the oracle's
+    construction on f itself: `_euclid_stack` on a stack of one, at stride
+    1, scaled by 1/n."""
+    q = f.field.q
+    row = engine._euclid_stack(np.array([f.coeffs]), n, q, pow(n, -1, q))[0]
+    return CyclicRingElement.from_ints(f.field, row.tolist())
+
+
 def test_euclid_unit_sum_factor():
     # factor x - 1 yields (1/n) * sum of all powers
     f7 = get_prime_field(7)
     f = Poly.from_ints(f7, [-1, 1])
-    rec = euclid_idempotent(f, 9, 7)
     inv9 = pow(9, -1, 7)
-    assert rec.value.int_coeffs() == (inv9,) * 9
+    assert _euclid_value(f, 9).int_coeffs() == (inv9,) * 9
 
 
 def test_euclid_cubic_factor_over_f2():
     f2 = get_prime_field(2)
     f = Poly.from_ints(f2, [1, 1, 0, 1])
-    rec = euclid_idempotent(f, 7, 2)
-    assert rec.value.int_coeffs() == (1, 1, 1, 0, 1, 0, 0)
+    assert _euclid_value(f, 7).int_coeffs() == (1, 1, 1, 0, 1, 0, 0)
 
 
 def test_euclid_linear_factor_matches_split_formula():
@@ -64,29 +75,29 @@ def test_euclid_linear_factor_matches_split_formula():
     zeta = 2
     f = Poly.from_ints(f7, [-zeta, 1])
     assert any(f == g for _, g in factors)
-    rec = euclid_idempotent(f, 9, 7)
-    assert rec.value.int_coeffs() in _coeff_sets(split)
+    assert _euclid_value(f, 9).int_coeffs() in _coeff_sets(split)
 
 
 def test_euclid_requires_a_divisor():
     f7 = get_prime_field(7)
-    with pytest.raises(UsageError):
-        euclid_idempotent(Poly.from_ints(f7, [1, 1]), 9, 7)  # x+1 does not divide x^9-1
+    with pytest.raises(UsageError, match="does not divide x\\^9 - 1"):
+        _euclid_value(Poly.from_ints(f7, [1, 1]), 9)  # x+1 does not divide x^9-1
 
 
 def test_euclid_rejects_characteristic_dividing_n():
-    # x^4 - 1 = (x+1)^4 over F_2 is not squarefree
-    f2 = get_prime_field(2)
-    with pytest.raises(UsageError, match="not squarefree"):
-        euclid_idempotent(Poly.from_ints(f2, [1, 1]), 4, 2)
+    # x^4 - 1 = (x+1)^4 over F_2 is not squarefree, and 4 has no inverse
+    # mod 2: no instance has q = p, so the oracle never meets such an n
+    with pytest.raises(UsageError, match="distinct"):
+        instance_parameters(2, 2, 2)
 
 
 def _gcd_reference_idempotent(f, n):
-    """P*u with P = (x^n-1)/f and u the inverse of P mod f by extended Euclid."""
+    """P*u with P = (x^n-1)/f and u the inverse of P mod f by the plain-int
+    extended Euclid."""
     cofactor = Poly.x_pow_minus_one(f.field, n) // f
-    g, u, _ = extended_gcd(cofactor % f, f)
-    assert g == Poly.one(f.field)
-    return CyclicRingElement.from_poly(cofactor * u, n)
+    g, u, _ = ref_xgcd((cofactor % f).coeffs, f.coeffs, f.field.q)
+    assert g == [1]
+    return CyclicRingElement.from_poly(cofactor * Poly.from_ints(f.field, u), n)
 
 
 @pytest.mark.parametrize(
@@ -199,7 +210,7 @@ def test_oracle_stacks_in_small_blocks_give_the_same_systems(monkeypatch, entrie
 def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, q, p, k):
     # the oracle computes each factor f = g(x^s) of order N from g, with
     # order N/s in the ring of length n/s, and places the rows at stride s;
-    # euclid_idempotent runs the construction on f itself, at stride 1.
+    # _euclid_value runs the construction on f itself, at stride 1.
     # (3,2,5) is p = 2 with q = 3 (mod 4), where x^2 + 1 has stride 2.
     from idemforge import _fastpoly as fp
     from idemforge.structure import inflation_stride
@@ -221,7 +232,7 @@ def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, q, p
     # every division walk runs over x^(N/s) - 1, never over x^N - 1
     assert set(widths) == {order // s + 1 for (order, _), s in zip(factors, strides)}
     for record, (_, f) in zip(records, factors):
-        assert record.value == euclid_idempotent(f, inst.n, q).value
+        assert record.value == _euclid_value(f, inst.n)
 
 
 def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys):
@@ -262,11 +273,11 @@ def test_euclid_reducible_divisor_matches_gcd_reference():
     # of the two primitive ones
     f2 = get_prime_field(2)
     f = Poly.from_ints(f2, [1, 1]) * Poly.from_ints(f2, [1, 1, 0, 1])
-    rec = euclid_idempotent(f, 7, 2)
-    assert rec.value == _gcd_reference_idempotent(f, 7)
-    lin = euclid_idempotent(Poly.from_ints(f2, [1, 1]), 7, 2)
-    cub = euclid_idempotent(Poly.from_ints(f2, [1, 1, 0, 1]), 7, 2)
-    assert rec.value == lin.value + cub.value
+    value = _euclid_value(f, 7)
+    assert value == _gcd_reference_idempotent(f, 7)
+    lin = _euclid_value(Poly.from_ints(f2, [1, 1]), 7)
+    cub = _euclid_value(Poly.from_ints(f2, [1, 1, 0, 1]), 7)
+    assert value == lin + cub
 
 
 def test_all_euclid_2_7_1():
@@ -524,6 +535,38 @@ def test_dispatch_choice_independence_small():
     assert sets_equal(base, other)
 
 
+# (function, arguments, keywords, the refusal): a negative skip is bad
+# input, refused with a UsageError (exit class 1) before a modulus or root
+# search walks a candidate, at t = 1 and t > 1 and on the oracle route too
+NEGATIVE_SKIPS = [
+    ("dispatch", ((17, 13, 2),), {"modulus_skip": -1}, "modulus_skip must be >= 0, got -1"),
+    ("dispatch", ((2, 3, 2),), {"modulus_skip": -1}, "modulus_skip must be >= 0, got -1"),
+    ("dispatch", ((7, 3, 2),), {"generator_skip": -1}, "generator_skip must be >= 0, got -1"),
+    ("dispatch", ((17, 13, 2),), {"generator_skip": -1}, "generator_skip must be >= 0, got -1"),
+    ("dispatch", ((17, 13, 2), "euclid"), {"generator_skip": -1}, "generator_skip must be >= 0, got -1"),
+    ("find_irreducible", (2, 1, -1), {}, "skip must be >= 0, got -1"),
+    ("find_irreducible", (17, 6), {"skip": -2}, "skip must be >= 0, got -2"),
+    ("get_extension_field", (2, 3, -1), {}, "skip must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("function, args, kwargs, message", NEGATIVE_SKIPS)
+def test_negative_skips_are_refused_before_any_search(
+    monkeypatch, fresh_caches, function, args, kwargs, message
+):
+    from idemforge import _fastpoly as fp
+
+    def forbidden(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(fp, "lex_irreducible", forbidden)
+    monkeypatch.setattr(fields, "_root_search", forbidden)
+    if function == "dispatch":
+        args = (instance_parameters(*args[0]),) + args[1:]
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        getattr(engine if function == "dispatch" else fields, function)(*args, **kwargs)
+
+
 def test_algebraic_system_properties_on_samples():
     for q, p, k in [(2, 7, 1), (7, 3, 2), (17, 13, 2), (2, 3, 4), (19, 7, 2)]:
         inst = instance_parameters(q, p, k)
@@ -629,7 +672,7 @@ def test_factorization_and_closed_forms_build_few_field_elements(q, p, k, monkey
     # power tables and multiplication matrices on int64 rows, not one
     # FieldElement per root, coefficient or trace term
     inst = instance_parameters(q, p, k)
-    dispatch(inst)  # warms primitive_element
+    dispatch(inst)  # warms the root search
     _factor_cached.cache_clear()
     built = []
     init = FieldElement.__init__
@@ -649,7 +692,9 @@ def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch, 
     # the p-th power of the searched root has order p^(m'-1): nonzero and a
     # p^m'-th root of 1, but not primitive
     search = fields._root_search
-    monkeypatch.setattr(fields, "_root_search", lambda field, order, skip: search(field, order, skip) ** p)
+    monkeypatch.setattr(
+        fields, "_root_search", lambda field, order, skip: ref_element_pow(search(field, order, skip), p)
+    )
     inst = instance_parameters(q, p, k)
     assert inst.effective_m == 2
     with pytest.raises(InvariantViolation, match="not primitive"):

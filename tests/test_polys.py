@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from reference import ref_pow, ref_trace, ref_xgcd
 
 from idemforge import _fastpoly as fp
 from idemforge import (
@@ -11,15 +12,14 @@ from idemforge import (
     Poly,
     UsageError,
     all_idempotents_euclid,
-    cyclotomic_poly,
-    extended_gcd,
+    factor_xn_minus_1,
     get_extension_field,
     get_prime_field,
     inflate,
     instance_parameters,
-    root_of_unity,
-    trace_sigma1,
 )
+from idemforge import engine
+from idemforge.fields import _root_search
 from idemforge.polys import NEG_INFINITY
 
 
@@ -81,88 +81,116 @@ def test_divrem_reconstruction_random(f7):
         assert rem.is_zero() or rem.degree < b.degree
 
 
+def _xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """The reference's (g, u, v) with u*a + v*b = g, as Polys."""
+    return tuple(Poly.from_ints(a.field, c) for c in ref_xgcd(a.coeffs, b.coeffs, a.field.q))
+
+
 def test_extended_gcd_coprime_linear(f7):
     a = Poly.from_ints(f7, [-1, 1])
     b = Poly.from_ints(f7, [1, 1])
-    g, u, v = extended_gcd(a, b)
-    assert g == Poly.one(f7)
+    g, u, v = _xgcd(a, b)
+    assert g == Poly.one(f7) == a.gcd(b)
     assert u * a + v * b == g
 
 
 def test_extended_gcd_identical_inputs(f7):
     f = Poly.from_ints(f7, [1, 2, 3])  # leading coefficient 3
-    g, u, v = extended_gcd(f, f)
-    assert g == f.monic()
+    g, u, v = _xgcd(f, f)
+    assert g == f.monic() == f.gcd(f)
     assert u.is_zero()
     assert v == Poly.from_ints(f7, [pow(3, -1, 7)])
 
 
 def test_extended_gcd_zero_first_argument(f7):
     b = Poly.from_ints(f7, [4, 0, 3])  # leading coefficient 3
-    g, u, v = extended_gcd(Poly.zero(f7), b)
-    assert g == b.monic()
+    g, u, v = _xgcd(Poly.zero(f7), b)
+    assert g == b.monic() == Poly.zero(f7).gcd(b)
     assert u.is_zero()
     assert v == Poly.from_ints(f7, [pow(3, -1, 7)])
 
 
 def test_extended_gcd_of_two_zeros_is_rejected(f7):
     with pytest.raises(UsageError):
-        extended_gcd(Poly.zero(f7), Poly.zero(f7))
+        _xgcd(Poly.zero(f7), Poly.zero(f7))
+    with pytest.raises(UsageError):
+        Poly.zero(f7).gcd(Poly.zero(f7))
 
 
 def test_extended_gcd_bezout_and_degree_bound(f7):
+    # the reference's cofactors, checked by Poly's products, and its gcd is
+    # the kernel's
     rng = random.Random(23)
     for _ in range(60):
         a = _rand_poly(f7, 10, rng)
         b = _rand_poly(f7, 10, rng)
         if a.is_zero() and b.is_zero():
             continue
-        g, u, v = extended_gcd(a, b)
-        assert u * a + v * b == g
-        assert g.lead == f7.one()
+        g, u, v = _xgcd(a, b)
+        assert u * a + v * b == g == a.gcd(b)
+        assert g.lead == 1
         if not b.is_zero() and not (a % b).is_zero() and not u.is_zero():
             assert u.degree < b.degree - g.degree
 
 
 def test_extended_gcd_matches_euclid_inverse(f2):
-    # the cofactor of (x^7+1)/(x^3+x+1) against x^3+x+1 is its modular inverse
+    # the cofactor of (x^7+1)/(x^3+x+1) against x^3+x+1 is its modular
+    # inverse, and ((x^7+1)/(x^3+x+1))*u is the oracle's idempotent of x^3+x+1
     f = Poly.from_ints(f2, [1, 1, 0, 1])
     x7 = Poly.x_pow_minus_one(f2, 7)
     p = (x7 // f) % f
-    g, u, _ = extended_gcd(p, f)
+    g, u, _ = _xgcd(p, f)
     assert g == Poly.one(f2)
     assert (p * u) % f == Poly.one(f2)
+    e = CyclicRingElement.from_poly((x7 // f) * u, 7)
+    assert e in [r.value for r in all_idempotents_euclid(instance_parameters(2, 7, 1))]
+
+
+def _cyclotomic(q, p, s):
+    """Phi_(p^s) over F_q as the factorization gives it: the product of the
+    factors of x^(p^s) - 1 of order p^s."""
+    prod = Poly.one(get_prime_field(q))
+    for order, f in factor_xn_minus_1(instance_parameters(q, p, s)):
+        if order == p**s:
+            prod = prod * f
+    return prod
 
 
 def test_cyclotomic_base_case(f7):
-    assert cyclotomic_poly(1, f7) == Poly.from_ints(f7, [-1, 1])
+    assert factor_xn_minus_1(instance_parameters(7, 3, 0)) == ((1, Poly.from_ints(f7, [-1, 1])),)
+    assert _cyclotomic(7, 3, 0) == Poly.from_ints(f7, [-1, 1])
 
 
 def test_cyclotomic_nine_over_f7(f7):
-    assert cyclotomic_poly(9, f7) == Poly.from_ints(f7, [1, 0, 0, 1, 0, 0, 1])
+    assert _cyclotomic(7, 3, 2) == Poly.from_ints(f7, [1, 0, 0, 1, 0, 0, 1])
 
 
 def test_cyclotomic_inflation_identity(f7):
     # for p^j beyond the split level, the level-j cyclotomic is the level-m
     # one evaluated at x^(p^(j-m)); here q=7, p=3, m=1
-    phi3 = cyclotomic_poly(3, f7)
-    assert inflate(phi3, 3) == cyclotomic_poly(9, f7)
-    assert inflate(phi3, 9) == cyclotomic_poly(27, f7)
+    phi3 = _cyclotomic(7, 3, 1)
+    assert inflate(phi3, 3) == _cyclotomic(7, 3, 2)
+    assert inflate(phi3, 9) == _cyclotomic(7, 3, 3)
 
 
-def test_cyclotomic_rejects_characteristic(f7):
-    with pytest.raises(UsageError):
-        cyclotomic_poly(14, f7)
+def test_cyclotomic_rejects_characteristic():
+    # x^n - 1 is not squarefree when q divides n: no instance has q = p
+    with pytest.raises(UsageError, match="distinct"):
+        instance_parameters(7, 7, 2)
 
 
 def test_cyclotomic_product_is_xn_minus_one():
-    for q, n in [(7, 9), (2, 7), (3, 25)]:
+    # Phi_(p^s) = (x^(p^s) - 1)/(x^(p^(s-1)) - 1), and the product of every
+    # factor is x^n - 1
+    for q, p, k in [(7, 3, 2), (2, 7, 1), (3, 5, 2)]:
         field = get_prime_field(q)
         prod = Poly.one(field)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = prod * cyclotomic_poly(d, field)
-        assert prod == Poly.x_pow_minus_one(field, n)
+        for _, f in factor_xn_minus_1(instance_parameters(q, p, k)):
+            prod = prod * f
+        assert prod == Poly.x_pow_minus_one(field, p**k)
+        for s in range(1, k + 1):
+            lower = Poly.x_pow_minus_one(field, p ** (s - 1))
+            assert _cyclotomic(q, p, s) * lower == Poly.x_pow_minus_one(field, p**s)
 
 
 def test_inflate_basics(f7):
@@ -213,11 +241,14 @@ def test_coefficient_map_identity(f7):
 
 def test_coefficient_map_trace_recovers_real_idempotent():
     # the trace of the DFT character over F_8 is 1 + x + x^2 + x^4 over F_2,
-    # a member of the (2, 7, 1) system
+    # a member of the (2, 7, 1) system: by the reference's trace, and by
+    # the closed form's trace table
     f8 = get_extension_field(2, 3)
-    zeta = root_of_unity(f8, 7)
-    traced = [trace_sigma1(zeta ** ((-l) % 7)).as_int() for l in range(7)]
+    mod = f8.modulus.coeffs
+    zeta = _root_search(f8, 7, 0).coeffs
+    traced = [ref_trace(ref_pow(zeta, (-l) % 7, mod, 2), mod, 2) for l in range(7)]
     assert traced == [1, 1, 1, 0, 1, 0, 0]
+    assert traced == [engine._sigma_table(2, 3, 7, 0, 0)[(-l) % 7] for l in range(7)]
     expected = CyclicRingElement.from_ints(get_prime_field(2), traced)
     records = all_idempotents_euclid(instance_parameters(2, 7, 1))
     assert any(r.value == expected for r in records)
