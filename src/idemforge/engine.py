@@ -32,7 +32,13 @@ from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import _check_skip, _root_powers, get_extension_field, get_prime_field
 from .polys import CyclicRingElement, render_poly
-from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_stride
+from .structure import (
+    ProblemInstance,
+    _one_unit_orbit,
+    cyclotomic_cosets,
+    factor_xn_minus_1,
+    inflation_stride,
+)
 
 KIND_UNIT_SUM = "unit-sum"
 KIND_SECOND = "second-type"
@@ -258,7 +264,19 @@ def _sigma_table(q: int, t: int, pm: int, modulus_skip: int, generator_skip: int
     pm-th root of unity zeta from `fields._root_powers`: the sum over u < t
     of zeta^(i*q^u), read from the power table of zeta.  It depends on k
     only through pm = p^m', so it is built once per process for each
-    (q, t, pm, modulus_skip, generator_skip), and returned as a tuple."""
+    (q, t, pm, modulus_skip, generator_skip), and returned as a tuple.
+
+    With one unit orbit (`_one_unit_orbit`: t = p - 1, m' = 1) the trace of
+    zeta^i sums all p - 1 primitive p-th roots, which is -1, for every
+    i != 0, and t at i = 0, whatever zeta is: the table comes from that,
+    with no F_{q^t}, under the int64 rule of F_{q^t}.  A nonzero skip still
+    builds the chosen field and root, so a choice that does not exist is
+    refused as in every other case."""
+    if _one_unit_orbit(pm, t):
+        fp.check_int64_exact(t, q)
+        if modulus_skip or generator_skip:
+            _root_powers(get_extension_field(q, t, modulus_skip), pm, generator_skip)
+        return (t % q,) + (q - 1,) * t
     powers = _root_powers(get_extension_field(q, t, modulus_skip), pm, generator_skip)
     index = np.arange(pm)
     traces = np.zeros_like(powers)

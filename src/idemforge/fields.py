@@ -39,8 +39,9 @@ from .errors import BudgetExceededError, InvariantViolation, UsageError
 from .polys import Poly, render_poly
 
 #: Bit-size bound on q^t - 1 for the t > 1 instances that
-#: `structure.instance_parameters` admits.  No step factors q^t - 1, so it
-#: bounds admission only.
+#: `structure.instance_parameters` admits, but for one unit orbit
+#: (t = p - 1, m' = 1), which builds no F_{q^t}.  No step factors q^t - 1,
+#: so it bounds admission only.
 DEFAULT_ORDER_BUDGET_BITS = 96
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -88,8 +88,24 @@ class ProblemInstance:
         return f"q={self.q} p={self.p} k={self.k} n={self.n} t={self.t} m={self.m}"
 
 
+def _one_unit_orbit(pm: int, t: int) -> bool:
+    """Whether m' = 1 and q generates (Z/p)^*, for pm = p^m' (m' >= 1) and
+    t = ord_p q: t divides p - 1 and pm >= p, so that is exactly
+    pm = t + 1 (p = 2 with t = 1 among them; the T = 2 of `root_field` comes
+    with pm >= 4 and never passes).  Then q has one orbit on the units mod
+    p, and nothing depends on the root of unity zeta: the minimal
+    polynomials are x - 1 and Phi_p, and the trace of zeta^i to F_q is t
+    at i = 0 and -1 otherwise (the case of Arora-Pruthi, Finite Fields
+    Appl. 3, 1997)."""
+    return pm == t + 1
+
+
 def instance_parameters(q: int, p: int, k: int, *, max_n: int = DEFAULT_MAX_N) -> ProblemInstance:
-    """Validate (q, p, k) and compute t = ord_p q and m with p^m || q^t - 1."""
+    """Validate (q, p, k) and compute t = ord_p q and m with p^m || q^t - 1.
+    For t > 1, q^t - 1 must fit DEFAULT_ORDER_BUDGET_BITS, which bounds the
+    one extension F_{q^t} the pipeline builds; one unit orbit
+    (`_one_unit_orbit`, t = p - 1 and m' = 1) builds none, so it is exempt,
+    and the int64 rule of its tables still bounds q there."""
     if not is_prime(q):
         raise UsageError(f"q={q} is not prime")
     if not is_prime(p):
@@ -106,10 +122,12 @@ def instance_parameters(q: int, p: int, k: int, *, max_n: int = DEFAULT_MAX_N) -
     if n > max_n:
         raise UsageError(f"n = {p}^{k} exceeds the cap {max_n}")
     t = 1 if k == 0 else multiplicative_order(q, p)
-    bits = (q**t - 1).bit_length()
-    if t > 1 and bits > DEFAULT_ORDER_BUDGET_BITS:
+    order = q**t - 1
+    m = p_adic_valuation(order, p)
+    bits = order.bit_length()
+    if t > 1 and bits > DEFAULT_ORDER_BUDGET_BITS and not _one_unit_orbit(p ** min(m, k), t):
         raise UsageError(f"q^t - 1 needs {bits} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}")
-    return ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=p_adic_valuation(q**t - 1, p))
+    return ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=m)
 
 
 @dataclass(frozen=True)
@@ -192,11 +210,18 @@ def _minimal_polynomials(q: int, pm: int, big_t: int) -> Mapping[int, Poly]:
     F_{q^T}.  It depends on (q, pm, T) alone, not on k, so it is built once
     per process for each and returned read-only.
 
-    The minimal polynomial of zeta^j is the product of (x - zeta^i) over the
-    orbit of j under multiplication by q mod pm.  Orbits of one size are
-    multiplied out together: prods[o] holds the coefficients (each in
-    F_{q^T}) of the partial product for orbit o."""
+    With one unit orbit (`_one_unit_orbit`) the map is 0 -> x - 1 and
+    j -> Phi_p = 1 + x + ... + x^(p-1) for j != 0, for every zeta, so no
+    F_{q^T} is built; q is held to the int64 rule of F_{q^T} all the same.
+    Otherwise the minimal polynomial of zeta^j is the product of
+    (x - zeta^i) over the orbit of j under multiplication by q mod pm.
+    Orbits of one size are multiplied out together: prods[o] holds the
+    coefficients (each in F_{q^T}) of the partial product for orbit o."""
     base = get_prime_field(q)
+    if _one_unit_orbit(pm, big_t):
+        fp.check_int64_exact(big_t, q)
+        phi = Poly.from_ints(base, [1] * pm)
+        return MappingProxyType({0: Poly.from_ints(base, [-1, 1]), **dict.fromkeys(range(1, pm), phi)})
     field = get_extension_field(q, big_t)
     ring = field.ring
     zeta_powers = _root_powers(field, pm)
@@ -267,8 +292,9 @@ def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]
     q-cyclotomic coset (same order as `cyclotomic_cosets`).  Each factor is
     the minimal polynomial of a root of unity of order p^s <= p^M computed
     in F_{q^T}, (T, M) = `instance.root_field`, inflated by
-    x -> x^(p^(s-M)) above level M.  Monic factors
-    of the coset degrees whose product is the squarefree x^n - 1 are
-    necessarily its irreducible factors, so the product check certifies
-    irreducibility."""
+    x -> x^(p^(s-M)) above level M; with one unit orbit (T = p - 1 and
+    m' = 1) they are x - 1 and Phi_p, inflated, and no F_{q^T} is built.
+    Monic factors of the coset degrees whose product is the squarefree
+    x^n - 1 are necessarily its irreducible factors, so the product check
+    certifies irreducibility, Phi_p's included."""
     return _factor_cached(instance)

@@ -493,6 +493,33 @@ def test_large_q_extension_field_runs_to_the_float64_bound(capsys):
     assert "length*(q-1)^2 < 2^63" in err
 
 
+def test_one_unit_orbit_is_served_past_the_order_budget(capsys):
+    # t = p - 1 with m' = 1 builds no F_{q^t}, so the 96-bit budget on
+    # q^t - 1 leaves it out; two unit orbits (t = (p - 1)/2) still meet it
+    for p in ("163", "491"):
+        code, out, err = run_cli(capsys, "gen", "--q", "2", "--p", p, "--k", "1", "--verify")
+        assert (code, err) == (0, "") and out.endswith("overall: pass\n"), p
+        code, out, err = run_cli(capsys, "verify", "--q", "2", "--p", p, "--k", "1", "--against", "euclid")
+        assert (code, err) == (0, "") and "overall: pass" in out, p
+    for q, p, bits in (("2", "983", 491), ("3", "131", 104)):
+        code, _, err = run_cli(capsys, "gen", "--q", q, "--p", p, "--k", "1")
+        assert (code, err) == (1, f"error: q^t - 1 needs {bits} bits; budget is 96\n")
+    # the int64 rule of F_{q^t} still bounds q, on the closed form and the
+    # factorization (p = 2 with t = 1 among them), with the message of the
+    # field that the case no longer builds
+    for command, q, p, length in (
+        ("gen", "2147483647", "5", 4),
+        ("factors", "2147483693", "3", 2),
+        ("factors", str(2**89 - 1), "2", 1),
+    ):
+        code, _, err = run_cli(capsys, command, "--q", q, "--p", p, "--k", "1")
+        assert (code, err) == (
+            1,
+            f"error: q={q} is too large for exact int64 arithmetic on length {length}: "
+            "needs length*(q-1)^2 < 2^63\n",
+        )
+
+
 @pytest.mark.parametrize("p", ["5", "7"])  # t = 4 and t = 3, no irreducible binomial
 def test_large_q_finds_extension_modulus_past_the_binomials(capsys, p):
     code, out, _ = run_cli(capsys, "gen", "--q", "1048583", "--p", p, "--k", "1", "--verify")
@@ -511,7 +538,9 @@ def test_gen_verifies_where_q_to_the_t_minus_1_resists_trial_division(capsys, q,
 
 @pytest.mark.slow
 def test_gen_verifies_every_admitted_k_1_instance_with_small_q(capsys):
-    # every q < 60 and odd p < 10^4 that instance_parameters admits at k = 1
+    # every q < 60 and odd p < 10^4 that instance_parameters admits at k = 1:
+    # 509 within the 96-bit budget on q^t - 1, and 7,866 with one unit orbit
+    # (t = p - 1), which builds no F_{q^t} and is exempt from it
     from idemforge import UsageError, instance_parameters
     from idemforge.fields import is_prime
 
@@ -526,7 +555,7 @@ def test_gen_verifies_every_admitted_k_1_instance_with_small_q(capsys):
             code, _, err = run_cli(capsys, "gen", "--q", str(q), "--p", str(p), "--k", "1", "--verify")
             if code:
                 failed.append((q, p, code, err))
-    assert admitted == 509
+    assert admitted == 8375
     assert failed == []
 
 

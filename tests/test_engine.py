@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 from reference import (
+    field_modulus,
     fully_split_idempotents,
     primitive_root_idempotents,
     ref_element_pow,
+    ref_trace,
     ref_xgcd,
     third_type_census,
 )
@@ -28,8 +30,8 @@ from idemforge import (
     sets_equal,
 )
 from idemforge import engine, fields
-from idemforge.fields import FieldElement
-from idemforge.structure import _factor_cached
+from idemforge.fields import FieldElement, _root_powers, get_extension_field, is_prime
+from idemforge.structure import _factor_cached, _minimal_polynomials, multiplicative_order
 
 #: the --method values of the routes folded into the one closed form
 REMOVED_METHODS = ("fully-split", "primitive-root", "split-case", "general-case")
@@ -565,6 +567,73 @@ def test_negative_skips_are_refused_before_any_search(
         args = (instance_parameters(*args[0]),) + args[1:]
     with pytest.raises(UsageError, match=f"^{message}$"):
         getattr(engine if function == "dispatch" else fields, function)(*args, **kwargs)
+
+
+# -- one unit orbit ---------------------------------------------------------
+
+#: q < 60 generating (Z/p)^* for odd p < 60, so t = p - 1 and m' = 1 at k = 1;
+#: q < t in 67 of the 120, where the trace of 1 is t mod q, not t
+ONE_ORBIT_PAIRS = [
+    (q, p)
+    for q in range(2, 60)
+    for p in range(3, 60, 2)
+    if is_prime(q) and is_prime(p) and p != q and multiplicative_order(q, p) == p - 1
+]
+
+
+def test_one_unit_orbit_tables_are_the_traces_of_a_real_root():
+    # the table and the map need no root, and agree with those of the
+    # root the search picks: Tr(zeta^i) = sum over u < t of zeta^(i*q^u),
+    # read off its power table for every i, and by ref_trace, t Frobenius
+    # powers in plain ints, for zeta while t <= 28 (it costs t^3 log q);
+    # and zeta is a root of Phi_p = 1 + x + ... + x^(p-1)
+    assert len(ONE_ORBIT_PAIRS) == 120 and sum(q < p - 1 for q, p in ONE_ORBIT_PAIRS) == 67
+    for q, p in ONE_ORBIT_PAIRS:
+        t = p - 1
+        field = get_extension_field(q, t)
+        powers = _root_powers(field, p)
+        sums = sum(powers[np.arange(p) * pow(q, u, p) % p] for u in range(t)) % q
+        assert not sums[:, 1:].any()
+        traces = tuple(sums[:, 0].tolist())
+        if t <= 28:
+            assert traces[1] == ref_trace(tuple(powers[1].tolist()), field_modulus(field), q)
+        assert engine._sigma_table(q, t, p, 0, 0) == traces, (q, p)
+        assert not (powers.sum(axis=0) % q).any()
+        base = get_prime_field(q)
+        x_minus_1, phi = Poly.from_ints(base, [-1, 1]), Poly.from_ints(base, [1] * p)
+        assert dict(_minimal_polynomials(q, p, t)) == {0: x_minus_1, **dict.fromkeys(range(1, p), phi)}
+
+
+@pytest.mark.parametrize("q,p,k", [(2, 11, 1), (3, 7, 2), (2, 13, 2)])
+def test_one_unit_orbit_builds_no_extension_field(q, p, k, monkeypatch, fresh_caches):
+    from idemforge import _fastpoly as fp
+
+    def forbidden(*args):
+        raise AssertionError("a field was built or a root searched")
+
+    monkeypatch.setattr(fp, "lex_irreducible", forbidden)
+    monkeypatch.setattr(fields, "_extension_field", forbidden)
+    monkeypatch.setattr(fields, "_root_search", forbidden)
+    inst = instance_parameters(q, p, k)
+    assert (inst.t, inst.effective_m) == (p - 1, 1)
+    system = dispatch(inst)
+    assert len(factor_xn_minus_1(inst)) == len(system) == k + 1
+    assert sets_equal(system, all_idempotents_euclid(inst))
+
+
+def test_skips_on_one_unit_orbit_still_need_the_chosen_modulus_and_root():
+    # the table is the same for every zeta, but a modulus or root that
+    # does not exist is refused as before: F_4 has one modulus of degree 2
+    # and two primitive cube roots of unity; F_16 has three moduli of degree 4
+    inst = instance_parameters(2, 3, 5)
+    with pytest.raises(UsageError, match="^fewer than 2 monic irreducibles of degree 2 over F_2$"):
+        dispatch(inst, modulus_skip=1)
+    with pytest.raises(UsageError, match="^no primitive 3-th root of unity for skip 2$"):
+        dispatch(inst, generator_skip=2)
+    assert dispatch(inst, generator_skip=1) == dispatch(inst)
+    inst = instance_parameters(2, 5, 1)
+    for skips in ({"modulus_skip": 1}, {"generator_skip": 1}, {"modulus_skip": 1, "generator_skip": 1}):
+        assert dispatch(inst, **skips) == dispatch(inst)
 
 
 def test_algebraic_system_properties_on_samples():

@@ -413,7 +413,8 @@ def test_one_cache_entry_per_field_and_skip(fresh_caches):
 def test_survey_loop_searches_each_field_once(monkeypatch, fresh_caches):
     # the calls of a pass over the acceptance grid, from cold caches: one
     # root search per distinct (field, order, skip) and one ExtensionField
-    # per (q, t, skip)
+    # per (q, t, skip), and neither where one unit orbit (t = p - 1,
+    # m' = 1) needs no root: 27 searches and 23 fields
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters
@@ -442,15 +443,15 @@ def test_survey_loop_searches_each_field_once(monkeypatch, fresh_caches):
         inst = instance_parameters(*job)
         dispatch(inst)
         factor_xn_minus_1(inst)
-    assert len(searched) == len(set(searched)) > 40
-    assert len(built) == len(set(built)) > 40
+    assert len(searched) == len(set(searched)) == 27
+    assert len(built) == len(set(built)) == 23
 
 
 def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, fresh_caches):
     # the closed forms and the factorization ask for the same primitive
     # p^m'-th root of unity, in F_q and F_{q^1} when t = 1, and F_{q^1}
     # takes F_q's: one search per q^t and order, each at a prime power, so
-    # none factors q^t - 1
+    # none factors q^t - 1; one unit orbit (t = p - 1, m' = 1) runs none
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters
@@ -470,9 +471,10 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, f
                     inst = instance_parameters(q, p, k)
                     dispatch(inst)
                     factor_xn_minus_1(inst)
-    # 53 = one per q^t and order: F_{q^1} reads the root of F_q, so no
-    # search runs in a degree-1 extension
-    assert len(searched) == len(set(searched)) == 53
+    # 27 = one per q^t and order, past the 26 (q, p) pairs with one unit
+    # orbit: F_{q^1} reads the root of F_q, so no search runs in a degree-1
+    # extension
+    assert len(searched) == len(set(searched)) == 27
     assert all(field.degree > 1 or isinstance(field, fields.PrimeField) for field, _, _ in searched)
     assert all(len(factor_integer(order)) == 1 for _, order, _ in searched)
 
@@ -483,7 +485,7 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches
     # caches, every row that enters the stacked irreducibility test in a
     # pass over the acceptance grid is one of lex_irreducible's candidates,
     # tested inside the scan and never twice.  A second test per field
-    # built would add 43 rows outside a scan, and a second walk over the
+    # built would add 23 rows outside a scan, and a second walk over the
     # rows of a stack would repeat them.  lex_irreducible stacks its
     # candidates in _rabin_passing, which irreducible_rows wraps.
     from idemforge import _fastpoly as fp
@@ -512,7 +514,7 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches
                     inst = instance_parameters(q, p, k)
                     dispatch(inst)
                     factor_xn_minus_1(inst)
-    assert fields._extension_field.cache_info().misses == 43
+    assert fields._extension_field.cache_info().misses == 23  # none for one unit orbit
     assert tests and all(in_scan for _, _, in_scan in tests)
     assert len({(q, vec) for q, vec, _ in tests}) == len(tests)
 

@@ -164,6 +164,8 @@ def test_splitting_degree_cap():
         (19, 7, 2),  # k <= m: no inflation
         (3, 2, 5),  # p = 2, q = 3 (mod 4): the factors live in F_{q^2}
         (7, 2, 6),
+        (2, 163, 1),  # one unit orbit, t = 162: x - 1 and Phi_163, with no F_{2^162}
+        pytest.param(2, 491, 1, marks=pytest.mark.slow),  # t = 490
     ],
 )
 def test_factors_match_sympy(q, p, k):
@@ -210,7 +212,9 @@ def test_expected_count_holds_for_every_p_2_instance():
 def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch, fresh_caches):
     # over the acceptance grid, each instance from cold caches (a warm one
     # would reuse the tables of a smaller k), the closed forms, the
-    # factorization and the oracle factor p^m' alone, never q^t - 1
+    # factorization and the oracle factor p^m' alone, never q^t - 1; with
+    # one unit orbit (t = p - 1, m' = 1) they search no root and factor
+    # nothing
     from idemforge import all_idempotents_euclid, dispatch, fields
 
     factored = []
@@ -232,4 +236,5 @@ def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch, fresh_cache
                     factor_xn_minus_1(inst)
                     all_idempotents_euclid(inst)
                     assert all(n <= inst.n and len(factor(n)) == 1 for n in factored)
-                    assert factored or k == 0
+                    one_orbit = inst.t == p - 1 and inst.effective_m == 1
+                    assert bool(factored) == (k > 0 and not one_orbit)
