@@ -131,13 +131,12 @@ def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[i
     )
 
 
-def _euclid_stack(mods: np.ndarray, order: int, q: int, scale: int = 1) -> np.ndarray:
-    """Rows c*B_g, B_g = C_g*(x*g' - d*g) (`order` coefficients each, c =
-    `scale`), for the monic factors g of x^order - 1 in the rows of `mods`
-    (ascending, one degree d), where gcd(order, q) = 1.  B_g does not
-    depend on the ring: in F_q[x]/(x^n - 1), for every n that `order`
-    divides, the idempotent of g is B_g/n repeated n/order times, so c = 1/n
-    gives it unrepeated.
+def _euclid_stack(mods: np.ndarray, order: int, q: int) -> np.ndarray:
+    """Rows B_g = C_g*(x*g' - d*g) (`order` coefficients each), for the
+    monic factors g of x^order - 1 in the rows of `mods` (ascending, one
+    degree d), where gcd(order, q) = 1.  B_g does not depend on the ring:
+    in F_q[x]/(x^n - 1), for every n that `order` divides, the idempotent
+    of g is B_g/n repeated n/order times.
 
     With P = (x^n - 1)/g, differentiating x^n - 1 = P*g gives
     P*(x*g') = n (mod g), so the inverse of P modulo g is
@@ -147,8 +146,7 @@ def _euclid_stack(mods: np.ndarray, order: int, q: int, scale: int = 1) -> np.nd
     so e = P*h is C*h = B/n, of degree < order, repeated.  Since
     T*T = (n/order)*T, e*e = e iff (n/order)*((C*h)^2 mod x^order - 1) = C*h,
     which multiplied through by n^2/(n/order) reads B^2 = order*B
-    (mod x^order - 1): the guard squares the rows c*B, whose square is
-    (c*order)*c*B, for every n at once."""
+    (mod x^order - 1): the guard squares the rows B, for every n at once."""
     d = mods.shape[1] - 1
     if d > order:
         raise UsageError(f"{render_poly(mods[0].tolist())} does not divide x^{order} - 1")
@@ -159,10 +157,22 @@ def _euclid_stack(mods: np.ndarray, order: int, q: int, scale: int = 1) -> np.nd
     if bad.size:
         raise UsageError(f"{render_poly(mods[bad[0]].tolist())} does not divide x^{order} - 1")
     del rems  # a view that keeps the whole walk array alive
-    lows = fp.as_vec([(i - d) * scale % q for i in range(d)])  # x*g' - d*g, times c
+    lows = fp.as_vec([(i - d) % q for i in range(d)])  # x*g' - d*g
     rows = fp.conv_rows(cofactors, lows * mods[:, :d] % q, q)
-    if not np.array_equal(fp.conv_rows(rows, rows, q, order), rows * (scale * order % q) % q):
+    if not np.array_equal(fp.conv_rows(rows, rows, q, order), rows * (order % q) % q):
         raise InvariantViolation("Euclid construction produced a non-idempotent")
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _euclid_rows(q: int, order: int, gs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """`_euclid_stack` on the g's `gs`, read-only.  B_g depends on neither
+    n nor the stride, so it is built, its divisions certified and its guard
+    run once per process for each (q, order, gs).  `all_idempotents_euclid`
+    asks only for a stack that fits in one of its blocks, which bounds what
+    each key keeps."""
+    rows = _euclid_stack(fp.as_vec(list(gs)), order, q)
+    rows.flags.writeable = False
     return rows
 
 
@@ -178,9 +188,10 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
     B_g from `_euclid_stack`.  B_g does not depend on n or s, and above
     level m every level inflates the same g's, so one walk serves each
     distinct g once: the g's of one N/s form one stack, computed in blocks
-    whose working arrays hold at most TABLE_ENTRIES coefficients, and
-    scaled for the stride of its first factors.  Nothing is kept across
-    calls."""
+    whose working arrays hold at most TABLE_ENTRIES coefficients.  A stack
+    of one block is kept for the process (`_euclid_rows`, keyed on q, N/s
+    and its g's), so every k that shares it walks it once; a larger stack
+    is walked anew on each call and not kept."""
     q, n = instance.q, instance.n
     factors = factor_xn_minus_1(instance)
     cosets = cyclotomic_cosets(q, n).cosets
@@ -193,18 +204,17 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
         places.setdefault((order, stride), []).append((index, rows.setdefault(g, len(rows))))
     coeffs = np.zeros((len(factors), n), dtype=np.int64)
     for width, (rows, places) in stacks.items():
-        gs = fp.as_vec(list(rows))
+        gs = tuple(rows)
         places = {key: np.array(members).T for key, members in places.items()}
-        first = next(iter(places))[1]  # the stride whose scale (n/s)^(-1) the stack takes
-        scale = pow(n // first, -1, q)
         step = max(1, fp.TABLE_ENTRIES // (16 * (width + 1)))  # about a dozen arrays a row
         for start in range(0, len(gs), step):
-            block = _euclid_stack(gs[start : start + step], width, q, scale)
+            if len(gs) <= step:
+                block = _euclid_rows(q, width, gs)
+            else:
+                block = _euclid_stack(fp.as_vec(list(gs[start : start + step])), width, q)
             for (order, stride), (index, row) in places.items():
                 hit = (row >= start) & (row < start + step)
-                part = block[row[hit] - start]
-                if stride != first:  # (n/s)^(-1) = (s/first)*(n/first)^(-1)
-                    part = part * (stride * pow(first, -1, q) % q) % q
+                part = block[row[hit] - start] * pow(n // stride, -1, q) % q
                 # the rows of coeffs at stride s, as n/N tiles of N/s coefficients
                 tiles = coeffs[:, ::stride].reshape(len(factors), n // order, width)
                 tiles[index[hit]] = part[:, None]

@@ -8,7 +8,8 @@ from idemforge import engine, fields, structure
 
 #: every table the library builds once per process, by the function that
 #: caches it: extension moduli and fields, roots of unity, minimal
-#: polynomials, factorizations and the closed form's trace tables
+#: polynomials, factorizations, the closed form's trace tables and the
+#: oracle's stacks of B rows
 TABLE_CACHES = (
     (fields, "find_irreducible"),
     (fields, "_extension_field"),
@@ -16,6 +17,7 @@ TABLE_CACHES = (
     (structure, "_minimal_polynomials"),
     (structure, "_factor_cached"),
     (engine, "_sigma_table"),
+    (engine, "_euclid_rows"),
 )
 
 

@@ -49,7 +49,7 @@ def _euclid_value(f: Poly, n: int) -> CyclicRingElement:
     construction on f itself: `_euclid_stack` on a stack of one, at stride
     1, scaled by 1/n."""
     q = f.field.q
-    row = engine._euclid_stack(np.array([f.coeffs]), n, q, pow(n, -1, q))[0]
+    row = engine._euclid_stack(np.array([f.coeffs]), n, q)[0] * pow(n, -1, q) % q
     return CyclicRingElement.from_ints(f.field, row.tolist())
 
 
@@ -127,7 +127,7 @@ def _compressed_stacks(inst):
     return {(order // s, frozenset(rows)) for (_, order, s), rows in groups.items()}
 
 
-def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
+def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch, fresh_caches):
     from idemforge import _fastpoly as fp
 
     inst = instance_parameters(13, 3, 6)  # six factor degrees, inflated factors
@@ -144,6 +144,7 @@ def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
 
     monkeypatch.setattr(fp, "divmod_rows", counted)
     monkeypatch.setattr(fp, "poly_divmod", forbidden)
+    fresh_caches()
     assert all_idempotents_euclid(inst) == expected
     # one walk per distinct compressed stack: x - 1 (order 1), and the
     # y - zeta^j of order 3, which levels 2..6 inflate (levels 1..6 held
@@ -152,8 +153,10 @@ def test_oracle_walks_once_per_stack_without_scalar_division(monkeypatch):
     assert sum(walks) == 3 and len(expected) == 13
 
 
-def test_the_oracle_walks_each_distinct_stack_once_per_call(monkeypatch):
-    # two calls in a row walk the same stacks: nothing is kept across calls
+def test_the_oracle_walks_each_distinct_stack_once_per_process(monkeypatch, fresh_caches):
+    # the stacks are kept across calls, keyed on (q, N/s, g's): a second
+    # call walks nothing, and neither does (13,3,5), whose stacks (13,3,6)
+    # walked already
     from idemforge import _fastpoly as fp
 
     inst = instance_parameters(13, 3, 6)
@@ -166,9 +169,14 @@ def test_the_oracle_walks_each_distinct_stack_once_per_call(monkeypatch):
 
     monkeypatch.setattr(fp, "divmod_rows", counted)
     first = all_idempotents_euclid(inst)
-    once = len(walks)
+    assert len(walks) == len(_compressed_stacks(inst)) == 2
     assert all_idempotents_euclid(inst) == first
-    assert len(walks) == 2 * once == 2 * len(_compressed_stacks(inst))
+    lower = instance_parameters(13, 3, 5)
+    assert _compressed_stacks(lower) == _compressed_stacks(inst)
+    factor_xn_minus_1(lower)  # so that only the oracle's walks are counted
+    walks.clear()
+    assert sets_equal(all_idempotents_euclid(lower), dispatch(lower))
+    assert walks == []
 
 
 # SHA-256 over the labels and coefficient bytes of the oracle system at
@@ -186,18 +194,92 @@ SURVEY_INSTANCES = [
 ORACLE_DIGEST = "940e77eb580d7a4b2aabf25a022f6cb7517fd54581d3ca14378c2690f459f4b9"
 
 
-def test_oracle_systems_keep_their_digest():
-    assert len(SURVEY_INSTANCES) == 182
+def _oracle_digest(systems) -> str:
     digest = hashlib.sha256()
-    for q, p, k in SURVEY_INSTANCES:
-        system = all_idempotents_euclid(instance_parameters(q, p, k))
+    for system in systems:
         digest.update(repr(system.labels).encode())
         digest.update(system.coeffs.tobytes())
-    assert digest.hexdigest() == ORACLE_DIGEST
+    return digest.hexdigest()
+
+
+def test_oracle_systems_keep_their_digest():
+    assert len(SURVEY_INSTANCES) == 182
+    systems = (all_idempotents_euclid(instance_parameters(*job)) for job in SURVEY_INSTANCES)
+    assert _oracle_digest(systems) == ORACLE_DIGEST
+
+
+def test_kept_stacks_serve_the_survey_in_any_order(monkeypatch, fresh_caches):
+    # a cold pass in survey order walks each (q, N/s, g's) once: 63 walks,
+    # where one walk per stack and call made 335; a pass in reverse order
+    # on the warm cache walks nothing and gives the same systems
+    walks = []
+    stack = engine._euclid_stack
+
+    def counted(mods, order, q):
+        walks.append(order)
+        return stack(mods, order, q)
+
+    monkeypatch.setattr(engine, "_euclid_stack", counted)
+    insts = [instance_parameters(*job) for job in SURVEY_INSTANCES]
+    forward = [all_idempotents_euclid(inst) for inst in insts]
+    assert len(walks) == engine._euclid_rows.cache_info().currsize == 63
+    backward = [all_idempotents_euclid(inst) for inst in reversed(insts)][::-1]
+    assert len(walks) == 63
+    assert _oracle_digest(forward) == _oracle_digest(backward) == ORACLE_DIGEST
+
+
+def _order_3_gs():
+    """The y - zeta^j of order 3 over F_13, in the oracle's order."""
+    return tuple(f.int_coeffs() for order, f in factor_xn_minus_1(instance_parameters(13, 3, 1)) if order == 3)
+
+
+def test_kept_stacks_are_keyed_on_their_gs(fresh_caches):
+    # on every instance tried the factorization puts the same g's in the
+    # same order at one (q, N/s), so only a direct call shows that the key
+    # holds the g's: other g's, or the same g's in another order, get rows
+    # of their own
+    gs = _order_3_gs()
+    for key in (gs, gs[::-1], gs[1:]):
+        assert np.array_equal(engine._euclid_rows(13, 3, key), engine._euclid_stack(np.array(key), 3, 13))
+    assert engine._euclid_rows.cache_info().currsize == 3
+
+
+def test_kept_stacks_are_read_only_and_one_block_at_most(monkeypatch, fresh_caches):
+    # (13,3,6) keeps two stacks, x - 1 and the two y - zeta^j of order 3,
+    # and hands out rows no caller can write; with blocks of one row, the
+    # four y - zeta^j of order 5 at (41,5,3) are walked block by block on
+    # every call and not kept, while x - 1 fits in one block and is
+    from idemforge import _fastpoly as fp
+
+    all_idempotents_euclid(instance_parameters(13, 3, 6))
+    info = engine._euclid_rows.cache_info()
+    assert info.currsize == 2
+    rows = engine._euclid_rows(13, 3, _order_3_gs())
+    assert engine._euclid_rows.cache_info().hits == info.hits + 1
+    assert rows.shape == (2, 3) and not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0
+    inst = instance_parameters(41, 5, 3)
+    expected = all_idempotents_euclid(inst)
+    fresh_caches()
+    monkeypatch.setattr(fp, "TABLE_ENTRIES", 16)
+    walks = []
+    stack = engine._euclid_stack
+
+    def counted(mods, order, q):
+        walks.append(len(mods))
+        return stack(mods, order, q)
+
+    monkeypatch.setattr(engine, "_euclid_stack", counted)
+    for _ in range(2):
+        walks.clear()
+        assert all_idempotents_euclid(inst) == expected
+        assert engine._euclid_rows.cache_info().currsize == 1
+    assert walks == [1] * 4
 
 
 @pytest.mark.parametrize("entries", [16, 192])  # blocks of one row; of two rows at N/s = 5
-def test_oracle_stacks_in_small_blocks_give_the_same_systems(monkeypatch, entries):
+def test_oracle_stacks_in_small_blocks_give_the_same_systems(monkeypatch, fresh_caches, entries):
     # each level places its rows from the block that holds its g, at its
     # own stride and scale
     from idemforge import _fastpoly as fp
@@ -205,11 +287,12 @@ def test_oracle_stacks_in_small_blocks_give_the_same_systems(monkeypatch, entrie
     insts = [instance_parameters(*job) for job in ((13, 3, 6), (3, 2, 5), (41, 5, 3), (2, 5, 4))]
     expected = [all_idempotents_euclid(inst) for inst in insts]
     monkeypatch.setattr(fp, "TABLE_ENTRIES", entries)
+    fresh_caches()
     assert [all_idempotents_euclid(inst) for inst in insts] == expected
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 3, 5), (13, 3, 6), (41, 5, 3), (101, 5, 4), (3, 2, 5)])
-def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, q, p, k):
+def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, fresh_caches, q, p, k):
     # the oracle computes each factor f = g(x^s) of order N from g, with
     # order N/s in the ring of length n/s, and places the rows at stride s;
     # _euclid_value runs the construction on f itself, at stride 1.
@@ -237,7 +320,7 @@ def test_stride_compressed_oracle_matches_the_stride_one_route(monkeypatch, q, p
         assert record.value == _euclid_value(f, inst.n)
 
 
-def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys):
+def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys, fresh_caches):
     # one coefficient of B = C*(x*g' - d*g) changed in the stack of order
     # 3, whose rows the levels above 1 place at stride 3^(s-1):
     # B^2 = 3*B (mod y^3 - 1) fails, and gen --method euclid exits 3 with
@@ -255,10 +338,10 @@ def test_a_tampered_compressed_row_fails_the_guard(monkeypatch, capsys):
             out[0, -1] = (out[0, -1] + 1) % q
         return out
 
-    def tracked(mods, order, q, scale):
+    def tracked(mods, order, q):
         compressed.append(order == 3)
         try:
-            return stack(mods, order, q, scale)
+            return stack(mods, order, q)
         finally:
             compressed.pop()
 

@@ -274,7 +274,7 @@ def _with_random_rows(matrix, q, seed=0, count=4):
 
 
 @pytest.mark.parametrize("q, p, k", [(251, 5, 3), (13, 3, 6)])
-def test_verify_calls_the_product_kernel_per_degree_not_per_record(monkeypatch, q, p, k):
+def test_verify_calls_the_product_kernel_per_degree_not_per_record(monkeypatch, fresh_caches, q, p, k):
     # no square of any record: idempotency is read from the residues, which
     # take one product per group of factors sharing (N, s, deg h); the
     # oracle takes two (e = P*h and e*e) per degree and factor order
@@ -294,7 +294,7 @@ def test_verify_calls_the_product_kernel_per_degree_not_per_record(monkeypatch, 
     assert calls == {"conv_rows": 0, "mat_mul": len(groups)}
     assert verify_system(recs, inst, against_oracle=True).passed
     assert calls["mat_mul"] == 2 * len(groups)
-    assert calls["conv_rows"] <= 2 * len(stacks)
+    assert 0 < calls["conv_rows"] <= 2 * len(stacks)
 
 
 def test_residues_by_division_match_the_tables(monkeypatch):
