@@ -181,9 +181,9 @@ def divmod_rows(a: np.ndarray, mods: np.ndarray, q: int):
     (quotients, remainders), shapes (rows, a.shape[1] - d) and (rows, d).
 
     One walk of a.shape[1] - d steps serves the whole stack.  A step whose
-    leading column is zero in every row is skipped, and a step updates only
-    the columns where some modulus has a nonzero coefficient, so inflated
-    moduli g(x^r) and their sparse quotients cost few updates."""
+    leading column is zero in every row is passed over, and a step updates
+    only the columns where some modulus has a nonzero coefficient, so
+    inflated moduli g(x^r) and their sparse quotients cost few updates."""
     check_int64_exact(1, q)  # each step subtracts a product of two residues
     rows = max(a.shape[0], mods.shape[0])
     rem = a % q

@@ -243,6 +243,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_code(args) -> int:
+    if args.budget < 0:
+        raise UsageError(f"--budget must be >= 0, got {args.budget}")
     instance = _instance_from_args(args)
     records = dispatch(instance, args.method)
     if args.label not in records.labels:

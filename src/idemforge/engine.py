@@ -15,9 +15,7 @@ written by the route's kernel, with the label, kind and params of each row.
 Records are in a canonical order: the unit-sum element first, then
 second-type records by index, then third-type records by (level, index).
 The closed form takes the power table of its root of unity from `fields`,
-which picks the root by its one search and checks its exact order;
-`generator_skip` counts the search's passing candidates u, so it picks the
-root of a later one.
+which picks the root by its one rule and checks its exact order.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from . import _fastpoly as fp
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
-from .fields import _check_skip, _root_powers, get_extension_field, get_prime_field
+from .fields import _root_powers, get_extension_field, get_prime_field
 from .polys import CyclicRingElement, render_poly
 from .structure import (
     ProblemInstance,
@@ -223,7 +221,7 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
     return IdempotentSystem(q, n, coeffs, labels, [KIND_GENERIC] * count, [None] * count, "euclid")
 
 
-def _root_table(instance: ProblemInstance, modulus_skip: int, generator_skip: int) -> tuple[Sequence[int], str]:
+def _root_table(instance: ProblemInstance) -> tuple[Sequence[int], str]:
     """(table, method) of the closed form, the one place that branches on t:
     table[i] holds the F_q value attached to the i-th power of a primitive
     p^min(m,k)-th root of unity, the power itself when t = 1 (the root lives
@@ -232,8 +230,8 @@ def _root_table(instance: ProblemInstance, modulus_skip: int, generator_skip: in
     if pm == 1:  # k = 0, so t = 1: zeta = 1, with no root search to run
         return (1,), "split-case"
     if instance.t == 1:
-        return _root_powers(get_prime_field(instance.q), pm, generator_skip), "split-case"
-    return _sigma_table(instance.q, instance.t, pm, modulus_skip, generator_skip), "general-case"
+        return _root_powers(get_prime_field(instance.q), pm), "split-case"
+    return _sigma_table(instance.q, instance.t, pm), "general-case"
 
 
 def _gather_into(out: np.ndarray, table: Sequence[int], scale: int, q: int, indices) -> None:
@@ -269,25 +267,21 @@ def _records_from_table(instance: ProblemInstance, table: Sequence[int], method:
 
 
 @functools.lru_cache(maxsize=None)
-def _sigma_table(q: int, t: int, pm: int, modulus_skip: int, generator_skip: int) -> tuple[int, ...]:
+def _sigma_table(q: int, t: int, pm: int) -> tuple[int, ...]:
     """table[i] = trace of zeta^i from F_{q^t} down to F_q, for a primitive
     pm-th root of unity zeta from `fields._root_powers`: the sum over u < t
     of zeta^(i*q^u), read from the power table of zeta.  It depends on k
     only through pm = p^m', so it is built once per process for each
-    (q, t, pm, modulus_skip, generator_skip), and returned as a tuple.
+    (q, t, pm), and returned as a tuple.
 
     With one unit orbit (`_one_unit_orbit`: t = p - 1, m' = 1) the trace of
     zeta^i sums all p - 1 primitive p-th roots, which is -1, for every
     i != 0, and t at i = 0, whatever zeta is: the table comes from that,
-    with no F_{q^t}, under the int64 rule of F_{q^t}.  A nonzero skip still
-    builds the chosen field and root, so a choice that does not exist is
-    refused as in every other case."""
+    with no F_{q^t}, under the int64 rule of F_{q^t}."""
     if _one_unit_orbit(pm, t):
         fp.check_int64_exact(t, q)
-        if modulus_skip or generator_skip:
-            _root_powers(get_extension_field(q, t, modulus_skip), pm, generator_skip)
         return (t % q,) + (q - 1,) * t
-    powers = _root_powers(get_extension_field(q, t, modulus_skip), pm, generator_skip)
+    powers = _root_powers(get_extension_field(q, t), pm)
     index = np.arange(pm)
     traces = np.zeros_like(powers)
     for u in range(t):  # one exponent at a time keeps memory at pm*t entries
@@ -298,28 +292,18 @@ def _sigma_table(q: int, t: int, pm: int, modulus_skip: int, generator_skip: int
     return tuple(traces[:, 0].tolist())
 
 
-def dispatch(
-    instance: ProblemInstance,
-    method: str = "auto",
-    *,
-    modulus_skip: int = 0,
-    generator_skip: int = 0,
-) -> IdempotentSystem:
+def dispatch(instance: ProblemInstance, method: str = "auto") -> IdempotentSystem:
     """The primitive idempotents by the paper's closed form ("auto"), or by
     the Euclid oracle ("euclid").  The closed form takes its table from
     `_root_table`, which names the case: "split-case" when t = 1,
     "general-case" when t > 1.  The oracle also serves p = 2 with
     q = 3 (mod 4) and k >= 3, which the closed form does not: x^4 + 1
     splits into two quadratics there, while at k <= 2 the factors x - 1,
-    x + 1 and x^2 + 1 are the closed form's.  `modulus_skip` picks a
-    later modulus of F_{q^t}; `generator_skip` counts the passing
-    candidates u of the root search in `fields`, so a later u gives the
-    closed form's root of unity.  A negative skip is refused before any
-    search runs."""
+    x + 1 and x^2 + 1 are the closed form's.  The modulus of F_{q^t} and
+    the root of unity are the ones `fields` picks by its one rule; the set
+    of idempotents does not depend on that choice."""
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
-    _check_skip("modulus_skip", modulus_skip)
-    _check_skip("generator_skip", generator_skip)
     if method == "euclid":
         return all_idempotents_euclid(instance)
     if instance.p == 2 and instance.q % 4 == 3 and instance.k >= 3:
@@ -327,4 +311,4 @@ def dispatch(
             "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
             "of x^(2^s) - zeta needs q = 1 (mod 4)"
         )
-    return _records_from_table(instance, *_root_table(instance, modulus_skip, generator_skip))
+    return _records_from_table(instance, *_root_table(instance))

@@ -14,15 +14,15 @@ root search walks field elements in the same integer order.  So every
 derived object is reproducible byte for byte.
 
 Every root of unity the library uses is chosen here, by one rule: a root of
-order r (r dividing |F| - 1) is u^((|F| - 1)/r) for the (skip+1)-th element
-u with u^((|F| - 1)/l) != 1 for every prime l dividing r, walked from 1, or
+order r (r dividing |F| - 1) is u^((|F| - 1)/r) for the first element u
+with u^((|F| - 1)/l) != 1 for every prime l dividing r, walked from 1, or
 from index q when no constant can pass (`_root_search`, which factors r
 alone).  The factorization and the closed form ask for r = p^m', so nothing
 factors |F| - 1.  In F_{q^t} the search tests candidates in blocks of 1, 2,
 4, ... int64 rows by one stacked `ReducedRing.pow` each, and returns the
 first candidate that passes in index order: the element a one-at-a-time
-walk finds.  Each (field, order, skip) is searched once, and
-`get_extension_field` builds each (q, t, skip) once.
+walk finds.  Each (field, order) is searched once, and
+`get_extension_field` builds each (q, t) once.
 """
 
 from __future__ import annotations
@@ -102,12 +102,6 @@ def factor_integer(n: int) -> dict[int, int]:
     return out
 
 
-def _check_skip(name: str, skip: int) -> None:
-    """Refuse a negative skip before any search walks its candidates."""
-    if skip < 0:
-        raise UsageError(f"{name} must be >= 0, got {skip}")
-
-
 class FieldElement:
     """A root of unity the search found in F_q or F_{q^t}, as a tuple of
     residues in [0, q): a value, with no arithmetic of its own."""
@@ -170,10 +164,10 @@ class ExtensionField:
     """F_{q^t} presented as F_q[y] modulo a monic irreducible of degree t.
 
     The modulus is verified irreducible at construction; `_certified` builds
-    the field on a modulus its caller has just proved irreducible, and skips
-    that test.  `ring` is the `_fastpoly.ReducedRing` of the modulus: power
-    tables and multiplication matrices on int64 rows, for callers that work
-    on many elements at once.
+    the field on a modulus its caller has just proved irreducible, and
+    leaves that test out.  `ring` is the `_fastpoly.ReducedRing` of the
+    modulus: power tables and multiplication matrices on int64 rows, for
+    callers that work on many elements at once.
     """
 
     __slots__ = ("base", "t", "modulus", "ring")
@@ -239,33 +233,33 @@ def get_prime_field(q: int) -> PrimeField:
 
 
 @functools.lru_cache(maxsize=None)
-def find_irreducible(q: int, t: int, skip: int = 0) -> Poly:
-    """The (skip+1)-th smallest monic irreducible of degree t over F_q,
-    candidates ordered by integer value of the coefficient sequence read
-    from the constant term up.  Deterministic across runs."""
+def find_irreducible(q: int, t: int) -> Poly:
+    """The smallest monic irreducible of degree t over F_q, candidates
+    ordered by integer value of the coefficient sequence read from the
+    constant term up.  Deterministic across runs."""
     if t < 1:
         raise UsageError("extension degree must be >= 1")
-    _check_skip("skip", skip)
     field = get_prime_field(q)
-    return Poly.from_ints(field, fp.lex_irreducible(q, t, skip))
+    return Poly.from_ints(field, fp.lex_irreducible(q, t))
 
 
-def get_extension_field(q: int, t: int, skip: int = 0) -> ExtensionField:
-    """F_{q^t} modulo find_irreducible(q, t, skip), built once per (q, t, skip)."""
-    return _extension_field(q, t, skip)
+def get_extension_field(q: int, t: int) -> ExtensionField:
+    """F_{q^t} modulo find_irreducible(q, t), built once per (q, t)."""
+    return _extension_field(q, t)
 
 
 @functools.lru_cache(maxsize=None)
-def _extension_field(q: int, t: int, skip: int) -> ExtensionField:
-    # one cache entry however the caller spells skip (lru_cache keys on the
-    # call's form, so f(a) and f(a, 0) would be two entries)
-    return ExtensionField._certified(get_prime_field(q), find_irreducible(q, t, skip))
+def _extension_field(q: int, t: int) -> ExtensionField:
+    # the cache sits behind get_extension_field, which engine and structure
+    # import by name: a test that empties or patches it reaches it through
+    # this module attribute
+    return ExtensionField._certified(get_prime_field(q), find_irreducible(q, t))
 
 
-def _canonical_search(field, candidates, exponents: list[int], skip: int = 0) -> int | None:
-    """The index of the (skip+1)-th of the `candidates` (indices in
-    canonical order) none of whose powers to `exponents` is one; None when
-    the candidates run out.
+def _canonical_search(field, candidates, exponents: list[int]) -> int | None:
+    """The index of the first of the `candidates` (indices in canonical
+    order) none of whose powers to `exponents` is one; None when the
+    candidates run out.
 
     Candidates go in blocks of 1, 2, 4, ... (doubled after each block in
     which none passes), each block raised to every exponent by one stacked
@@ -279,33 +273,31 @@ def _canonical_search(field, candidates, exponents: list[int], skip: int = 0) ->
     while (block := np.fromiter(itertools.islice(candidates, size), np.int64)).size:
         powers = ring.pow(_index_rows(q, t, block), exponents)
         passing = np.flatnonzero(~(powers == ring.one()).all(axis=-1).any(axis=0))
-        if skip < passing.size:
-            return int(block[passing[skip]])
-        skip -= passing.size
-        if not passing.size:
-            size = min(2 * size, most)
+        if passing.size:
+            return int(block[passing[0]])
+        size = min(2 * size, most)
     return None
 
 
 @functools.lru_cache(maxsize=None)
-def _root_search(field, order: int, skip: int) -> FieldElement | None:
-    """zeta = u^((|F| - 1)/order) for the (skip+1)-th element u, in
-    canonical order, with u^((|F| - 1)/r) != 1 for every prime r dividing
+def _root_search(field, order: int) -> FieldElement | None:
+    """zeta = u^((|F| - 1)/order) for the first element u, in canonical
+    order, with u^((|F| - 1)/r) != 1 for every prime r dividing
     `order` (so zeta has exact order `order`, which divides |F| - 1); None
     when the elements run out.  Only `order` is factored.  The walk starts
     at index 1 when some constant passes, and at index q, past the
     constants, otherwise: a constant's zeta lies in F_q^*, and the powers
     c^((|F| - 1)/order) of its constants c form the subgroup of order
-    (q - 1)/gcd(q - 1, (|F| - 1)/order).  Each (field, order, skip) is
-    searched once."""
+    (q - 1)/gcd(q - 1, (|F| - 1)/order).  Each (field, order) is searched
+    once."""
     group, q = field.order - 1, field.q
     exponents = [group // r for r in factor_integer(order)]
     start = 1 if (q - 1) // math.gcd(q - 1, group // order) % order == 0 else q
     if isinstance(field, PrimeField):  # q may pass int64: Python ints
         found = (u for u in range(start, q) if all(pow(u, e, q) != 1 for e in exponents))
-        u = next(itertools.islice(found, skip, None), None)
+        u = next(found, None)
         return None if u is None else FieldElement(field, (pow(u, group // order, q),))
-    u = _canonical_search(field, range(start, field.order), exponents, skip)
+    u = _canonical_search(field, range(start, field.order), exponents)
     if u is None:
         return None
     zeta = field.ring.pow(_index_rows(q, field.t, [u])[0], group // order)
@@ -321,17 +313,16 @@ def _check_order(order: int, is_one) -> None:
         raise InvariantViolation("root of unity is not primitive")
 
 
-def _root_powers(field, order: int, skip: int = 0):
-    """zeta^i for i < order, for the zeta of the root search at `skip`: the
-    rule of the factorization (skip 0) and of the closed form's
-    `generator_skip`.  Python ints in F_q (q may pass int64),
-    int64 rows in F_{q^t}.  The table runs one power past `order`, so
-    zeta's exact order is read from it.  F_{q^1} takes the zeta of F_q,
+def _root_powers(field, order: int):
+    """zeta^i for i < order, for the zeta of the root search: the one root
+    of the factorization and of the closed form.  Python ints in F_q (q
+    may pass int64), int64 rows in F_{q^t}.  The table runs one power past
+    `order`, so zeta's exact order is read from it.  F_{q^1} takes the zeta of F_q,
     embedded, so each q is searched once."""
     degree_one = isinstance(field, ExtensionField) and field.t == 1
-    zeta = _root_search(field.base if degree_one else field, order, skip)
+    zeta = _root_search(field.base if degree_one else field, order)
     if zeta is None:
-        raise UsageError(f"no primitive {order}-th root of unity for skip {skip}")
+        raise UsageError(f"no primitive {order}-th root of unity")
     if isinstance(field, PrimeField):
         q, z = field.q, zeta.coeffs[0]
         table = list(itertools.accumulate(range(order), lambda a, _: a * z % q, initial=1))

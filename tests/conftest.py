@@ -3,8 +3,9 @@ from __future__ import annotations
 import functools
 
 import pytest
+from reference import field_modulus, ref_roots
 
-from idemforge import engine, fields, structure
+from idemforge import _fastpoly, engine, fields, structure
 
 #: every table the library builds once per process, by the function that
 #: caches it: extension moduli and fields, roots of unity, minimal
@@ -35,3 +36,30 @@ def fresh_caches(monkeypatch):
 
     refresh()
     return refresh
+
+
+def _second_root(field, order: int):
+    """The root of the search's rule at its second passing candidate u, in
+    plain ints; None when fewer than two candidates pass."""
+    roots = ref_roots(field.q, field_modulus(field), order)
+    next(roots, None)
+    zeta = next(roots, None)
+    return None if zeta is None else fields.FieldElement(field, zeta)
+
+
+@pytest.fixture
+def second_choice(monkeypatch, fresh_caches):
+    """The library makes one choice of modulus of F_{q^t} and of root of
+    unity; calling the returned function switches `fields` to a second one
+    for the rest of the test, with empty caches.  The modulus is
+    `lex_irreducible`'s next one when t > 1, and the root comes from the
+    second passing candidate u of the search's rule (`reference.ref_roots`),
+    so a second choice that does not exist is a UsageError."""
+    lex = _fastpoly.lex_irreducible
+
+    def switch():
+        monkeypatch.setattr(_fastpoly, "lex_irreducible", lambda q, t: lex(q, t, 1 if t > 1 else 0))
+        monkeypatch.setattr(fields, "_root_search", functools.lru_cache(maxsize=None)(_second_root))
+        fresh_caches()
+
+    return switch

@@ -153,8 +153,8 @@ def ref_roots(q: int, mod, order: int, start: int = 1):
     """The root search's rule, one element at a time: zeta =
     u^((q^t - 1)/order) for each u from index `start` in canonical order
     with u^((q^t - 1)/r) != 1 for every prime r dividing `order`, so that
-    zeta has exact order `order`.  The item at position s is the search's
-    answer at skip s."""
+    zeta has exact order `order`.  The first item is the search's answer,
+    and the second is the root of the `second_choice` fixture."""
     t = len(mod) - 1
     group, one = q**t - 1, (1,) + (0,) * (t - 1)
     exponents = [group // r for r in factor_integer(order)]

@@ -154,18 +154,24 @@ def test_criterion_4_regime_consistency(grid):
 _CHOICE_INSTANCES = ((17, 13, 2), (2, 7, 1), (23, 13, 2), (3, 5, 2), (19, 13, 2), (5, 11, 1))
 
 
-def test_criterion_5_choice_independence():
-    checked = 0
-    for q, p, k in _CHOICE_INSTANCES:
-        inst = instance_parameters(q, p, k)
-        assert inst.t > 1
-        base = dispatch(inst)
-        other = dispatch(inst, modulus_skip=1, generator_skip=1)
+def test_criterion_5_choice_independence(second_choice):
+    instances = [instance_parameters(*job) for job in _CHOICE_INSTANCES]
+    assert all(inst.t > 1 for inst in instances)
+    bases = [dispatch(inst) for inst in instances]
+    second_choice()
+    checked = differ = 0
+    for inst, base in zip(instances, bases):
+        other = dispatch(inst)
         assert sets_equal(base, other), inst.describe()
         checked += 1
-    ok = checked >= 5
-    _line(5, ok, f"{checked} instances identical under the second modulus and generator")
-    assert checked >= 5
+        differ += base.coeffs.tobytes() != other.coeffs.tobytes()
+    # the second choice reaches the closed form's bytes: (17, 13, 2),
+    # (23, 13, 2) and (19, 13, 2) come out with other rows; (3, 5, 2) has
+    # one unit orbit, whose table needs no root, and (2, 7, 1) and
+    # (5, 11, 1) get the same trace tables from either root
+    ok = checked >= 5 and differ >= 3
+    _line(5, ok, f"{checked} instances identical under the second modulus and root, {differ} in other bytes")
+    assert checked >= 5 and differ >= 3
 
 
 # -- criterion 6: count-formula audit ----------------------------------------

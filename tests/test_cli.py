@@ -286,6 +286,25 @@ def test_code_over_budget_exits_1(capsys, q, p, k, label, count):
     )
 
 
+def test_code_refuses_a_negative_budget(capsys):
+    # bad input, named by its flag, with or without --min-distance and
+    # before the instance is read; a budget of 0 is still a budget that the
+    # walk exceeds
+    code_args = ("code", "--q", "2", "--p", "7", "--k", "1", "--label", "e_0")
+    for extra in (("--min-distance",), ()):
+        code, out, err = run_cli(capsys, *code_args, *extra, "--budget", "-1")
+        assert (code, out, err) == (1, "", "error: --budget must be >= 0, got -1\n")
+    bad_q = ("code", "--q", "4", "--p", "7", "--k", "1", "--label", "e_0")
+    code, out, err = run_cli(capsys, *bad_q, "--budget", "-5")
+    assert (code, out, err) == (1, "", "error: --budget must be >= 0, got -5\n")
+    code, out, err = run_cli(capsys, *code_args, "--min-distance", "--budget", "0")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: walking the 1 Frobenius orbits of the (2^1 - 1)/1 cosets of <x, F_q^*> "
+        "exceeds the budget 0\n"
+    )
+
+
 def test_code_unknown_label(capsys):
     code, _, err = run_cli(
         capsys, "code", "--q", "2", "--p", "7", "--k", "1", "--label", "nope"
@@ -592,9 +611,7 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 
 def test_gen_exits_3_when_the_closed_form_root_has_the_wrong_order(capsys, monkeypatch, fresh_caches):
     search = fields._root_search
-    monkeypatch.setattr(
-        fields, "_root_search", lambda field, order, skip: ref_element_pow(search(field, order, skip), 5)
-    )
+    monkeypatch.setattr(fields, "_root_search", lambda field, order: ref_element_pow(search(field, order), 5))
     code = main(["gen", "--q", "7", "--p", "5", "--k", "2", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 3

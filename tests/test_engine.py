@@ -518,7 +518,7 @@ def test_general_case_orbit_equivalent_indices_coincide():
     # second-type rows for every index j = 1, 2, 3, with no orbit
     # deduplication: 1 and 2 share the orbit {1, 2, 4} mod 7, 3 does not
     inst = instance_parameters(2, 7, 1)
-    table, method = engine._root_table(inst, 0, 0)
+    table, method = engine._root_table(inst)
     assert method == "general-case"
     rows = np.zeros((3, inst.n), dtype=np.int64)
     engine._gather_into(rows, table, pow(inst.n, -1, inst.q), inst.q, [1, 2, 3])
@@ -613,43 +613,13 @@ def test_cli_rejects_the_removed_methods_as_invalid_choices(capsys):
             assert "Traceback" not in err
 
 
-def test_dispatch_choice_independence_small():
+def test_dispatch_choice_independence_small(second_choice):
     inst = instance_parameters(2, 7, 1)
     base = dispatch(inst)
-    other = dispatch(inst, modulus_skip=1, generator_skip=1)
+    second_choice()
+    other = dispatch(inst)
+    assert get_extension_field(2, 3).modulus.int_coeffs() == (1, 0, 1, 1)  # y^3 + y^2 + 1
     assert sets_equal(base, other)
-
-
-# (function, arguments, keywords, the refusal): a negative skip is bad
-# input, refused with a UsageError (exit class 1) before a modulus or root
-# search walks a candidate, at t = 1 and t > 1 and on the oracle route too
-NEGATIVE_SKIPS = [
-    ("dispatch", ((17, 13, 2),), {"modulus_skip": -1}, "modulus_skip must be >= 0, got -1"),
-    ("dispatch", ((2, 3, 2),), {"modulus_skip": -1}, "modulus_skip must be >= 0, got -1"),
-    ("dispatch", ((7, 3, 2),), {"generator_skip": -1}, "generator_skip must be >= 0, got -1"),
-    ("dispatch", ((17, 13, 2),), {"generator_skip": -1}, "generator_skip must be >= 0, got -1"),
-    ("dispatch", ((17, 13, 2), "euclid"), {"generator_skip": -1}, "generator_skip must be >= 0, got -1"),
-    ("find_irreducible", (2, 1, -1), {}, "skip must be >= 0, got -1"),
-    ("find_irreducible", (17, 6), {"skip": -2}, "skip must be >= 0, got -2"),
-    ("get_extension_field", (2, 3, -1), {}, "skip must be >= 0, got -1"),
-]
-
-
-@pytest.mark.parametrize("function, args, kwargs, message", NEGATIVE_SKIPS)
-def test_negative_skips_are_refused_before_any_search(
-    monkeypatch, fresh_caches, function, args, kwargs, message
-):
-    from idemforge import _fastpoly as fp
-
-    def forbidden(*args):
-        raise AssertionError("a search ran")
-
-    monkeypatch.setattr(fp, "lex_irreducible", forbidden)
-    monkeypatch.setattr(fields, "_root_search", forbidden)
-    if function == "dispatch":
-        args = (instance_parameters(*args[0]),) + args[1:]
-    with pytest.raises(UsageError, match=f"^{message}$"):
-        getattr(engine if function == "dispatch" else fields, function)(*args, **kwargs)
 
 
 # -- one unit orbit ---------------------------------------------------------
@@ -680,7 +650,7 @@ def test_one_unit_orbit_tables_are_the_traces_of_a_real_root():
         traces = tuple(sums[:, 0].tolist())
         if t <= 28:
             assert traces[1] == ref_trace(tuple(powers[1].tolist()), field_modulus(field), q)
-        assert engine._sigma_table(q, t, p, 0, 0) == traces, (q, p)
+        assert engine._sigma_table(q, t, p) == traces, (q, p)
         assert not (powers.sum(axis=0) % q).any()
         base = get_prime_field(q)
         x_minus_1, phi = Poly.from_ints(base, [-1, 1]), Poly.from_ints(base, [1] * p)
@@ -702,21 +672,6 @@ def test_one_unit_orbit_builds_no_extension_field(q, p, k, monkeypatch, fresh_ca
     system = dispatch(inst)
     assert len(factor_xn_minus_1(inst)) == len(system) == k + 1
     assert sets_equal(system, all_idempotents_euclid(inst))
-
-
-def test_skips_on_one_unit_orbit_still_need_the_chosen_modulus_and_root():
-    # the table is the same for every zeta, but a modulus or root that
-    # does not exist is refused as before: F_4 has one modulus of degree 2
-    # and two primitive cube roots of unity; F_16 has three moduli of degree 4
-    inst = instance_parameters(2, 3, 5)
-    with pytest.raises(UsageError, match="^fewer than 2 monic irreducibles of degree 2 over F_2$"):
-        dispatch(inst, modulus_skip=1)
-    with pytest.raises(UsageError, match="^no primitive 3-th root of unity for skip 2$"):
-        dispatch(inst, generator_skip=2)
-    assert dispatch(inst, generator_skip=1) == dispatch(inst)
-    inst = instance_parameters(2, 5, 1)
-    for skips in ({"modulus_skip": 1}, {"generator_skip": 1}, {"modulus_skip": 1, "generator_skip": 1}):
-        assert dispatch(inst, **skips) == dispatch(inst)
 
 
 def test_algebraic_system_properties_on_samples():
@@ -746,23 +701,31 @@ def test_third_type_census():
 
 # Levels k <= m and inflated ones, F_{q^2} for p = 2 with q = 3 mod 4, and
 # the golden instance: the digest fixes which factor each coset gets and
-# every closed-form coefficient, under both choices.
+# every closed-form coefficient, under the library's choice and the second
+# choice of the `second_choice` fixture.  (2, 3, 5) has one unit orbit, so
+# its second choice needs no second modulus of F_4 and gives the first
+# choice's records.
 PINNED_INSTANCES = ((19, 7, 2), (2, 3, 5), (3, 5, 3), (3, 2, 5), (7, 2, 6), (17, 13, 2))
-PINNED_DIGEST = "01d5bea5ba8a8779edb7f11d3b3f8276b89c29fb0c2e1fbceeb57434dba5701e"
+PINNED_DIGEST = "4a9cece1d5e5e9c3ca3ff2740ac176d170b85c75878d5eacfea9733921bac6d4"
 
 
-def test_factor_lists_and_closed_forms_keep_their_bytes():
+def test_factor_lists_and_closed_forms_keep_their_bytes(second_choice):
+    def closed_form(inst) -> bytes:
+        try:
+            records = dispatch(inst)
+        except UsageError as exc:  # p = 2 with q = 3 mod 4, or no second choice
+            return type(exc).__name__.encode()
+        return repr([(r.label, r.value.int_coeffs()) for r in records]).encode()
+
+    instances = [instance_parameters(*job) for job in PINNED_INSTANCES]
+    factors = [repr([(d, f.coeffs) for d, f in factor_xn_minus_1(inst)]).encode() for inst in instances]
+    first = [closed_form(inst) for inst in instances]
+    second_choice()
+    second = [closed_form(inst) for inst in instances]
     digest = hashlib.sha256()
-    for q, p, k in PINNED_INSTANCES:
-        inst = instance_parameters(q, p, k)
-        digest.update(repr([(d, f.coeffs) for d, f in factor_xn_minus_1(inst)]).encode())
-        for choices in ({}, {"modulus_skip": 1, "generator_skip": 1}):
-            try:
-                records = dispatch(inst, **choices)
-            except UsageError as exc:  # p = 2 with q = 3 mod 4, or no second modulus
-                digest.update(type(exc).__name__.encode())
-            else:
-                digest.update(repr([(r.label, r.value.int_coeffs()) for r in records]).encode())
+    for parts in zip(factors, first, second):
+        for part in parts:
+            digest.update(part)
     assert digest.hexdigest() == PINNED_DIGEST
 
 
@@ -802,8 +765,8 @@ def test_tables_shared_across_k_are_built_once_and_read_only():
     for k in (1, 2):
         dispatch(instance_parameters(2, 7, k))
         factor_xn_minus_1(instance_parameters(2, 7, k))
-    table = engine._sigma_table(2, 3, 7, 0, 0)
-    assert table is engine._sigma_table(2, 3, 7, 0, 0) and len(table) == 7
+    table = engine._sigma_table(2, 3, 7)
+    assert table is engine._sigma_table(2, 3, 7) and len(table) == 7
     minpolys = _minimal_polynomials(2, 7, 3)
     assert minpolys is _minimal_polynomials(2, 7, 3) and len(minpolys) == 7
     with pytest.raises(TypeError):
@@ -844,15 +807,11 @@ def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch, 
     # the p-th power of the searched root has order p^(m'-1): nonzero and a
     # p^m'-th root of 1, but not primitive
     search = fields._root_search
-    monkeypatch.setattr(
-        fields, "_root_search", lambda field, order, skip: ref_element_pow(search(field, order, skip), p)
-    )
+    monkeypatch.setattr(fields, "_root_search", lambda field, order: ref_element_pow(search(field, order), p))
     inst = instance_parameters(q, p, k)
     assert inst.effective_m == 2
     with pytest.raises(InvariantViolation, match="not primitive"):
         dispatch(inst)
-    with pytest.raises(InvariantViolation, match="not primitive"):
-        dispatch(inst, generator_skip=1)
 
 
 def test_a_system_is_a_sequence_of_records_built_on_access():

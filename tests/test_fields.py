@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import re
 
@@ -80,8 +79,9 @@ def test_find_irreducible_smallest_cubic_over_f2():
 
 
 def test_find_irreducible_second_smallest_cubic_over_f2():
-    poly = find_irreducible(2, 3, skip=1)
-    assert poly.int_coeffs() == (1, 0, 1, 1)  # y^3 + y^2 + 1
+    from idemforge._fastpoly import lex_irreducible
+
+    assert lex_irreducible(2, 3, 1) == (1, 0, 1, 1)  # y^3 + y^2 + 1
 
 
 def test_find_irreducible_degree_one_is_y():
@@ -303,9 +303,9 @@ def _primitive_walk(field):
 def test_primitive_element_examples(f7, f8):
     # a generator of F^* is the root search at order |F| - 1
     f2 = get_prime_field(2)
-    assert _root_search(f7, 6, 0) == FieldElement(f7, (3,))
-    assert _root_search(f2, 1, 0) == FieldElement(f2, (1,))
-    assert _root_search(f8, 7, 0) == FieldElement(f8, _tuple(f8.ring.x()))
+    assert _root_search(f7, 6) == FieldElement(f7, (3,))
+    assert _root_search(f2, 1) == FieldElement(f2, (1,))
+    assert _root_search(f8, 7) == FieldElement(f8, _tuple(f8.ring.x()))
 
 
 def test_primitive_element_matches_walk_over_all_elements():
@@ -327,7 +327,15 @@ def test_primitive_element_matches_walk_over_all_elements():
             for g in (digits(q, t, i) for i in range(1, field.order))
             if order(g) == field.order - 1
         ][:3]
-        assert [_root_search(field, field.order - 1, s).coeffs for s in range(len(walk))] == walk
+        assert _root_search(field, field.order - 1).coeffs == walk[0]
+        # the later generators, by the search's kernel restarted past each
+        exponents = [(field.order - 1) // r for r in factor_integer(field.order - 1)]
+        found, start = [], 1
+        for _ in walk:
+            index = fields._canonical_search(field, range(start, field.order), exponents)
+            found.append(digits(q, t, index))
+            start = index + 1
+        assert found == walk
 
 
 _SWEEP = [
@@ -340,36 +348,26 @@ _SWEEP = [
 
 def _check_against_scalar_walks(field):
     n = field.order - 1
-    expected = list(itertools.islice(_primitive_walk(field), 4))
-    for skip in (0, 1, 3):
-        found = _root_search(field, n, skip)
-        if skip < len(expected):
-            assert found.coeffs == expected[skip]
-        else:  # F_2, F_3, F_5 and F_7 have fewer than four generators
-            assert found is None
+    assert _root_search(field, n).coeffs == next(_primitive_walk(field))
     for r, v in factor_integer(n).items():
         for order in {r, r**v}:
-            roots = ref_roots(field.q, field_modulus(field), order)
-            first, second = next(roots), next(roots, None)
-            assert _root_search(field, order, 0).coeffs == first
-            if second is not None:
-                assert _root_search(field, order, 1).coeffs == second
+            first = next(ref_roots(field.q, field_modulus(field), order))
+            assert _root_search(field, order).coeffs == first
             if order <= 4096:
-                table = _root_powers(field, order, 1 if second else 0)
-                assert _tuple(table[1]) == (second or first)
+                assert _tuple(_root_powers(field, order)[1]) == first
 
 
 @pytest.mark.parametrize("q", sorted({q for q, _ in _SWEEP}))
 def test_stacked_walks_match_the_scalar_walks(q):
     # F_q and every field F_{q^t}, t <= 12, of the sweep (F_{13^10} and
     # F_{29^10} among them) against the reference's walk over plain ints:
-    # the same elements, skip included
+    # the same elements
     _check_against_scalar_walks(get_prime_field(q))
     for t in sorted(t for p, t in _SWEEP if p == q):
         _check_against_scalar_walks(get_extension_field(q, t))
     if q == 17:  # F_{17^4} finds its generator at the 291st candidate, index 17 + 290
         field = get_extension_field(17, 4)
-        assert _root_search(field, field.order - 1, 0).coeffs == digits(17, 4, 17 + 290)
+        assert _root_search(field, field.order - 1).coeffs == digits(17, 4, 17 + 290)
 
 
 def test_stacked_walks_match_on_the_code_check_polynomial_fields():
@@ -388,7 +386,7 @@ def test_stacked_walks_match_on_the_code_check_polynomial_fields():
         g = generator_polynomial(next(r for r in dispatch(inst) if r.label == label), inst.n)
         h, _ = Poly.x_pow_minus_one(g.field, inst.n).divrem(g)
         field = ExtensionField(get_prime_field(q), h.monic())
-        assert _root_search(field, field.order - 1, 0).coeffs == next(_primitive_walk(field))
+        assert _root_search(field, field.order - 1).coeffs == next(_primitive_walk(field))
         degrees.append(field.degree)
     assert max(degrees) >= 20
 
@@ -398,22 +396,22 @@ def test_primitive_element_at_the_int64_edge():
     # against pure-Python arithmetic
     q = 2147483579
     field = get_extension_field(q, 2)
-    assert _root_search(field, field.order - 1, 0).coeffs == next(_primitive_walk(field))
+    assert _root_search(field, field.order - 1).coeffs == next(_primitive_walk(field))
 
 
-def test_one_cache_entry_per_field_and_skip(fresh_caches):
+def test_one_cache_entry_per_field_and_order(fresh_caches):
+    # one entry however the caller spells the arguments
     field = get_extension_field(3, 4)
-    assert np.array_equal(_root_powers(field, 5), _root_powers(field, 5, 0))
-    _root_powers(field, 5, skip=0)
+    assert np.array_equal(_root_powers(field, 5), _root_powers(field, order=5))
     assert fields._root_search.cache_info().misses == 1
-    assert get_extension_field(5, 3) is get_extension_field(5, 3, 0)
-    assert get_extension_field(5, 3, 0) is get_extension_field(5, 3, skip=0)
+    assert get_extension_field(5, 3) is get_extension_field(q=5, t=3)
+    assert fields._extension_field.cache_info().misses == 2
 
 
 def test_survey_loop_searches_each_field_once(monkeypatch, fresh_caches):
     # the calls of a pass over the acceptance grid, from cold caches: one
-    # root search per distinct (field, order, skip) and one ExtensionField
-    # per (q, t, skip), and neither where one unit orbit (t = p - 1,
+    # root search per distinct (field, order) and one ExtensionField
+    # per (q, t), and neither where one unit orbit (t = p - 1,
     # m' = 1) needs no root: 27 searches and 23 fields
     import functools
 
@@ -459,9 +457,9 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, f
     searched = []
     search = fields._root_search.__wrapped__
 
-    def counting(field, order, skip):
-        searched.append((field, order, skip))
-        return search(field, order, skip)
+    def counting(field, order):
+        searched.append((field, order))
+        return search(field, order)
 
     monkeypatch.setattr(fields, "_root_search", functools.lru_cache(maxsize=None)(counting))
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
@@ -475,8 +473,8 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, f
     # orbit: F_{q^1} reads the root of F_q, so no search runs in a degree-1
     # extension
     assert len(searched) == len(set(searched)) == 27
-    assert all(field.degree > 1 or isinstance(field, fields.PrimeField) for field, _, _ in searched)
-    assert all(len(factor_integer(order)) == 1 for _, order, _ in searched)
+    assert all(field.degree > 1 or isinstance(field, fields.PrimeField) for field, _ in searched)
+    assert all(len(factor_integer(order)) == 1 for _, order in searched)
 
 
 def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches):
@@ -519,12 +517,8 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches
     assert len({(q, vec) for q, vec, _ in tests}) == len(tests)
 
 
-def test_primitive_element_skip_differs(f8):
-    assert _root_search(f8, 7, 0) != _root_search(f8, 7, 1)
-
-
 def test_root_of_unity_examples(f7, f8):
-    assert _root_search(f8, 7, 0) == FieldElement(f8, (0, 1, 0))
+    assert _root_search(f8, 7) == FieldElement(f8, (0, 1, 0))
     assert _root_powers(f7, 1) == [1]
     assert _root_powers(f7, 3) == [1, 4, 2]  # u = 2, the first with u^2 != 1
 
@@ -547,7 +541,7 @@ def test_root_of_unity_has_exact_order():
 def test_root_of_unity_checks_every_prime_of_the_order(f7, monkeypatch):
     # 6 has order 2 in F_7: 6^(6/2) != 1 passes the check at the prime 2,
     # and only the prime 3 (6^2 = 1) exposes it
-    monkeypatch.setattr(fields, "_root_search", lambda field, order, skip: FieldElement(field, (6,)))
+    monkeypatch.setattr(fields, "_root_search", lambda field, order: FieldElement(field, (6,)))
     with pytest.raises(InvariantViolation, match="not primitive"):
         _root_powers(f7, 6)
 
@@ -586,8 +580,8 @@ def test_trace_examples(f8):
     assert ref_trace((1, 0, 0), mod, 2) == 1  # 3*1 mod 2
     assert ref_trace((0, 1, 0), mod, 2) == 0
     assert ref_trace(ref_pow((0, 1, 0), 3, mod, 2), mod, 2) == 1
-    assert _root_search(f8, 7, 0).coeffs == (0, 1, 0)
-    assert engine._sigma_table(2, 3, 7, 0, 0) == tuple(
+    assert _root_search(f8, 7).coeffs == (0, 1, 0)
+    assert engine._sigma_table(2, 3, 7) == tuple(
         ref_trace(ref_pow((0, 1, 0), i, mod, 2), mod, 2) for i in range(7)
     )
 
@@ -596,7 +590,7 @@ def test_trace_of_embedded_constant_is_t_times_c():
     # tr(c) = t*c; the table's entry at zeta^0 = 1 is t
     field = get_extension_field(7, 3)
     assert ref_trace((2, 0, 0), field.modulus.coeffs, 7) == 6  # 3 * 2 mod 7
-    assert engine._sigma_table(7, 3, 19, 0, 0)[0] == 3  # ord_19 7 = 3
+    assert engine._sigma_table(7, 3, 19)[0] == 3  # ord_19 7 = 3
 
 
 def test_trace_linearity_and_frobenius_invariance():
@@ -606,7 +600,7 @@ def test_trace_linearity_and_frobenius_invariance():
     field = get_extension_field(3, 4)
     mod = field.modulus.coeffs
     zeta = _tuple(_root_powers(field, 5)[1])
-    table = engine._sigma_table(3, 4, 5, 0, 0)
+    table = engine._sigma_table(3, 4, 5)
     assert table == tuple(ref_trace(ref_pow(zeta, i, mod, 3), mod, 3) for i in range(5))
     assert all(table[i] == table[3 * i % 5] for i in range(5))
     rng = random.Random(7)
@@ -622,7 +616,7 @@ def test_trace_is_surjective():
     # the closed form's trace tables and the reference's trace on F_{q^t}
     # each take a nonzero value
     for q, t, pm in [(2, 3, 7), (3, 4, 5), (5, 2, 3)]:
-        assert any(engine._sigma_table(q, t, pm, 0, 0))
+        assert any(engine._sigma_table(q, t, pm))
         mod = get_extension_field(q, t).modulus.coeffs
         assert any(ref_trace(digits(q, t, i), mod, q) for i in range(q**t))
 
