@@ -480,6 +480,8 @@ def lex_irreducible(q: int, t: int, skip: int = 0) -> tuple[int, ...]:
     one-at-a-time walk finds."""
     if t < 1:
         raise UsageError("degree must be >= 1")
+    if skip < 0:
+        raise UsageError("skip must be >= 0")
     if t == 1:
         if skip >= q:
             raise UsageError(f"fewer than {skip + 1} monic irreducibles of degree 1 over F_{q}")

@@ -14,8 +14,9 @@ Every route returns an `IdempotentSystem`: one (r, n) coefficient array,
 written by the route's kernel, with the label, kind and params of each row.
 Records are in a canonical order: the unit-sum element first, then
 second-type records by index, then third-type records by (level, index).
-The closed form takes the power table of its root of unity from `fields`,
-which picks the root by its one rule and checks its exact order.
+The closed form and the oracle's factors read one table,
+`structure._sigma_table`, of the root of unity that `fields` picks by its
+one rule and checks for its exact order.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fastpoly as fp
+from . import structure
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
-from .fields import _root_powers, get_extension_field, get_prime_field
+from .fields import get_prime_field
 from .polys import CyclicRingElement, render_poly
 from .structure import (
     ProblemInstance,
-    _one_unit_orbit,
     cyclotomic_cosets,
     factor_xn_minus_1,
     inflation_stride,
@@ -223,15 +224,11 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
 
 def _root_table(instance: ProblemInstance) -> tuple[Sequence[int], str]:
     """(table, method) of the closed form, the one place that branches on t:
-    table[i] holds the F_q value attached to the i-th power of a primitive
-    p^min(m,k)-th root of unity, the power itself when t = 1 (the root lives
-    in F_q) and its trace from F_{q^t} when t > 1."""
-    pm = instance.p**instance.effective_m
-    if pm == 1:  # k = 0, so t = 1: zeta = 1, with no root search to run
-        return (1,), "split-case"
-    if instance.t == 1:
-        return _root_powers(get_prime_field(instance.q), pm), "split-case"
-    return _sigma_table(instance.q, instance.t, pm), "general-case"
+    `structure._sigma_table` at (q, t, p^min(m,k)), the traces from F_{q^t}
+    of the powers of its root of unity, which are the powers themselves
+    when t = 1 ("split-case"), the root lying in F_q."""
+    table = structure._sigma_table(instance.q, instance.t, instance.p**instance.effective_m)
+    return table, "split-case" if instance.t == 1 else "general-case"
 
 
 def _gather_into(out: np.ndarray, table: Sequence[int], scale: int, q: int, indices) -> None:
@@ -264,32 +261,6 @@ def _records_from_table(instance: ProblemInstance, table: Sequence[int], method:
     kinds = [KIND_UNIT_SUM] + [KIND_SECOND] * len(js) + [KIND_THIRD] * (len(ls) * len(levels))
     params = [None] + [(j,) for j in js] + [(s, l) for s in levels for l in ls]
     return IdempotentSystem(q, n, coeffs, labels, kinds, params, method)
-
-
-@functools.lru_cache(maxsize=None)
-def _sigma_table(q: int, t: int, pm: int) -> tuple[int, ...]:
-    """table[i] = trace of zeta^i from F_{q^t} down to F_q, for a primitive
-    pm-th root of unity zeta from `fields._root_powers`: the sum over u < t
-    of zeta^(i*q^u), read from the power table of zeta.  It depends on k
-    only through pm = p^m', so it is built once per process for each
-    (q, t, pm), and returned as a tuple.
-
-    With one unit orbit (`_one_unit_orbit`: t = p - 1, m' = 1) the trace of
-    zeta^i sums all p - 1 primitive p-th roots, which is -1, for every
-    i != 0, and t at i = 0, whatever zeta is: the table comes from that,
-    with no F_{q^t}, under the int64 rule of F_{q^t}."""
-    if _one_unit_orbit(pm, t):
-        fp.check_int64_exact(t, q)
-        return (t % q,) + (q - 1,) * t
-    powers = _root_powers(get_extension_field(q, t), pm)
-    index = np.arange(pm)
-    traces = np.zeros_like(powers)
-    for u in range(t):  # one exponent at a time keeps memory at pm*t entries
-        traces += powers[index * pow(q, u, pm) % pm]
-    traces %= q
-    if traces[:, 1:].any():
-        raise InvariantViolation("trace value left the base field")
-    return tuple(traces[:, 0].tolist())
 
 
 def dispatch(instance: ProblemInstance, method: str = "auto") -> IdempotentSystem:

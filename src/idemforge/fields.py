@@ -250,9 +250,9 @@ def get_extension_field(q: int, t: int) -> ExtensionField:
 
 @functools.lru_cache(maxsize=None)
 def _extension_field(q: int, t: int) -> ExtensionField:
-    # the cache sits behind get_extension_field, which engine and structure
-    # import by name: a test that empties or patches it reaches it through
-    # this module attribute
+    # the cache sits behind get_extension_field, which structure imports by
+    # name: a test that empties or patches it reaches it through this
+    # module attribute
     return ExtensionField._certified(get_prime_field(q), find_irreducible(q, t))
 
 
@@ -317,10 +317,8 @@ def _root_powers(field, order: int):
     """zeta^i for i < order, for the zeta of the root search: the one root
     of the factorization and of the closed form.  Python ints in F_q (q
     may pass int64), int64 rows in F_{q^t}.  The table runs one power past
-    `order`, so zeta's exact order is read from it.  F_{q^1} takes the zeta of F_q,
-    embedded, so each q is searched once."""
-    degree_one = isinstance(field, ExtensionField) and field.t == 1
-    zeta = _root_search(field.base if degree_one else field, order)
+    `order`, so zeta's exact order is read from it."""
+    zeta = _root_search(field, order)
     if zeta is None:
         raise UsageError(f"no primitive {order}-th root of unity")
     if isinstance(field, PrimeField):

@@ -1,7 +1,8 @@
 """Number-theoretic structure of a problem instance: orders, the (t, m)
-parameters, q-cyclotomic cosets mod p^k, and the full irreducible
-factorization of x^(p^k) - 1 over F_q from minimal polynomials of roots of
-unity in F_{q^t}, inflated for the levels above m.  The roots of unity, and
+parameters, q-cyclotomic cosets mod p^k, the traces of the powers of a
+root of unity zeta (`_sigma_table`, the one reader of zeta), and the full
+irreducible factorization of x^(p^k) - 1 over F_q from minimal polynomials
+read off them, inflated for the levels above m.  The roots of unity, and
 so the order of the factors, are chosen by `fields`."""
 
 from __future__ import annotations
@@ -204,41 +205,84 @@ def expected_idempotent_count(instance: ProblemInstance) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _sigma_table(q: int, t: int, pm: int) -> tuple[int, ...]:
+    """table[i] = trace of zeta^i from F_{q^t} down to F_q, for the primitive
+    pm-th root of unity zeta from `fields._root_powers`, which nothing else
+    in the pipeline reads: the closed form's rows and `_minimal_polynomials`
+    come from this table.  Built once per process for each (q, t, pm).
+
+    At pm = 1 (k = 0) it is (1,).  At t = 1 it is zeta^i itself, in Python
+    ints (q may pass int64).  With one unit orbit (`_one_unit_orbit`:
+    t = p - 1, m' = 1) the trace of zeta^i sums all p - 1 primitive p-th
+    roots, -1, for every i != 0, and is t at i = 0, whatever zeta is: no
+    F_{q^t} is built, but its int64 rule holds.  Otherwise it is the sum
+    over u < t of zeta^(i*q^u), read from the power table of zeta."""
+    if pm == 1:
+        return (1,)
+    if t == 1:
+        return tuple(_root_powers(get_prime_field(q), pm))
+    if _one_unit_orbit(pm, t):
+        fp.check_int64_exact(t, q)
+        return (t % q,) + (q - 1,) * t
+    powers = _root_powers(get_extension_field(q, t), pm)
+    index = np.arange(pm)
+    traces = np.zeros_like(powers)
+    for u in range(t):  # one exponent at a time keeps memory at pm*t entries
+        traces += powers[index * pow(q, u, pm) % pm]
+    traces %= q
+    if traces[:, 1:].any():
+        raise InvariantViolation("trace value left the base field")
+    return tuple(traces[:, 0].tolist())
+
+
+def _berlekamp_massey(seq: list[int], q: int) -> list[int]:
+    """The characteristic polynomial (ascending, monic) of a shortest linear
+    recurrence of `seq` over F_q (Massey, IEEE Trans. Inf. Theory 15, 1969),
+    the only one of its length when seq has twice that many terms."""
+    conn, prev = [1], [1]  # connection polynomials, now and before the last length change
+    length, shift, last = 0, 1, 1
+    for n in range(len(seq)):
+        delta = sum(c * seq[n - i] for i, c in enumerate(conn[: length + 1])) % q
+        if delta:
+            coef, new = delta * pow(last, -1, q) % q, conn + [0] * (len(prev) + shift - len(conn))
+            for i, c in enumerate(prev):
+                new[i + shift] = (new[i + shift] - coef * c) % q
+            if 2 * length <= n:
+                length, prev, last, shift = n + 1 - length, conn, delta, 0
+            conn = new
+        shift += 1
+    return (conn + [0] * length)[length::-1]
+
+
+@functools.lru_cache(maxsize=None)
 def _minimal_polynomials(q: int, pm: int, big_t: int) -> Mapping[int, Poly]:
     """Every exponent j mod pm -> the minimal polynomial over F_q of zeta^j,
-    for the primitive pm-th root of unity zeta that `fields` picks in
-    F_{q^T}.  It depends on (q, pm, T) alone, not on k, so it is built once
-    per process for each and returned read-only.
+    for the primitive pm-th root of unity zeta in F_{q^T}, read off the
+    traces `_sigma_table(q, T, pm)` under the int64 rule of F_{q^T}.  Built
+    once per process for each (q, pm, T), shared by every k, read-only.
 
-    With one unit orbit (`_one_unit_orbit`) the map is 0 -> x - 1 and
-    j -> Phi_p = 1 + x + ... + x^(p-1) for j != 0, for every zeta, so no
-    F_{q^T} is built; q is held to the int64 rule of F_{q^T} all the same.
-    Otherwise the minimal polynomial of zeta^j is the product of
-    (x - zeta^i) over the orbit of j under multiplication by q mod pm.
-    Orbits of one size are multiplied out together: prods[o] holds the
-    coefficients (each in F_{q^T}) of the partial product for orbit o."""
+    For the orbit of c != 0 under multiplication by q mod pm, of size d,
+    table[c*i mod pm] = Tr(zeta^(c*i)) is T/d times the i-th power sum of
+    the d conjugates of zeta^c.  T/d is 1, or 2 in the p = 2 root field,
+    where q is odd, so `_berlekamp_massey` on 2d terms returns the minimal
+    polynomial of zeta^c.  c = 0 gives x - 1, since Tr(1) = T may be 0
+    mod q, and an orbit of size 1 gives x - table[c]/T: for c != 0 it
+    occurs only when T = 1 or in the p = 2 root field (q odd)."""
+    fp.check_int64_exact(big_t, q)
     base = get_prime_field(q)
-    if _one_unit_orbit(pm, big_t):
-        fp.check_int64_exact(big_t, q)
-        phi = Poly.from_ints(base, [1] * pm)
-        return MappingProxyType({0: Poly.from_ints(base, [-1, 1]), **dict.fromkeys(range(1, pm), phi)})
-    field = get_extension_field(q, big_t)
-    ring = field.ring
-    zeta_powers = _root_powers(field, pm)
+    table = _sigma_table(q, big_t, pm)
     minpolys: dict[int, Poly] = {}
-    by_size: dict[int, list[tuple[int, ...]]] = {}
     for orbit in cyclotomic_cosets(q, pm).cosets:
-        by_size.setdefault(orbit.size, []).append(orbit.elements)
-    for size, orbits in by_size.items():
-        roots = zeta_powers[np.array(orbits)]
-        prods = np.zeros((len(orbits), size + 1, big_t), dtype=np.int64)
-        prods[:, 0, 0] = 1
-        for i in range(size):  # x*prod - root*prod; roll wraps the top coefficient, still 0
-            prods = (np.roll(prods, 1, axis=1) - prods @ ring.matrix(roots[:, i])) % q
-        if prods[:, :, 1:].any():
-            raise InvariantViolation("minimal polynomial left the base field")
-        for orbit, coeffs in zip(orbits, prods[:, :, 0].tolist()):
-            minpolys.update(dict.fromkeys(orbit, Poly.from_ints(base, coeffs)))
+        c, d = orbit.rep, orbit.size
+        if c == 0:
+            coeffs = [-1, 1]
+        elif d == 1:
+            coeffs = [-table[c] * pow(big_t, -1, q), 1]
+        elif d == pm - 1:  # all of (Z/p)^*: Phi_p, where BM takes O(p^2) steps
+            coeffs = [1] * pm
+        else:
+            coeffs = _berlekamp_massey([table[c * i % pm] for i in range(2 * d)], q)
+        minpolys.update(dict.fromkeys(orbit.elements, Poly.from_ints(base, coeffs)))
     return MappingProxyType(minpolys)
 
 
@@ -290,11 +334,11 @@ def inflation_stride(order: int, f: Poly) -> int:
 def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]:
     """Irreducible factorization of x^n - 1 over F_q, one monic factor per
     q-cyclotomic coset (same order as `cyclotomic_cosets`).  Each factor is
-    the minimal polynomial of a root of unity of order p^s <= p^M computed
-    in F_{q^T}, (T, M) = `instance.root_field`, inflated by
-    x -> x^(p^(s-M)) above level M; with one unit orbit (T = p - 1 and
-    m' = 1) they are x - 1 and Phi_p, inflated, and no F_{q^T} is built.
-    Monic factors of the coset degrees whose product is the squarefree
-    x^n - 1 are necessarily its irreducible factors, so the product check
-    certifies irreducibility, Phi_p's included."""
+    the minimal polynomial of a root of unity of order p^s <= p^M in
+    F_{q^T}, (T, M) = `instance.root_field`, read off its trace table, and
+    inflated by x -> x^(p^(s-M)) above level M; with one unit orbit
+    (T = p - 1, m' = 1) they are x - 1 and Phi_p, with no F_{q^T}.  Monic
+    factors of the coset degrees whose product is the squarefree x^n - 1
+    are its irreducible factors, so the product check certifies them
+    whatever produced them."""
     return _factor_cached(instance)

@@ -8,16 +8,16 @@ from reference import field_modulus, ref_roots
 from idemforge import _fastpoly, engine, fields, structure
 
 #: every table the library builds once per process, by the function that
-#: caches it: extension moduli and fields, roots of unity, minimal
-#: polynomials, factorizations, the closed form's trace tables and the
-#: oracle's stacks of B rows
+#: caches it: extension moduli and fields, roots of unity, the trace tables
+#: of the closed form and the factorization, minimal polynomials,
+#: factorizations and the oracle's stacks of B rows
 TABLE_CACHES = (
     (fields, "find_irreducible"),
     (fields, "_extension_field"),
     (fields, "_root_search"),
+    (structure, "_sigma_table"),
     (structure, "_minimal_polynomials"),
     (structure, "_factor_cached"),
-    (engine, "_sigma_table"),
     (engine, "_euclid_rows"),
 )
 

@@ -29,7 +29,7 @@ from idemforge import (
     orbit_representatives,
     sets_equal,
 )
-from idemforge import engine, fields
+from idemforge import engine, fields, structure
 from idemforge.fields import FieldElement, _root_powers, get_extension_field, is_prime
 from idemforge.structure import _factor_cached, _minimal_polynomials, multiplicative_order
 
@@ -650,7 +650,7 @@ def test_one_unit_orbit_tables_are_the_traces_of_a_real_root():
         traces = tuple(sums[:, 0].tolist())
         if t <= 28:
             assert traces[1] == ref_trace(tuple(powers[1].tolist()), field_modulus(field), q)
-        assert engine._sigma_table(q, t, p) == traces, (q, p)
+        assert structure._sigma_table(q, t, p) == traces, (q, p)
         assert not (powers.sum(axis=0) % q).any()
         base = get_prime_field(q)
         x_minus_1, phi = Poly.from_ints(base, [-1, 1]), Poly.from_ints(base, [1] * p)
@@ -765,8 +765,8 @@ def test_tables_shared_across_k_are_built_once_and_read_only():
     for k in (1, 2):
         dispatch(instance_parameters(2, 7, k))
         factor_xn_minus_1(instance_parameters(2, 7, k))
-    table = engine._sigma_table(2, 3, 7)
-    assert table is engine._sigma_table(2, 3, 7) and len(table) == 7
+    table = structure._sigma_table(2, 3, 7)
+    assert table is structure._sigma_table(2, 3, 7) and len(table) == 7
     minpolys = _minimal_polynomials(2, 7, 3)
     assert minpolys is _minimal_polynomials(2, 7, 3) and len(minpolys) == 7
     with pytest.raises(TypeError):

@@ -15,7 +15,7 @@ from idemforge import (
     get_extension_field,
     get_prime_field,
 )
-from idemforge import engine, fields
+from idemforge import fields, structure
 from idemforge.fields import FieldElement, _root_powers, _root_search, factor_integer, is_prime
 
 
@@ -82,6 +82,16 @@ def test_find_irreducible_second_smallest_cubic_over_f2():
     from idemforge._fastpoly import lex_irreducible
 
     assert lex_irreducible(2, 3, 1) == (1, 0, 1, 1)  # y^3 + y^2 + 1
+
+
+@pytest.mark.parametrize("t", [1, 3])
+def test_lex_irreducible_refuses_a_negative_skip(t):
+    # refused as bad input before any search: otherwise t = 1 returns the
+    # coefficient -1, outside F_q, and t = 3 ends in an internal error
+    from idemforge._fastpoly import lex_irreducible
+
+    with pytest.raises(UsageError, match="skip must be >= 0"):
+        lex_irreducible(2, t, -1)
 
 
 def test_find_irreducible_degree_one_is_y():
@@ -410,14 +420,24 @@ def test_one_cache_entry_per_field_and_order(fresh_caches):
 
 def test_survey_loop_searches_each_field_once(monkeypatch, fresh_caches):
     # the calls of a pass over the acceptance grid, from cold caches: one
-    # root search per distinct (field, order) and one ExtensionField
-    # per (q, t), and neither where one unit orbit (t = p - 1,
-    # m' = 1) needs no root: 27 searches and 23 fields
+    # root search and one power table per distinct (field, order), and one
+    # ExtensionField per (q, t) with t > 1, since the trace table reads
+    # zeta in F_q when t = 1; none of them where one unit orbit (t = p - 1,
+    # m' = 1) needs no root: 27 searches, 27 power tables and 17 fields.
+    # structure._sigma_table is the one caller of _root_powers, and the
+    # factorization reads the closed form's table, so no table repeats
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters
 
-    searched, built = [], []
+    searched, built, tabled = [], [], []
+    powers = fields._root_powers
+
+    def tabling(field, order):
+        tabled.append((field, order))
+        return powers(field, order)
+
+    monkeypatch.setattr(structure, "_root_powers", tabling)
 
     def counting(log, fn):
         def wrapper(*args):
@@ -442,14 +462,15 @@ def test_survey_loop_searches_each_field_once(monkeypatch, fresh_caches):
         dispatch(inst)
         factor_xn_minus_1(inst)
     assert len(searched) == len(set(searched)) == 27
-    assert len(built) == len(set(built)) == 23
+    assert len(tabled) == len(set(tabled)) == 27
+    assert len(built) == len(set(built)) == 17
 
 
 def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, fresh_caches):
-    # the closed forms and the factorization ask for the same primitive
-    # p^m'-th root of unity, in F_q and F_{q^1} when t = 1, and F_{q^1}
-    # takes F_q's: one search per q^t and order, each at a prime power, so
-    # none factors q^t - 1; one unit orbit (t = p - 1, m' = 1) runs none
+    # the closed forms and the factorization read the same primitive
+    # p^m'-th root of unity through one trace table, in F_q when t = 1:
+    # one search per q^t and order, each at a prime power, so none factors
+    # q^t - 1; one unit orbit (t = p - 1, m' = 1) runs none
     import functools
 
     from idemforge import dispatch, factor_xn_minus_1, instance_parameters
@@ -470,8 +491,7 @@ def test_survey_loop_runs_one_generator_search_per_distinct_field(monkeypatch, f
                     dispatch(inst)
                     factor_xn_minus_1(inst)
     # 27 = one per q^t and order, past the 26 (q, p) pairs with one unit
-    # orbit: F_{q^1} reads the root of F_q, so no search runs in a degree-1
-    # extension
+    # orbit: no degree-1 extension is built, so no search runs in one
     assert len(searched) == len(set(searched)) == 27
     assert all(field.degree > 1 or isinstance(field, fields.PrimeField) for field, _ in searched)
     assert all(len(factor_integer(order)) == 1 for _, order in searched)
@@ -483,7 +503,7 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches
     # caches, every row that enters the stacked irreducibility test in a
     # pass over the acceptance grid is one of lex_irreducible's candidates,
     # tested inside the scan and never twice.  A second test per field
-    # built would add 23 rows outside a scan, and a second walk over the
+    # built would add 17 rows outside a scan, and a second walk over the
     # rows of a stack would repeat them.  lex_irreducible stacks its
     # candidates in _rabin_passing, which irreducible_rows wraps.
     from idemforge import _fastpoly as fp
@@ -512,7 +532,7 @@ def test_survey_loop_tests_each_certified_modulus_once(monkeypatch, fresh_caches
                     inst = instance_parameters(q, p, k)
                     dispatch(inst)
                     factor_xn_minus_1(inst)
-    assert fields._extension_field.cache_info().misses == 23  # none for one unit orbit
+    assert fields._extension_field.cache_info().misses == 17  # none for t = 1 or one unit orbit
     assert tests and all(in_scan for _, _, in_scan in tests)
     assert len({(q, vec) for q, vec, _ in tests}) == len(tests)
 
@@ -581,7 +601,7 @@ def test_trace_examples(f8):
     assert ref_trace((0, 1, 0), mod, 2) == 0
     assert ref_trace(ref_pow((0, 1, 0), 3, mod, 2), mod, 2) == 1
     assert _root_search(f8, 7).coeffs == (0, 1, 0)
-    assert engine._sigma_table(2, 3, 7) == tuple(
+    assert structure._sigma_table(2, 3, 7) == tuple(
         ref_trace(ref_pow((0, 1, 0), i, mod, 2), mod, 2) for i in range(7)
     )
 
@@ -590,7 +610,7 @@ def test_trace_of_embedded_constant_is_t_times_c():
     # tr(c) = t*c; the table's entry at zeta^0 = 1 is t
     field = get_extension_field(7, 3)
     assert ref_trace((2, 0, 0), field.modulus.coeffs, 7) == 6  # 3 * 2 mod 7
-    assert engine._sigma_table(7, 3, 19)[0] == 3  # ord_19 7 = 3
+    assert structure._sigma_table(7, 3, 19)[0] == 3  # ord_19 7 = 3
 
 
 def test_trace_linearity_and_frobenius_invariance():
@@ -600,7 +620,7 @@ def test_trace_linearity_and_frobenius_invariance():
     field = get_extension_field(3, 4)
     mod = field.modulus.coeffs
     zeta = _tuple(_root_powers(field, 5)[1])
-    table = engine._sigma_table(3, 4, 5)
+    table = structure._sigma_table(3, 4, 5)
     assert table == tuple(ref_trace(ref_pow(zeta, i, mod, 3), mod, 3) for i in range(5))
     assert all(table[i] == table[3 * i % 5] for i in range(5))
     rng = random.Random(7)
@@ -616,7 +636,7 @@ def test_trace_is_surjective():
     # the closed form's trace tables and the reference's trace on F_{q^t}
     # each take a nonzero value
     for q, t, pm in [(2, 3, 7), (3, 4, 5), (5, 2, 3)]:
-        assert any(engine._sigma_table(q, t, pm))
+        assert any(structure._sigma_table(q, t, pm))
         mod = get_extension_field(q, t).modulus.coeffs
         assert any(ref_trace(digits(q, t, i), mod, q) for i in range(q**t))
 

@@ -18,7 +18,7 @@ from idemforge import (
     inflate,
     instance_parameters,
 )
-from idemforge import engine
+from idemforge import structure
 from idemforge.fields import _root_search
 from idemforge.polys import NEG_INFINITY
 
@@ -248,7 +248,7 @@ def test_coefficient_map_trace_recovers_real_idempotent():
     zeta = _root_search(f8, 7).coeffs
     traced = [ref_trace(ref_pow(zeta, (-l) % 7, mod, 2), mod, 2) for l in range(7)]
     assert traced == [1, 1, 1, 0, 1, 0, 0]
-    assert traced == [engine._sigma_table(2, 3, 7)[(-l) % 7] for l in range(7)]
+    assert traced == [structure._sigma_table(2, 3, 7)[(-l) % 7] for l in range(7)]
     expected = CyclicRingElement.from_ints(get_prime_field(2), traced)
     records = all_idempotents_euclid(instance_parameters(2, 7, 1))
     assert any(r.value == expected for r in records)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from reference import field_modulus, ref_mul, ref_pow, ref_roots
 
 from idemforge import (
     Poly,
@@ -8,11 +11,12 @@ from idemforge import (
     cyclotomic_cosets,
     expected_idempotent_count,
     factor_xn_minus_1,
+    get_extension_field,
     get_prime_field,
     instance_parameters,
     multiplicative_order,
 )
-from idemforge.structure import euler_phi_prime_power
+from idemforge.structure import _berlekamp_massey, _minimal_polynomials, euler_phi_prime_power
 
 
 def test_multiplicative_order_examples():
@@ -165,6 +169,7 @@ def test_splitting_degree_cap():
         (3, 2, 5),  # p = 2, q = 3 (mod 4): the factors live in F_{q^2}
         (7, 2, 6),
         (2, 163, 1),  # one unit orbit, t = 162: x - 1 and Phi_163, with no F_{2^162}
+        (2, 191, 1),  # t = 95: two factors of degree 95, from F_{2^95}
         pytest.param(2, 491, 1, marks=pytest.mark.slow),  # t = 490
     ],
 )
@@ -178,6 +183,71 @@ def test_factors_match_sympy(q, p, k):
     )
     assert len(want) == len(expected)
     assert sorted(f.int_coeffs() for _, f in factor_xn_minus_1(inst)) == want
+
+
+def _shortest_recurrences(seq, q):
+    """Every monic characteristic polynomial (ascending) of the shortest
+    length that generates seq over F_q, by trying all of each length."""
+    for length in range(len(seq) + 1):
+        found = [
+            tuple(low) + (1,)
+            for low in itertools.product(range(q), repeat=length)
+            if all(
+                (sum(c * seq[i + j] for j, c in enumerate(low)) + seq[i + length]) % q == 0
+                for i in range(len(seq) - length)
+            )
+        ]
+        if found:
+            return found
+
+
+@pytest.mark.parametrize("q, longest", [(2, 7), (3, 5)])
+def test_berlekamp_massey_finds_a_shortest_recurrence(q, longest):
+    # every sequence up to `longest` terms, leading zeros included (the
+    # trace of 1 is T, which may be 0 mod q): the helper returns a
+    # recurrence of the least length, and the only one when the sequence
+    # holds at least twice that many terms
+    for size in range(1, longest + 1):
+        for seq in itertools.product(range(q), repeat=size):
+            found = tuple(_berlekamp_massey(list(seq), q))
+            shortest = _shortest_recurrences(seq, q)
+            assert found in shortest, (seq, found)
+            if 2 * (len(found) - 1) <= size:
+                assert shortest == [found], seq
+
+
+@pytest.mark.parametrize(
+    "q, pm, big_t",
+    [
+        (3, 8, 2),  # p = 2, q = 3 (mod 4): T = 2, with -1 an orbit of size 1 and Tr(-1) = -2
+        (7, 16, 2),
+        (3, 13, 3),  # q | T: Tr(1) = 0
+        (5, 11, 5),
+        (2, 5, 4),  # one unit orbit and q | T: the table reads no root
+        (19, 9, 1),  # t = 1: the table holds the powers of zeta in F_19
+    ],
+)
+def test_minimal_polynomials_are_the_products_over_each_orbit(q, pm, big_t):
+    # the map read off the trace table is, for every j mod pm, the product
+    # of (x - zeta^i) over the orbit of j, with zeta the search's root of
+    # unity, walked by the reference's rule, and the products taken in
+    # plain ints in F_q[y]/(modulus)
+    field = get_extension_field(q, big_t) if big_t > 1 else get_prime_field(q)
+    mod = field_modulus(field)
+    zeta = next(ref_roots(q, mod, pm))
+    one = (1,) + (0,) * (big_t - 1)
+    minpolys = _minimal_polynomials(q, pm, big_t)
+    assert sorted(minpolys) == list(range(pm))
+    for coset in cyclotomic_cosets(q, pm).cosets:
+        prod = [one]  # ascending in x, each coefficient in F_{q^T}
+        for i in coset.elements:
+            root = ref_pow(zeta, i, mod, q)
+            shifted = [(0,) * big_t] + prod
+            scaled = [ref_mul(root, c, mod, q) for c in prod] + [(0,) * big_t]
+            prod = [tuple((a - b) % q for a, b in zip(x, y)) for x, y in zip(shifted, scaled)]
+        assert all(not any(c[1:]) for c in prod), coset.rep
+        for j in coset.elements:
+            assert minpolys[j].int_coeffs() == tuple(c[0] for c in prod), (coset.rep, j)
 
 
 def test_expected_counts():
