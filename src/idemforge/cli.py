@@ -260,14 +260,17 @@ def cmd_code(args) -> int:
     return 0
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int, minimum: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"environment variable {name} must be an integer") from None
+    if value < minimum:
+        raise UsageError(f"environment variable {name} must be >= {minimum}, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,7 +287,7 @@ def _add_common(sp, instance_required=True):
     sp.add_argument(
         "--max-n",
         type=int,
-        default=_env_int("IDEMFORGE_MAX_N", DEFAULT_MAX_N),
+        default=_env_int("IDEMFORGE_MAX_N", DEFAULT_MAX_N, 1),
         help="reject instances with n beyond this cap",
     )
 
@@ -370,6 +373,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse: --help or a bad flag
             code = 0 if exc.code in (0, None) else 1
         else:
+            if args.max_n < 1:  # the environment's value was checked as the parser was built
+                raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
             code = args.func(args)
         sys.stdout.flush()
         return code

@@ -2,12 +2,14 @@
 parameters, q-cyclotomic cosets mod p^k, the traces of the powers of a
 root of unity zeta (`_sigma_table`, the one reader of zeta), and the full
 irreducible factorization of x^(p^k) - 1 over F_q from minimal polynomials
-read off them, inflated for the levels above m.  The roots of unity, and
-so the order of the factors, are chosen by `fields`."""
+read off them, inflated for the levels above m, and built and certified one
+level at a time.  The roots of unity, and so the order of the factors, are
+chosen by `fields`."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -286,42 +288,68 @@ def _minimal_polynomials(q: int, pm: int, big_t: int) -> Mapping[int, Poly]:
     return MappingProxyType(minpolys)
 
 
-@functools.lru_cache(maxsize=None)
-def _factor_cached(instance: ProblemInstance):
-    """The factors of x^n - 1 in coset order, checked: the minimal
-    polynomials come from `_minimal_polynomials`, shared by every k, and
-    the inflation, the degree check and the product check run per
-    instance."""
-    q, p, k, n = instance.q, instance.p, instance.k, instance.n
-    if n == 1:
-        return ((1, Poly.from_ints(get_prime_field(q), [-1, 1])),)
-    # F_{q^T} holds a primitive p^M-th root of unity zeta, and the factors
-    # of Phi_{p^s} for s > M are those of Phi_{p^M} with x -> x^(p^(s-M)).
-    # zeta, from `fields`, fixes which factor each coset receives.
+def _level_key(q: int, p: int, s: int, pm: int, big_t: int) -> tuple[int, int, int, int, int]:
+    """The cache key (q, p, s, p^m', T) of level s.  Level 0 is x - 1 for
+    every p, p^m' and T, so its key is (q, 1, 0, 1, 1)."""
+    return (q, p, s, pm, big_t) if s else (q, 1, 0, 1, 1)
+
+
+def _level_keys(instance: ProblemInstance) -> list[tuple[int, int, int, int, int]]:
+    """The keys of the levels s = 0..k of x^n - 1 (`_level_key`), with
+    (T, M) = `instance.root_field` and m' = min(M, k).  The cosets of level
+    s are p^(k-s) times the orbits of q on the units mod p^s, so a level's
+    factors depend on (q, p, s, p^m', T) and not on k."""
     big_t, big_m = instance.root_field
-    m_eff = min(big_m, k)
-    pm = p**m_eff
-    minpolys = _minimal_polynomials(q, pm, big_t)
-    factors = []
-    for coset in cyclotomic_cosets(q, n).cosets:
-        s = p_adic_valuation(coset.divisor, p)
-        if s <= m_eff:
-            f = minpolys[coset.rep // p ** (k - m_eff)]
-        else:
-            f = inflate(minpolys[coset.rep // p ** (k - s) % pm], p ** (s - m_eff))
+    pm = instance.p ** min(big_m, instance.k)
+    return [_level_key(instance.q, instance.p, s, pm, big_t) for s in range(instance.k + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_level(q: int, p: int, s: int, pm: int, big_t: int) -> tuple[tuple[int, Poly], ...]:
+    """The factors of Phi_(p^s) as (p^s, f), in the order of their cosets,
+    the orbits of q on the units mod p^s; built and certified once per
+    process for each key of `_level_key` and shared by every k.  Every
+    factor must be monic of its coset's size.
+
+    Level 0 is x - 1 = Phi_1 itself.  At 1 <= s <= m' the factor of the
+    orbit of u is the minimal polynomial of zeta^(u*p^m'/p^s), from
+    `_minimal_polynomials`, and the level's product must equal Phi_(p^s).
+    Above m' it is g(x^r), r = p^s/p^m', for the g of u mod p^m'.  The g's
+    used must then be level m''s factors, each once, and
+    prod g(x^r) = (prod g)(x^r) = Phi_(p^m')(x^r) = Phi_(p^s) is an
+    identity, so no product is formed."""
+    order = p**s
+    cosets = [c for c in cyclotomic_cosets(q, order).cosets if c.divisor == order]
+    minpolys = _minimal_polynomials(q, pm, big_t) if s else {0: Poly.from_ints(get_prime_field(q), [-1, 1])}
+    if order <= pm:
+        factors = [minpolys[c.rep * (pm // order)] for c in cosets]
+    else:
+        gs = [minpolys[c.rep % pm] for c in cosets]
+        lower = {g for _, g in _factor_level(q, p, p_adic_valuation(pm, p), pm, big_t)}
+        if len(set(gs)) != len(gs) or set(gs) != lower:
+            raise InvariantViolation(f"the cosets mod {order} do not map one-to-one onto those mod {pm}")
+        factors = [inflate(g, order // pm) for g in gs]
+    for coset, f in zip(cosets, factors):
         if f.degree != coset.size or f.lead != 1:
             raise InvariantViolation(
-                f"factor for coset {coset.rep} is not monic of degree {coset.size}"
+                f"factor for coset {coset.rep} mod {order} is not monic of degree {coset.size}"
             )
-        factors.append((coset.divisor, f))
-    product = np.array([1], dtype=np.int64)
-    for _, f in factors:
-        product = fp.poly_mul(product, f._vec(), q)
-    target = np.zeros(n + 1, dtype=np.int64)
-    target[0], target[n] = q - 1, 1
-    if not np.array_equal(product, target):
-        raise InvariantViolation("factor product does not reconstruct x^n - 1")
-    return tuple(factors)
+    if 1 < order <= pm:
+        product = factors[0]._vec()
+        for f in factors[1:]:
+            product = fp.poly_mul(product, f._vec(), q)
+        target = np.zeros(order - order // p + 1, dtype=np.int64)
+        target[:: order // p] = 1
+        if not np.array_equal(product, target):
+            raise InvariantViolation(f"factor product does not reconstruct Phi_{order}")
+    return tuple((order, f) for f in factors)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_cached(instance: ProblemInstance):
+    """The factors of x^n - 1 in coset order: the levels 0..k of
+    `_level_keys`, each from `_factor_level`, one after another."""
+    return tuple(itertools.chain.from_iterable(_factor_level(*key) for key in _level_keys(instance)))
 
 
 def inflation_stride(order: int, f: Poly) -> int:
@@ -333,12 +361,16 @@ def inflation_stride(order: int, f: Poly) -> int:
 
 def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]:
     """Irreducible factorization of x^n - 1 over F_q, one monic factor per
-    q-cyclotomic coset (same order as `cyclotomic_cosets`).  Each factor is
-    the minimal polynomial of a root of unity of order p^s <= p^M in
-    F_{q^T}, (T, M) = `instance.root_field`, read off its trace table, and
-    inflated by x -> x^(p^(s-M)) above level M; with one unit orbit
-    (T = p - 1, m' = 1) they are x - 1 and Phi_p, with no F_{q^T}.  Monic
-    factors of the coset degrees whose product is the squarefree x^n - 1
-    are its irreducible factors, so the product check certifies them
-    whatever produced them."""
+    q-cyclotomic coset (same order as `cyclotomic_cosets`): the factors of
+    Phi_(p^s) for s = 0..k, one level after another (`_factor_level`).  Each
+    factor is the minimal polynomial of a root of unity of order
+    p^s <= p^M in F_{q^T}, (T, M) = `instance.root_field`, read off its
+    trace table, and inflated by x -> x^(p^(s-M)) above level M; with one
+    unit orbit (T = p - 1, m' = 1) they are x - 1 and Phi_p, with no
+    F_{q^T}.  Monic factors of the coset degrees whose product is the
+    squarefree x^n - 1 = prod_s Phi_(p^s) are its irreducible factors, and
+    that product is certified level by level, whatever produced the
+    factors: computed up to level m', and above it by the exact identity
+    Phi_(p^s) = Phi_(p^m')(x^(p^(s-m'))) once the level's g's are shown to
+    be level m''s, each once.  Each level is certified once per process."""
     return _factor_cached(instance)

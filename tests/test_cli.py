@@ -331,6 +331,23 @@ def test_env_max_n_not_an_integer_exits_1(capsys, monkeypatch):
     assert err == "error: environment variable IDEMFORGE_MAX_N must be an integer\n"
 
 
+def test_max_n_below_1_is_refused_with_its_source(capsys, monkeypatch):
+    # a cap below 1 admits no instance, not even n = 1, so it is bad input
+    # named as such, not an instance over the cap; 1 still admits k = 0
+    for command in (["gen"], ["params"], ["factors"], ["code", "--label", "e_0"], ["verify"]):
+        for value in ("-5", "0"):
+            code, out, err = run_cli(capsys, *command, "--q", "2", "--p", "3", "--k", "1", "--max-n", value)
+            assert (code, out, err) == (1, "", f"error: --max-n must be >= 1, got {value}\n"), command
+    code, _, err = run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "1", "--max-n", "1")
+    assert (code, err) == (1, "error: n = 3^1 exceeds the cap 1\n")
+    code, _, _ = run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "0", "--max-n", "1")
+    assert code == 0
+    monkeypatch.setenv("IDEMFORGE_MAX_N", "0")
+    for extra in ([], ["--max-n", "10"]):  # checked as the parser is built, as a non-integer is
+        code, out, err = run_cli(capsys, "params", "--q", "2", "--p", "3", "--k", "1", *extra)
+        assert (code, out, err) == (1, "", "error: environment variable IDEMFORGE_MAX_N must be >= 1, got 0\n")
+
+
 def _parse(capsys, parser, argv):
     try:
         outcome = vars(parser.parse_args(argv))

@@ -228,6 +228,32 @@ def test_kept_stacks_serve_the_survey_in_any_order(monkeypatch, fresh_caches):
     assert _oracle_digest(forward) == _oracle_digest(backward) == ORACLE_DIGEST
 
 
+def test_survey_factorization_builds_each_level_once(monkeypatch, fresh_caches):
+    # from cold caches, the survey instances build 156 level lists, one per
+    # (q, p, s, p^m', T) with s >= 1 and one x - 1 per q, and multiply only
+    # within the levels 1..m', once per list: 171 products, where one
+    # product check per instance, factor by factor, made 830
+    from idemforge import _fastpoly as fp
+
+    products = []
+    mul = fp.poly_mul
+
+    def counted(a, b, q):
+        products.append(q)
+        return mul(a, b, q)
+
+    monkeypatch.setattr(fp, "poly_mul", counted)
+    for job in SURVEY_INSTANCES:
+        factor_xn_minus_1(instance_parameters(*job))
+    info = structure._factor_level.cache_info()
+    assert info.misses == info.currsize == 156
+    assert len(products) == 171
+    structure._factor_cached.cache_clear()  # the instances' lists, not the levels'
+    for job in reversed(SURVEY_INSTANCES):  # in any order, each level is built once
+        factor_xn_minus_1(instance_parameters(*job))
+    assert structure._factor_level.cache_info().misses == 156 and len(products) == 171
+
+
 def _order_3_gs():
     """The y - zeta^j of order 3 over F_13, in the oracle's order."""
     return tuple(f.int_coeffs() for order, f in factor_xn_minus_1(instance_parameters(13, 3, 1)) if order == 3)

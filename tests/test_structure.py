@@ -6,8 +6,10 @@ import pytest
 from reference import field_modulus, ref_mul, ref_pow, ref_roots
 
 from idemforge import (
+    InvariantViolation,
     Poly,
     UsageError,
+    all_idempotents_euclid,
     cyclotomic_cosets,
     expected_idempotent_count,
     factor_xn_minus_1,
@@ -16,6 +18,8 @@ from idemforge import (
     instance_parameters,
     multiplicative_order,
 )
+from idemforge import structure
+from idemforge.cli import main
 from idemforge.structure import _berlekamp_massey, _minimal_polynomials, euler_phi_prime_power
 
 
@@ -143,6 +147,64 @@ def test_factor_trivial_ring():
     factors = factor_xn_minus_1(inst)
     assert len(factors) == 1
     assert factors[0][1].int_coeffs() == (4, 1)
+
+
+def test_the_second_choice_reaches_every_factor_list(second_choice):
+    # each level's factor list and the oracle's plan of it are kept per
+    # process, and the fixture empties them with the other tables: under
+    # the second root the cosets get other factors, in the list and in the
+    # oracle's rows, and the sets stay the same.  A level cache the fixture
+    # missed would hand back the first choice's order.
+    insts = [instance_parameters(*job) for job in ((17, 13, 2), (23, 13, 2), (19, 13, 2))]
+    first = [(factor_xn_minus_1(inst), all_idempotents_euclid(inst)) for inst in insts]
+    second_choice()
+    for inst, (factors, system) in zip(insts, first):
+        other, other_system = factor_xn_minus_1(inst), all_idempotents_euclid(inst)
+        assert other != factors and set(other) == set(factors), inst.describe()
+        assert other_system.coeffs.tobytes() != system.coeffs.tobytes()
+        assert {row.tobytes() for row in other_system.coeffs} == {row.tobytes() for row in system.coeffs}
+
+
+def _minimal_polynomials_with(monkeypatch, changes):
+    """Patch `structure._minimal_polynomials` so that each map it returns
+    sends the exponents of `changes` to other polynomials: exponent -> the
+    exponent whose polynomial it takes, or a Poly."""
+    real = structure._minimal_polynomials
+
+    def tampered(q, pm, big_t):
+        minpolys = dict(real(q, pm, big_t))
+        for j, g in changes.items():
+            minpolys[j] = g if isinstance(g, Poly) else minpolys[g]
+        return minpolys
+
+    monkeypatch.setattr(structure, "_minimal_polynomials", tampered)
+
+
+def test_a_reducible_stand_in_fails_the_level_product(monkeypatch, capsys, fresh_caches):
+    # x^3 + 1 = (x + 1)(x^2 + x + 1) in place of the cubic of the orbit
+    # {1, 2, 4} at (2,7,1): monic of the coset's degree, so only the
+    # product of level m' = 1, which must be Phi_7, catches it
+    stand_in = Poly.from_ints(get_prime_field(2), [1, 0, 0, 1])
+    _minimal_polynomials_with(monkeypatch, dict.fromkeys((1, 2, 4), stand_in))
+    with pytest.raises(InvariantViolation, match="factor product does not reconstruct Phi_7"):
+        factor_xn_minus_1(instance_parameters(2, 7, 1))
+    assert main(["factors", "--q", "2", "--p", "7", "--k", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal invariant violated: factor product")
+
+
+def test_two_orbits_on_one_g_fail_the_level_map(monkeypatch, capsys, fresh_caches):
+    # level 1 of (2,7,k) is certified first; then a map that sends the
+    # orbit {3, 5, 6} to the g of {1, 2, 4} gives level 2 two factors
+    # g(x^7) of degree 21, each monic of its coset's size, so the degree
+    # check passes and the one-to-one check against level 1 must refuse
+    factor_xn_minus_1(instance_parameters(2, 7, 1))
+    _minimal_polynomials_with(monkeypatch, dict.fromkeys((3, 5, 6), 1))
+    with pytest.raises(InvariantViolation, match="mod 49 do not map one-to-one onto those mod 7"):
+        factor_xn_minus_1(instance_parameters(2, 7, 2))
+    assert main(["factors", "--q", "2", "--p", "7", "--k", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal invariant violated: the cosets mod 49")
 
 
 def test_splitting_degree_cap():
