@@ -187,7 +187,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.input:
+    if args.input is not None:
+        for flag in ("q", "p", "k", "method"):  # the document gives the instance and records
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} cannot be used with --in")
         try:
             if args.input == "-":
                 text = sys.stdin.read()
@@ -202,7 +205,7 @@ def cmd_verify(args) -> int:
         if args.q is None or args.p is None or args.k is None:
             raise UsageError("verify needs --q/--p/--k or --in")
         instance = _instance_from_args(args)
-        records = dispatch(instance, args.method)
+        records = dispatch(instance, args.method or "auto")
     report = verify_system(records, instance, against_oracle=(args.against == "euclid"))
     if args.format == "json":
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -304,7 +307,7 @@ def _gen_args(gen):
 
 def _verify_args(ver):
     _add_common(ver, instance_required=False)
-    ver.add_argument("--method", choices=METHODS, default="auto")
+    ver.add_argument("--method", choices=METHODS, default=None)  # auto; not with --in
     ver.add_argument("--against", choices=("none", "euclid"), default="none")
     ver.add_argument("--in", dest="input", default=None, help="JSON document ('-' for stdin)")
     ver.add_argument("--format", choices=("text", "json"), default="text")

@@ -8,7 +8,8 @@ Two routes produce the same set of ring elements:
     ("split-case"), or their traces from F_{q^t} when t > 1
     ("general-case"), with orbit deduplication of the indices;
   * euclid — generic route through the irreducible factors of x^n - 1
-    (serves as the independent oracle).
+    (serves as the independent oracle), placed by the plan that
+    `structure` builds with them (`structure.inflation_plan`).
 
 Every route returns an `IdempotentSystem`: one (r, n) coefficient array,
 written by the route's kernel, with the label, kind and params of each row.
@@ -32,12 +33,7 @@ from . import structure
 from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
 from .fields import get_prime_field
 from .polys import CyclicRingElement, render_poly
-from .structure import (
-    ProblemInstance,
-    cyclotomic_cosets,
-    factor_xn_minus_1,
-    inflation_stride,
-)
+from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
 
 KIND_UNIT_SUM = "unit-sum"
 KIND_SECOND = "second-type"
@@ -130,11 +126,6 @@ def orbit_representatives(modulus: int, q: int, domain: str = "units") -> list[i
     )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _euclid_stack(mods: np.ndarray, order: int, q: int) -> np.ndarray:
     """Rows B_g = C_g*(x*g' - d*g) (`order` coefficients each), for the
     monic factors g of x^order - 1 in the rows of `mods` (ascending, one
@@ -175,92 +166,34 @@ def _euclid_rows(q: int, order: int, gs: tuple[tuple[int, ...], ...]) -> np.ndar
     run once per process for each (q, order, gs).  `all_idempotents_euclid`
     asks only for a stack that fits in one of its blocks, which bounds what
     each key keeps."""
-    return _read_only(_euclid_stack(fp.as_vec(list(gs)), order, q))
-
-
-def _first_index(q: int, p: int, s: int) -> int:
-    """The position in x^n - 1 of level s's first factor, the same for every
-    k >= s: the levels below hold one factor per coset mod p^(s-1)."""
-    return len(cyclotomic_cosets(q, p ** (s - 1)).cosets) if s else 0
-
-
-@functools.lru_cache(maxsize=None)
-def _level_plan(q: int, p: int, s: int, pm: int, big_t: int):
-    """Where the oracle places the rows of level s of x^n - 1, for the level
-    key (q, p, s, p^m', T) of `structure._level_key`; built once per
-    process and shared by every k.  Returns (stacks, groups):
-
-      * stacks: (N/s, g's) for each order N/s of the levels 0..min(s, m'),
-        the distinct g's in order of first use;
-      * groups: (N/s, N, s, index, row) for each stride s of the level: the
-        factors' positions in x^n - 1 and the rows of their g's in the
-        stack of N/s, as read-only arrays.
-
-    Up to level m' a factor f of order N is f = g(x^s) with
-    s = `inflation_stride(N, f)`.  Above m' every factor is g(x^r) for a g
-    of level m', r = p^s/p^m' (`structure._factor_level` certifies that
-    each g is used once), so the plan is level m''s with each order and
-    stride times r and the positions of this level, and the stacks are
-    level m''s."""
-    order = p**s
-    factors = structure._factor_level(q, p, s, pm, big_t)
-    if order > pm:
-        lower_s, r = structure.p_adic_valuation(pm, p), order // pm
-        stacks, groups = _level_plan(q, p, lower_s, pm, big_t)
-        lower = structure._factor_level(q, p, lower_s, pm, big_t)
-        where = {f.int_coeffs(): j for j, (_, f) in enumerate(lower)}
-        position = np.empty(len(factors), dtype=np.int64)  # level m''s j -> this level's index
-        for i, (_, f) in enumerate(factors, start=_first_index(q, p, s)):
-            position[where[f.int_coeffs()[::r]]] = i
-        shift = _first_index(q, p, lower_s)
-        groups = tuple(
-            (width, lower_order * r, stride * r, _read_only(position[index - shift]), row)
-            for width, lower_order, stride, index, row in groups
-        )
-        return stacks, groups
-    below = _level_plan(*structure._level_key(q, p, s - 1, pm, big_t))[0] if s else ()
-    rows = {width: {g: i for i, g in enumerate(gs)} for width, gs in below}
-    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, (_, f) in enumerate(factors, start=_first_index(q, p, s)):
-        stride = inflation_stride(order, f)
-        stack = rows.setdefault(order // stride, {})
-        row = stack.setdefault(f.int_coeffs()[::stride], len(stack))
-        members.setdefault((order // stride, stride), []).append((i, row))
-    stacks = tuple((width, tuple(stack)) for width, stack in rows.items())
-    groups = tuple(
-        (width, order, stride, *_read_only(np.array(found, dtype=np.int64).T))
-        for (width, stride), found in members.items()
-    )
-    return stacks, groups
+    return structure._read_only(_euclid_stack(fp.as_vec(list(gs)), order, q))
 
 
 def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
     """One record per irreducible factor of x^n - 1: the oracle set.
 
-    A factor f of order N (the coset divisor) and stride s
-    (`inflation_stride`) is f = g(x^s), where g divides y^(N/s) - 1 with
-    roots of order N/s, so its degree is ord_(N/s) q.  y -> x^s is a ring
-    homomorphism F_q[y]/(y^(n/s) - 1) -> F_q[x]/(x^n - 1) that sends g's
-    idempotent to f's (h_f = h_g(x^s) by the derivative formula), so f's
-    record is (n/s)^(-1)*B_g repeated n/N times and placed at stride s, with
-    B_g from `_euclid_stack`.  B_g does not depend on n or s, and above
-    level m every level inflates the same g's, so one walk serves each
-    distinct g once.  Which g each factor takes, its stride and its row
-    come from the plan of its level (`_level_plan`), shared by every k; a
-    call merges its levels' plans by N/s, so the g's of one N/s form one
-    stack, computed in blocks whose working arrays hold at most
-    TABLE_ENTRIES coefficients, and each stride group of each level takes
-    its rows from a block in one indexed assignment.  A stack of one block
-    is kept for the process (`_euclid_rows`, keyed on q, N/s and its g's),
-    so every k that shares it walks it once; a larger stack is walked anew
-    on each call, once for all its levels, and not kept."""
+    A factor f of order N (the coset divisor) and stride s is f = g(x^s),
+    where g divides y^(N/s) - 1 with roots of order N/s, so its degree is
+    ord_(N/s) q.  y -> x^s is a ring homomorphism
+    F_q[y]/(y^(n/s) - 1) -> F_q[x]/(x^n - 1) that sends g's idempotent to
+    f's (h_f = h_g(x^s) by the derivative formula), so f's record is
+    (n/s)^(-1)*B_g repeated n/N times and placed at stride s, with B_g from
+    `_euclid_stack`.  B_g does not depend on n or s, and above level m
+    every level inflates the same g's, so one walk serves each distinct g
+    once.  Which g each factor takes, its stride and its row come from the
+    plan of its level, built with the factors
+    (`structure.inflation_plan`), which merges the levels by N/s: the g's
+    of one N/s form one stack, computed in blocks whose working arrays hold
+    at most TABLE_ENTRIES coefficients, and each stride group of each level
+    takes its rows from a block in one indexed assignment.  A stack of one
+    block is kept for the process (`_euclid_rows`, keyed on q, N/s and its
+    g's), so every k that shares it walks it once; a larger stack is walked
+    anew on each call, once for all its levels, and not kept."""
     q, n = instance.q, instance.n
     factors = factor_xn_minus_1(instance)
     cosets = cyclotomic_cosets(q, n).cosets
-    plans = [_level_plan(*key) for key in structure._level_keys(instance)]
     coeffs = np.zeros((len(factors), n), dtype=np.int64)
-    for width, gs in plans[-1][0]:  # the stacks of levels 0..m', which every level reads
-        groups = [group for _, level in plans for group in level if group[0] == width]
+    for width, gs, groups in structure.inflation_plan(instance):
         step = max(1, fp.TABLE_ENTRIES // (16 * (width + 1)))  # about a dozen arrays a row
         for start in range(0, len(gs), step):
             whole = len(gs) <= step
@@ -268,7 +201,7 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
                 block = _euclid_rows(q, width, gs)
             else:
                 block = _euclid_stack(fp.as_vec(list(gs[start : start + step])), width, q)
-            for _, order, stride, index, row in groups:
+            for order, stride, index, row in groups:
                 if not whole:  # only the rows of this block
                     hit = (row >= start) & (row < start + step)
                     index, row = index[hit], row[hit] - start

@@ -3,8 +3,10 @@ parameters, q-cyclotomic cosets mod p^k, the traces of the powers of a
 root of unity zeta (`_sigma_table`, the one reader of zeta), and the full
 irreducible factorization of x^(p^k) - 1 over F_q from minimal polynomials
 read off them, inflated for the levels above m, and built and certified one
-level at a time.  The roots of unity, and so the order of the factors, are
-chosen by `fields`."""
+level at a time.  Each level also holds the one plan of which g and stride
+s each factor f = g(x^s) has, which the Euclid oracle and the verifier
+both read (`inflation_plan`).  The roots of unity, and so the order of the
+factors, are chosen by `fields`."""
 
 from __future__ import annotations
 
@@ -304,20 +306,50 @@ def _level_keys(instance: ProblemInstance) -> list[tuple[int, int, int, int, int
     return [_level_key(instance.q, instance.p, s, pm, big_t) for s in range(instance.k + 1)]
 
 
-@functools.lru_cache(maxsize=None)
-def _factor_level(q: int, p: int, s: int, pm: int, big_t: int) -> tuple[tuple[int, Poly], ...]:
-    """The factors of Phi_(p^s) as (p^s, f), in the order of their cosets,
-    the orbits of q on the units mod p^s; built and certified once per
-    process for each key of `_level_key` and shared by every k.  Every
-    factor must be monic of its coset's size.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    Level 0 is x - 1 = Phi_1 itself.  At 1 <= s <= m' the factor of the
-    orbit of u is the minimal polynomial of zeta^(u*p^m'/p^s), from
-    `_minimal_polynomials`, and the level's product must equal Phi_(p^s).
+
+def _first_index(q: int, p: int, s: int) -> int:
+    """The position in x^n - 1 of level s's first factor, the same for every
+    k >= s: the levels below hold one factor per coset mod p^(s-1)."""
+    return len(cyclotomic_cosets(q, p ** (s - 1)).cosets) if s else 0
+
+
+def inflation_stride(order: int, f: Poly) -> int:
+    """The gcd s of `order` and the exponents of f's terms, for a factor f
+    of x^order - 1: f = g(x^s) with g dividing y^(order/s) - 1.  Above level
+    m every factor is such an inflation (Lidl-Niederreiter, Thm 3.35)."""
+    return math.gcd(order, *(e for e, c in enumerate(f.int_coeffs()) if c))
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_level(q: int, p: int, s: int, pm: int, big_t: int):
+    """Level s of x^n - 1 for the key (q, p, s, p^m', T) of `_level_key`:
+    its factors and the plan that places them, built and certified once per
+    process and shared by every k.  Returns (factors, stacks, groups):
+
+      * factors: (p^s, f) for the factors f of Phi_(p^s), in the order of
+        their cosets, the orbits of q on the units mod p^s;
+      * stacks: (N/s, g's) for each order N/s of the levels 0..min(s, m'),
+        the distinct g's with f = g(x^s) as coefficient tuples, in order of
+        first use;
+      * groups: (N, s, index, row) for each stride s of the level: the
+        factors' positions in x^n - 1 and the rows of their g's in the
+        stack of N/s, as read-only arrays.
+
+    Every factor must be monic of its coset's size.  Level 0 is
+    x - 1 = Phi_1 itself.  At 1 <= s <= m' the factor of the orbit of u is
+    the minimal polynomial of zeta^(u*p^m'/p^s), from
+    `_minimal_polynomials`, the level's product must equal Phi_(p^s), and
+    the stride of each factor f of order N is `inflation_stride(N, f)`.
     Above m' it is g(x^r), r = p^s/p^m', for the g of u mod p^m'.  The g's
     used must then be level m''s factors, each once, and
     prod g(x^r) = (prod g)(x^r) = Phi_(p^m')(x^r) = Phi_(p^s) is an
-    identity, so no product is formed."""
+    identity, so no product is formed; the plan is level m''s, with each
+    order and stride times r and each g's position moved to the factor
+    that inflates it, and the stacks are level m''s."""
     order = p**s
     cosets = [c for c in cyclotomic_cosets(q, order).cosets if c.divisor == order]
     minpolys = _minimal_polynomials(q, pm, big_t) if s else {0: Poly.from_ints(get_prime_field(q), [-1, 1])}
@@ -325,10 +357,12 @@ def _factor_level(q: int, p: int, s: int, pm: int, big_t: int) -> tuple[tuple[in
         factors = [minpolys[c.rep * (pm // order)] for c in cosets]
     else:
         gs = [minpolys[c.rep % pm] for c in cosets]
-        lower = {g for _, g in _factor_level(q, p, p_adic_valuation(pm, p), pm, big_t)}
-        if len(set(gs)) != len(gs) or set(gs) != lower:
+        lower_s, r = p_adic_valuation(pm, p), order // pm
+        lower, stacks, lower_groups = _factor_level(q, p, lower_s, pm, big_t)
+        where = {g: j for j, (_, g) in enumerate(lower)}
+        if len(set(gs)) != len(gs) or set(gs) != set(where):
             raise InvariantViolation(f"the cosets mod {order} do not map one-to-one onto those mod {pm}")
-        factors = [inflate(g, order // pm) for g in gs]
+        factors = [inflate(g, r) for g in gs]
     for coset, f in zip(cosets, factors):
         if f.degree != coset.size or f.lead != 1:
             raise InvariantViolation(
@@ -342,21 +376,49 @@ def _factor_level(q: int, p: int, s: int, pm: int, big_t: int) -> tuple[tuple[in
         target[:: order // p] = 1
         if not np.array_equal(product, target):
             raise InvariantViolation(f"factor product does not reconstruct Phi_{order}")
-    return tuple((order, f) for f in factors)
+    first = _first_index(q, p, s)
+    if order > pm:
+        position = np.empty(len(gs), dtype=np.int64)  # level m''s j -> this level's index
+        position[[where[g] for g in gs]] = np.arange(first, first + len(gs))
+        shift = _first_index(q, p, lower_s)
+        groups = tuple(
+            (lower_order * r, stride * r, _read_only(position[index - shift]), row)
+            for lower_order, stride, index, row in lower_groups
+        )
+    else:
+        below = _factor_level(*_level_key(q, p, s - 1, pm, big_t))[1] if s else ()
+        rows = {width: {g: i for i, g in enumerate(gs)} for width, gs in below}
+        members: dict[int, list[tuple[int, int]]] = {}  # stride -> (index, row)
+        for i, f in enumerate(factors, start=first):
+            stride = inflation_stride(order, f)
+            stack = rows.setdefault(order // stride, {})
+            row = stack.setdefault(f.int_coeffs()[::stride], len(stack))
+            members.setdefault(stride, []).append((i, row))
+        stacks = tuple((width, tuple(stack)) for width, stack in rows.items())
+        groups = tuple(
+            (order, stride, *_read_only(np.array(found, dtype=np.int64).T))
+            for stride, found in members.items()
+        )
+    return tuple((order, f) for f in factors), stacks, groups
+
+
+def inflation_plan(instance: ProblemInstance):
+    """The plans of the levels 0..k of x^n - 1 (`_factor_level`), merged by
+    N/s: (N/s, g's, groups) for each stack, where groups holds the
+    (N, s, index, row) of every level's factors whose g's are in it.  The
+    stacks are the top level's, which every level reads."""
+    levels = [_factor_level(*key) for key in _level_keys(instance)]
+    return [
+        (width, gs, [group for _, _, plan in levels for group in plan if group[0] // group[1] == width])
+        for width, gs in levels[-1][1]
+    ]
 
 
 @functools.lru_cache(maxsize=None)
 def _factor_cached(instance: ProblemInstance):
     """The factors of x^n - 1 in coset order: the levels 0..k of
     `_level_keys`, each from `_factor_level`, one after another."""
-    return tuple(itertools.chain.from_iterable(_factor_level(*key) for key in _level_keys(instance)))
-
-
-def inflation_stride(order: int, f: Poly) -> int:
-    """The gcd s of `order` and the exponents of f's terms, for a factor f
-    of x^order - 1: f = g(x^s) with g dividing y^(order/s) - 1.  Above level
-    m every factor is such an inflation (Lidl-Niederreiter, Thm 3.35)."""
-    return math.gcd(order, *(e for e, c in enumerate(f.int_coeffs()) if c))
+    return tuple(itertools.chain.from_iterable(_factor_level(*key)[0] for key in _level_keys(instance)))
 
 
 def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]:

@@ -14,7 +14,7 @@ from . import _fastpoly as fp
 from ._fastpoly import TABLE_ENTRIES
 from .engine import IdempotentSystem, _element, all_idempotents_euclid
 from .errors import UsageError
-from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_stride
+from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1, inflation_plan
 
 #: The schema tag of every JSON document and report.
 SCHEMA = "idemforge/1"
@@ -92,35 +92,36 @@ def _residues(matrix: np.ndarray, instance: ProblemInstance):
     no factor sees a nonzero residue in both.
 
     A factor f of order N divides x^N - 1, so each record is first folded
-    mod x^N - 1 (its n/N blocks of N coefficients summed).  With
-    s = `inflation_stride(N, f)`, f = h(x^s) and h divides y^(N/s) - 1.
-    Writing a folded row as the sum over j < s of x^j E_j(x^s), its residue
-    is the sum of x^j (E_j mod h)(x^s), so only the s slices E_j of each
-    record are reduced, modulo h.
-    Factors sharing (N, s, deg h) share their slices: one table of
-    y^i mod h (i < N/s) and one product serve each chunk of at most
-    TABLE_ENTRIES table entries.  A group whose table alone would pass that
-    cap is reduced by one division walk per factor over the slices
-    instead."""
+    mod x^N - 1 (its n/N blocks of N coefficients summed).  Its stride s
+    and h, f = h(x^s) with h dividing y^(N/s) - 1, come from the plan of
+    the factorization (`inflation_plan`).  Writing a folded row as the sum
+    over j < s of x^j E_j(x^s), its residue is the sum of
+    x^j (E_j mod h)(x^s), so only the s slices E_j of each record are
+    reduced, modulo h.
+    The factors of one stride group of the plan share N, s and deg h, and
+    so their slices: one table of y^i mod h (i < N/s) and one product serve
+    each chunk of at most TABLE_ENTRIES table entries.  A group whose table
+    alone would pass that cap is reduced by one division walk per factor
+    over the slices instead."""
     q, n = instance.q, instance.n
     fp.check_int64_exact(n, q)  # before any product: a fold sums n/N residues
     rows = len(matrix)
     factors = factor_xn_minus_1(instance)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for index, (order, f) in enumerate(factors):
-        stride = inflation_stride(order, f)
-        groups.setdefault((order, stride, f.degree // stride), []).append(index)
+    groups = [
+        (order, stride, index, [gs[r] for r in row])
+        for _, gs, plan in inflation_plan(instance)
+        for order, stride, index, row in plan
+    ]
     out = [None] * len(factors)
     folded_order = None
-    for (order, stride, degree), indices in sorted(groups.items()):
+    for order, stride, indices, mods in sorted(groups, key=lambda group: group[:2]):
         if order != folded_order:  # sorted, so each order is folded once
             folded_order = order
             folded = matrix.reshape(rows, n // order, order).sum(axis=1) % q
-        length = order // stride
+        length, degree = order // stride, len(mods[0]) - 1
         # row (i, j) holds E_j of record i: its folded coefficients j, j + s, ...
         slices = folded.reshape(rows, length, stride).transpose(0, 2, 1)
         slices = slices.reshape(rows * stride, length)
-        mods = [factors[i][1].int_coeffs()[::stride] for i in indices]
 
         def place(rem):
             """Rows (i, j) of E_j mod h as record i mod h(x^s): coefficient

@@ -10,8 +10,8 @@ from idemforge import _fastpoly, engine, fields, structure
 #: every table the library builds once per process, by the function that
 #: caches it: extension moduli and fields, roots of unity, the trace tables
 #: of the closed form and the factorization, minimal polynomials, the
-#: certified factor lists of each level and whole factorizations, and the
-#: oracle's placement plan of each level and its stacks of B rows
+#: certified factor lists of each level with their placement plans, whole
+#: factorizations, and the oracle's stacks of B rows
 TABLE_CACHES = (
     (fields, "find_irreducible"),
     (fields, "_extension_field"),
@@ -20,7 +20,6 @@ TABLE_CACHES = (
     (structure, "_minimal_polynomials"),
     (structure, "_factor_level"),
     (structure, "_factor_cached"),
-    (engine, "_level_plan"),
     (engine, "_euclid_rows"),
 )
 

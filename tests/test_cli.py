@@ -177,6 +177,25 @@ def test_verify_perturbed_document_exits_2(capsys, monkeypatch):
     assert "idempotency" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [(["--q", "5"], "--q"), (["--p", "11"], "--p"), (["--k", "2"], "--k"), (["--method", "auto"], "--method"),
+     (["--q", "5", "--p", "11", "--k", "2", "--method", "euclid"], "--q")],
+)
+def test_verify_refuses_instance_flags_with_a_document(capsys, tmp_path, flags, named):
+    # the document gives the instance and its records: a flag that names
+    # another instance or route exits 1 and is named, and is not ignored
+    code, out, _ = run_cli(capsys, "gen", "--q", "7", "--p", "3", "--k", "1", "--format", "json")
+    path = tmp_path / "doc.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path), *flags, "--against", "euclid")
+    assert (code, out) == (1, "")
+    assert err == f"error: {named} cannot be used with --in\n"
+    assert run_cli(capsys, "verify", "--in", str(path), "--against", "euclid", "--format", "json")[0] == 0
+    # an empty --in still names a document, so the flags are refused with it too
+    assert run_cli(capsys, "verify", "--in", "", *flags)[2] == f"error: {named} cannot be used with --in\n"
+
+
 def test_verify_document_from_file(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "gen", "--q", "7", "--p", "3", "--k", "1", "--format", "json"

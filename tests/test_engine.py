@@ -254,6 +254,61 @@ def test_survey_factorization_builds_each_level_once(monkeypatch, fresh_caches):
     assert structure._factor_level.cache_info().misses == 156 and len(products) == 171
 
 
+#: the instances of the `verify` benchmark workload
+VERIFY_JOBS = [(251, 5, 3), (101, 5, 4), (163, 3, 4), (41, 5, 3), (181, 3, 4), (13, 3, 6)]
+
+
+def test_the_plan_agrees_with_the_certified_factors():
+    # the plan that the oracle and the verifier read places every factor
+    # f of order N once, at a stride s with f = g(x^s) for the g of its
+    # row, and s is the gcd of N and f's exponents; (3,2,5) has x^2 + 1 at
+    # stride 2 below m', (14407,7,4) 2,401 linear factors
+    from idemforge.polys import inflate
+
+    for job in SURVEY_INSTANCES + [(3, 2, 5), (7, 2, 6), (13, 3, 6), (101, 5, 4), (14407, 7, 4)]:
+        inst = instance_parameters(*job)
+        factors = factor_xn_minus_1(inst)
+        placed = []
+        for width, gs, groups in structure.inflation_plan(inst):
+            for order, stride, index, row in groups:
+                assert order == width * stride, job
+                for i, r in zip(index.tolist(), row.tolist()):
+                    f_order, f = factors[i]
+                    assert f_order == order and inflate(Poly.from_ints(f.field, gs[r]), stride) == f, job
+                    assert stride == structure.inflation_stride(order, f), job
+                placed += index.tolist()
+        assert sorted(placed) == list(range(len(factors))), job
+
+
+def test_strides_are_found_once_per_level(monkeypatch, fresh_caches):
+    # the strides are read where the levels are built: a cold oracle pass
+    # over the survey instances takes 243 of them, a second pass none, and
+    # a warm verify_system against the oracle none, where the verifier
+    # once scanned every factor on every call
+    from idemforge.verifier import verify_system
+
+    calls = []
+    stride = structure.inflation_stride
+
+    def counted(order, f):
+        calls.append(order)
+        return stride(order, f)
+
+    monkeypatch.setattr(structure, "inflation_stride", counted)
+    insts = [instance_parameters(*job) for job in SURVEY_INSTANCES]
+    for _ in range(2):
+        for inst in insts:
+            all_idempotents_euclid(inst)
+        assert len(calls) == 243
+    for job in VERIFY_JOBS:
+        inst = instance_parameters(*job)
+        system = dispatch(inst)
+        verify_system(system, inst, against_oracle=True)
+        calls.clear()
+        assert verify_system(system, inst, against_oracle=True).passed
+        assert calls == [], job
+
+
 def _order_3_gs():
     """The y - zeta^j of order 3 over F_13, in the oracle's order."""
     return tuple(f.int_coeffs() for order, f in factor_xn_minus_1(instance_parameters(13, 3, 1)) if order == 3)

@@ -150,11 +150,12 @@ def test_factor_trivial_ring():
 
 
 def test_the_second_choice_reaches_every_factor_list(second_choice):
-    # each level's factor list and the oracle's plan of it are kept per
-    # process, and the fixture empties them with the other tables: under
-    # the second root the cosets get other factors, in the list and in the
-    # oracle's rows, and the sets stay the same.  A level cache the fixture
-    # missed would hand back the first choice's order.
+    # each level's factor list and its plan, which places the oracle's
+    # rows, are kept per process in one cache, and the fixture empties it
+    # with the other tables: under the second root the cosets get other
+    # factors, in the list and in the oracle's rows, and the sets stay the
+    # same.  A level cache the fixture missed would hand back the first
+    # choice's order.
     insts = [instance_parameters(*job) for job in ((17, 13, 2), (23, 13, 2), (19, 13, 2))]
     first = [(factor_xn_minus_1(inst), all_idempotents_euclid(inst)) for inst in insts]
     second_choice()
