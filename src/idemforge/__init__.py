@@ -20,7 +20,6 @@ from .errors import (
     BudgetExceededError,
     IdemforgeError,
     InvariantViolation,
-    UnsupportedInstanceError,
     UsageError,
 )
 from .fields import (

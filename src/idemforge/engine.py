@@ -3,10 +3,11 @@ F_q[x]/(x^(p^k) - 1).
 
 Two routes produce the same set of ring elements:
   * the paper's closed form (`dispatch`) — one expression for every q and
-    p^k with gcd(q, p) = 1, whose coefficients are the powers of a
-    primitive p^min(m,k)-th root of unity in F_q when t = ord_p q = 1
-    ("split-case"), or their traces from F_{q^t} when t > 1
-    ("general-case"), with orbit deduplication of the indices;
+    p^k with gcd(q, p) = 1, whose coefficients are the powers of the
+    primitive p^m'-th root of unity of F_{q^T}, (T, m') =
+    `ProblemInstance.root_field`, when T = 1 ("split-case"), or their
+    traces to F_q when T > 1 ("general-case"), with orbit deduplication of
+    the indices;
   * euclid — generic route through the irreducible factors of x^n - 1
     (serves as the independent oracle), placed by the plan that
     `structure` builds with them (`structure.inflation_plan`).
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _fastpoly as fp
 from . import structure
-from .errors import InvariantViolation, UnsupportedInstanceError, UsageError
+from .errors import InvariantViolation, UsageError
 from .fields import get_prime_field
 from .polys import CyclicRingElement, render_poly
 from .structure import ProblemInstance, cyclotomic_cosets, factor_xn_minus_1
@@ -214,12 +215,15 @@ def all_idempotents_euclid(instance: ProblemInstance) -> IdempotentSystem:
 
 
 def _root_table(instance: ProblemInstance) -> tuple[Sequence[int], str]:
-    """(table, method) of the closed form, the one place that branches on t:
-    `structure._sigma_table` at (q, t, p^min(m,k)), the traces from F_{q^t}
-    of the powers of its root of unity, which are the powers themselves
-    when t = 1 ("split-case"), the root lying in F_q."""
-    table = structure._sigma_table(instance.q, instance.t, instance.p**instance.effective_m)
-    return table, "split-case" if instance.t == 1 else "general-case"
+    """(table, method) of the closed form, the one place that names its
+    case: `structure._sigma_table` at (q, T, p^m'), (T, m') =
+    `instance.root_field`, the traces from F_{q^T} of the powers of its root
+    of unity, which are the powers themselves when T = 1 ("split-case"),
+    the root lying in F_q, and "general-case" when T > 1.  The
+    factorization reads the same table."""
+    big_t, m_eff = instance.root_field
+    table = structure._sigma_table(instance.q, big_t, instance.p**m_eff)
+    return table, "split-case" if big_t == 1 else "general-case"
 
 
 def _gather_into(out: np.ndarray, table: Sequence[int], scale: int, q: int, indices) -> None:
@@ -232,9 +236,14 @@ def _gather_into(out: np.ndarray, table: Sequence[int], scale: int, q: int, indi
 
 def _records_from_table(instance: ProblemInstance, table: Sequence[int], method: str) -> IdempotentSystem:
     """The closed form's records from `_root_table`, for both cases: each
-    level's rows are gathered straight into the system's array."""
+    level's rows are gathered straight into the system's array, on the
+    orbits of q mod p^m', (T, m') = `instance.root_field`.
+
+    The row of an orbit of size d sums zeta^(-c*l) over its c, d/T times
+    Tr(zeta^(-j*l)) for its rep j.  d = T but for the orbit of 2^(m'-1) in
+    the p = 2 root field, whose row alone is gathered again, scaled by 1/2."""
     q, p, k, n = instance.q, instance.p, instance.k, instance.n
-    m_eff = instance.effective_m
+    big_t, m_eff = instance.root_field
     pm = p**m_eff
     inv_n = pow(n % q, -1, q)
     js = orbit_representatives(pm, q, "all-nonzero")
@@ -243,10 +252,15 @@ def _records_from_table(instance: ProblemInstance, table: Sequence[int], method:
     coeffs = np.zeros((1 + len(js) + len(ls) * len(levels), n), dtype=IdempotentSystem.dtype(q))
     coeffs[0] = inv_n
     _gather_into(coeffs[1 : 1 + len(js)], table, inv_n, q, js)
+    if len(js) * big_t != pm - 1:  # sizes divide T and sum to p^m' - 1: some are short
+        for orbit in cyclotomic_cosets(q, pm).cosets:
+            if orbit.rep and orbit.size < big_t:
+                row, scale = 1 + js.index(orbit.rep), inv_n * orbit.size * pow(big_t, -1, q)
+                _gather_into(coeffs[row : row + 1], table, scale, q, [orbit.rep])
     for level, s in enumerate(levels):
         row = 1 + len(js) + level * len(ls)
         inv_c = pow(pow(p, k + m_eff - s, q), -1, q)
-        # supported on the multiples of p^(s - m)
+        # supported on the multiples of p^(s - m')
         _gather_into(coeffs[row : row + len(ls), :: p ** (s - m_eff)], table, inv_c, q, ls)
     labels = ["e_0"] + [f"e_j:{j}" for j in js] + [f"e_{{s,l}}:{s},{l}" for s in levels for l in ls]
     kinds = [KIND_UNIT_SUM] + [KIND_SECOND] * len(js) + [KIND_THIRD] * (len(ls) * len(levels))
@@ -256,21 +270,16 @@ def _records_from_table(instance: ProblemInstance, table: Sequence[int], method:
 
 def dispatch(instance: ProblemInstance, method: str = "auto") -> IdempotentSystem:
     """The primitive idempotents by the paper's closed form ("auto"), or by
-    the Euclid oracle ("euclid").  The closed form takes its table from
-    `_root_table`, which names the case: "split-case" when t = 1,
-    "general-case" when t > 1.  The oracle also serves p = 2 with
-    q = 3 (mod 4) and k >= 3, which the closed form does not: x^4 + 1
-    splits into two quadratics there, while at k <= 2 the factors x - 1,
-    x + 1 and x^2 + 1 are the closed form's.  The modulus of F_{q^t} and
-    the root of unity are the ones `fields` picks by its one rule; the set
-    of idempotents does not depend on that choice."""
+    the Euclid oracle ("euclid"), on every admitted instance.  The closed
+    form takes its table from `_root_table`, which names the case:
+    "split-case" when T = 1, "general-case" when T > 1, for
+    (T, m') = `instance.root_field`.  Its trace form needs no binomials
+    x^(2^s) - zeta, so it serves p = 2 with q = 3 (mod 4) too, where
+    k >= 3 takes the root field F_{q^2}.  The modulus of F_{q^T} and the
+    root of unity are the ones `fields` picks by its one rule; the set of
+    idempotents does not depend on that choice."""
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "euclid":
         return all_idempotents_euclid(instance)
-    if instance.p == 2 and instance.q % 4 == 3 and instance.k >= 3:
-        raise UnsupportedInstanceError(
-            "p = 2 with q = 3 (mod 4) is unsupported: the binomial factorization "
-            "of x^(2^s) - zeta needs q = 1 (mod 4)"
-        )
     return _records_from_table(instance, *_root_table(instance))

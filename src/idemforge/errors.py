@@ -7,11 +7,7 @@ class IdemforgeError(Exception):
 
 class UsageError(IdemforgeError, ValueError):
     """A caller violated a documented precondition (bad arguments, field
-    mismatch, unmet regime condition)."""
-
-
-class UnsupportedInstanceError(UsageError):
-    """The requested (q, p, k) combination has no supported construction."""
+    mismatch, an input past a size or exactness rule)."""
 
 
 class BudgetExceededError(UsageError):

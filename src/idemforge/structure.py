@@ -73,21 +73,18 @@ class ProblemInstance:
     m: int  # largest integer with p^m | q^t - 1
 
     @property
-    def effective_m(self) -> int:
-        """m clamped to k: the root-of-unity order usable inside the ring."""
-        return min(self.m, self.k)
-
-    @property
     def root_field(self) -> tuple[int, int]:
-        """(T, M): the factorization takes its roots of unity in F_{q^T},
-        which holds a primitive p^M-th root, p^M || q^T - 1.  This is (t, m),
-        except for p = 2 with q = 3 (mod 4) and k >= 2: the factors of
-        x^(2^s) - 1 above level M are those of level M inflated, which needs
-        q^T = 1 (mod 4), so (T, M) = (2, v_2(q^2 - 1)) there
-        (Lidl-Niederreiter, Thm 3.35)."""
-        if self.p == 2 and self.q % 4 == 3 and self.k >= 2:
-            return 2, p_adic_valuation(self.q * self.q - 1, 2)
-        return self.t, self.m
+        """(T, m'): the closed form and the factorization both take the
+        primitive p^m'-th root of unity of F_{q^T}, with m' = min(M, k) and
+        p^M || q^T - 1.  This is (t, min(m, k)), except for p = 2 with
+        q = 3 (mod 4) and k >= 3, where (T, M) = (2, v_2(q^2 - 1)): the
+        factors above level M are those of level M inflated by x -> x^r,
+        which keeps them irreducible unless 4 | r and q^T != 1 (mod 4)
+        (Lidl-Niederreiter, Thm 3.35).  At k = 2 the one inflation is
+        x + 1 -> x^2 + 1, by r = 2, so F_q serves."""
+        if self.p == 2 and self.q % 4 == 3 and self.k >= 3:
+            return 2, min(p_adic_valuation(self.q * self.q - 1, 2), self.k)
+        return self.t, min(self.m, self.k)
 
     def describe(self) -> str:
         return f"q={self.q} p={self.p} k={self.k} n={self.n} t={self.t} m={self.m}"
@@ -97,7 +94,7 @@ def _one_unit_orbit(pm: int, t: int) -> bool:
     """Whether m' = 1 and q generates (Z/p)^*, for pm = p^m' (m' >= 1) and
     t = ord_p q: t divides p - 1 and pm >= p, so that is exactly
     pm = t + 1 (p = 2 with t = 1 among them; the T = 2 of `root_field` comes
-    with pm >= 4 and never passes).  Then q has one orbit on the units mod
+    with pm >= 8 and never passes).  Then q has one orbit on the units mod
     p, and nothing depends on the root of unity zeta: the minimal
     polynomials are x - 1 and Phi_p, and the trace of zeta^i to F_q is t
     at i = 0 and -1 otherwise (the case of Arora-Pruthi, Finite Fields
@@ -128,11 +125,11 @@ def instance_parameters(q: int, p: int, k: int, *, max_n: int = DEFAULT_MAX_N) -
         raise UsageError(f"n = {p}^{k} exceeds the cap {max_n}")
     t = 1 if k == 0 else multiplicative_order(q, p)
     order = q**t - 1
-    m = p_adic_valuation(order, p)
+    instance = ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=p_adic_valuation(order, p))
     bits = order.bit_length()
-    if t > 1 and bits > DEFAULT_ORDER_BUDGET_BITS and not _one_unit_orbit(p ** min(m, k), t):
+    if t > 1 and bits > DEFAULT_ORDER_BUDGET_BITS and not _one_unit_orbit(p ** instance.root_field[1], t):
         raise UsageError(f"q^t - 1 needs {bits} bits; budget is {DEFAULT_ORDER_BUDGET_BITS}")
-    return ProblemInstance(q=q, p=p, k=k, n=n, t=t, m=m)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -188,19 +185,16 @@ def cyclotomic_cosets(q: int, n: int) -> CosetPartition:
 
 def expected_idempotent_count(instance: ProblemInstance) -> int:
     """Number of primitive idempotents = number of q-cyclotomic cosets mod n,
-    cross-checked against a closed count in (T, M) = `root_field` and
-    m' = min(M, k): 1 + (p^m'-1)/t + (k-m')*phi(p^m')/t when T = t, and
-    1 + 2^(m'-1) + (k-m')*2^(M-2) for p = 2 with q = 3 (mod 4), where the
-    levels s = 2..M hold cosets of size 2 and each level above M holds
-    2^(M-2) cosets."""
+    cross-checked against a closed count in (T, m') = `root_field`:
+    1 + (p^m'-1)/T + (k-m')*phi(p^m')/T when T = t, and
+    1 + 2^(m'-1) + (k-m')*phi(2^m')/T in the p = 2 root field (T = 2),
+    where the levels s = 2..m' hold cosets of size 2 and level 1 one of
+    size 1.  Each level above m' holds phi(p^m')/T cosets."""
     count = len(cyclotomic_cosets(instance.q, instance.n).cosets)
     t, p, k = instance.t, instance.p, instance.k
-    big_t, big_m = instance.root_field
-    m_eff = min(big_m, k)
-    if big_t == t:
-        closed = 1 + (p**m_eff - 1) // t + (k - m_eff) * euler_phi_prime_power(p, m_eff) // t
-    else:
-        closed = 1 + 2 ** (m_eff - 1) + (k - m_eff) * 2 ** (big_m - 2)
+    big_t, m_eff = instance.root_field
+    second = (p**m_eff - 1) // big_t if big_t == t else 2 ** (m_eff - 1)
+    closed = 1 + second + (k - m_eff) * euler_phi_prime_power(p, m_eff) // big_t
     if closed != count:
         raise InvariantViolation(
             f"closed-form count {closed} disagrees with coset count {count} on {instance.describe()}"
@@ -298,11 +292,11 @@ def _level_key(q: int, p: int, s: int, pm: int, big_t: int) -> tuple[int, int, i
 
 def _level_keys(instance: ProblemInstance) -> list[tuple[int, int, int, int, int]]:
     """The keys of the levels s = 0..k of x^n - 1 (`_level_key`), with
-    (T, M) = `instance.root_field` and m' = min(M, k).  The cosets of level
-    s are p^(k-s) times the orbits of q on the units mod p^s, so a level's
-    factors depend on (q, p, s, p^m', T) and not on k."""
-    big_t, big_m = instance.root_field
-    pm = instance.p ** min(big_m, instance.k)
+    (T, m') = `instance.root_field`.  The cosets of level s are p^(k-s)
+    times the orbits of q on the units mod p^s, so a level's factors depend
+    on (q, p, s, p^m', T) and not on k."""
+    big_t, m_eff = instance.root_field
+    pm = instance.p**m_eff
     return [_level_key(instance.q, instance.p, s, pm, big_t) for s in range(instance.k + 1)]
 
 
@@ -426,10 +420,10 @@ def factor_xn_minus_1(instance: ProblemInstance) -> tuple[tuple[int, Poly], ...]
     q-cyclotomic coset (same order as `cyclotomic_cosets`): the factors of
     Phi_(p^s) for s = 0..k, one level after another (`_factor_level`).  Each
     factor is the minimal polynomial of a root of unity of order
-    p^s <= p^M in F_{q^T}, (T, M) = `instance.root_field`, read off its
-    trace table, and inflated by x -> x^(p^(s-M)) above level M; with one
-    unit orbit (T = p - 1, m' = 1) they are x - 1 and Phi_p, with no
-    F_{q^T}.  Monic factors of the coset degrees whose product is the
+    p^s <= p^m' in F_{q^T}, (T, m') = `instance.root_field`, read off the
+    closed form's trace table, and inflated by x -> x^(p^(s-m')) above
+    level m'; with one unit orbit (T = p - 1, m' = 1) they are x - 1 and
+    Phi_p, with no F_{q^T}.  Monic factors of the coset degrees whose product is the
     squarefree x^n - 1 = prod_s Phi_(p^s) are its irreducible factors, and
     that product is certified level by level, whatever produced the
     factors: computed up to level m', and above it by the exact identity

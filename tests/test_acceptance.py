@@ -21,11 +21,14 @@ from idemforge import (
     verify_system,
 )
 from idemforge.cli import main as cli_main, parse_document, render_document
+from idemforge.fields import is_prime
 from idemforge.structure import euler_phi_prime_power, multiplicative_order
 
 GRID_QS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 GRID_PS = (3, 5, 7, 11, 13)
 GRID_MAX_N = 400
+#: p = 2: every odd prime q < 128, at 0 <= k <= 10
+P2_QS = tuple(q for q in range(3, 128) if is_prime(q))
 
 
 def _grid_instances():
@@ -41,15 +44,24 @@ def _grid_instances():
     return out
 
 
+def _both_routes(instances):
+    start = time.perf_counter()
+    rows = [(inst, all_idempotents_euclid(inst), dispatch(inst)) for inst in instances]
+    return rows, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def grid():
     """Oracle and dispatch sets for every grid instance, with the wall time
     of the full pipeline (fields, factorizations, both constructions)."""
-    instances = _grid_instances()
-    start = time.perf_counter()
-    rows = [(inst, all_idempotents_euclid(inst), dispatch(inst)) for inst in instances]
-    elapsed = time.perf_counter() - start
-    return rows, elapsed
+    return _both_routes(_grid_instances())
+
+
+@pytest.fixture(scope="module")
+def p2_grid():
+    """The same for p = 2 on P2_QS, where q = 3 (mod 4) takes its roots of
+    unity in F_{q^2} from k = 3 on."""
+    return _both_routes([instance_parameters(q, 2, k) for q in P2_QS for k in range(11)])
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -96,15 +108,21 @@ def test_criterion_1_golden_fixture():
 # -- criterion 2: oracle equivalence grid ----------------------------------
 
 
-def test_criterion_2_oracle_equivalence_grid(grid):
-    rows, elapsed = grid
+def test_criterion_2_oracle_equivalence_grid(grid, p2_grid):
+    (rows, elapsed), (p2_rows, p2_elapsed) = grid, p2_grid
     mismatches = [
-        inst.describe() for inst, oracle, closed in rows if not sets_equal(oracle, closed)
+        inst.describe() for inst, oracle, closed in rows + p2_rows if not sets_equal(oracle, closed)
     ]
-    ok = not mismatches and elapsed < 60.0
-    _line(2, ok, f"{len(rows)} instances, dispatch = oracle everywhere, {elapsed:.1f}s")
+    ok = not mismatches and elapsed < 60.0 and p2_elapsed < 60.0
+    _line(
+        2,
+        ok,
+        f"{len(rows)} instances and {len(p2_rows)} with p = 2, dispatch = oracle everywhere, "
+        f"{elapsed:.1f}s and {p2_elapsed:.1f}s",
+    )
     assert mismatches == []
-    assert elapsed < 60.0
+    assert len(p2_rows) == 330
+    assert elapsed < 60.0 and p2_elapsed < 60.0
 
 
 # -- criterion 3: system properties on the grid -----------------------------
@@ -177,21 +195,22 @@ def test_criterion_5_choice_independence(second_choice):
 # -- criterion 6: count-formula audit ----------------------------------------
 
 
-def test_criterion_6_count_formula_audit(grid):
-    # two candidate counting rules for third-type records at level s:
-    # phi(p^m)/t per level, versus the level-dependent phi(p^(k-s+m))/t
-    rows, _ = grid
+def test_criterion_6_count_formula_audit(grid, p2_grid):
+    # two candidate counting rules for third-type records at level s, with
+    # (T, m') = root_field: phi(p^m')/T per level, versus the
+    # level-dependent phi(p^(k-s+m'))/T
+    rows = grid[0] + p2_grid[0]
     flat_hits = leveled_hits = total = 0
     flat_misses = []
     for inst, _, closed in rows:
         census = third_type_census(closed)
         if not census:
             continue
-        m_eff, t, p, k = inst.effective_m, inst.t, inst.p, inst.k
+        (big_t, m_eff), p, k = inst.root_field, inst.p, inst.k
         for s, count in census.items():
             total += 1
-            flat_rule = euler_phi_prime_power(p, m_eff) // t
-            leveled_rule = euler_phi_prime_power(p, k - s + inst.m) // t
+            flat_rule = euler_phi_prime_power(p, m_eff) // big_t
+            leveled_rule = euler_phi_prime_power(p, k - s + m_eff) // big_t
             if count == flat_rule:
                 flat_hits += 1
             else:
@@ -200,11 +219,11 @@ def test_criterion_6_count_formula_audit(grid):
                 leveled_hits += 1
     print(
         f"[criterion 6] audit over {total} (instance, s) pairs: "
-        f"phi(p^m)/t matched {flat_hits}/{total}; "
-        f"phi(p^(k-s+m))/t matched {leveled_hits}/{total} (exactly the s=k cases)"
+        f"phi(p^m')/T matched {flat_hits}/{total}; "
+        f"phi(p^(k-s+m'))/T matched {leveled_hits}/{total} (exactly the s=k cases)"
     )
     ok = not flat_misses and total > 0 and leveled_hits < total
-    _line(6, ok, "per-level third-type count follows phi(p^m)/t")
+    _line(6, ok, "per-level third-type count follows phi(p^m')/T")
     assert flat_misses == []
     assert total > 0
     # the level-dependent rule only agrees when s = k, so it is not the law

@@ -77,12 +77,13 @@ def test_gen_invalid_instance_exits_1(capsys):
     assert "error" in err
 
 
-def test_gen_unsupported_p2_regime_exits_1(capsys):
-    code, _, err = run_cli(capsys, "gen", "--q", "3", "--p", "2", "--k", "3")
-    assert code == 1
-    assert "q = 1 (mod 4)" in err
-    for k in ("1", "2"):  # below k = 3 the closed form serves
-        assert run_cli(capsys, "gen", "--q", "3", "--p", "2", "--k", k, "--verify")[0] == 0
+def test_gen_serves_p2_with_q_3_mod_4(capsys):
+    # the closed form serves every k: in F_3 up to k = 2, in the root field
+    # F_9 from k = 3 on
+    for k in ("1", "2", "3"):
+        code, out, err = run_cli(capsys, "gen", "--q", "3", "--p", "2", "--k", k, "--verify")
+        assert (code, err) == (0, "") and out.endswith("overall: pass\n"), k
+    assert "method=general-case" in out.splitlines()[0]
 
 
 def test_bad_flags_exit_1(capsys):
@@ -624,6 +625,23 @@ def test_gen_serves_a_split_q_past_the_group_order_budget(capsys):
     code, _, err = run_cli(capsys, "gen", "--q", q, "--p", "3", "--k", "1", "--verify")
     assert code == 1
     assert "length*(q-1)^2 < 2^63" in err
+    # p = 2 with q = 3 (mod 4): gen at k = 2 stays in F_q and keeps these
+    # bytes; k = 3 needs F_{q^2} (length 2), and factors at k = 2 meets the
+    # int64 rule of F_q (length 1)
+    for q, digest in (
+        (2**61 - 1, "8b15cb4b31f0eed28778f7b6877719dfeb18409a23a7343a26ce72ee8a3c18ee"),
+        (2**100 + 447, "82ce778c18de4eaf95c9e9389004dd8dc4979574ebbec0d7b40b724392146792"),
+    ):
+        code, out, err = run_cli(capsys, "gen", "--q", str(q), "--p", "2", "--k", "2")
+        assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)
+        for command, k, length in (("gen", "3", 2), ("factors", "2", 1)):
+            code, out, err = run_cli(capsys, command, "--q", str(q), "--p", "2", "--k", k)
+            assert (code, out, err) == (
+                1,
+                "",
+                f"error: q={q} is too large for exact int64 arithmetic on length {length}: "
+                "needs length*(q-1)^2 < 2^63\n",
+            )
 
 
 def test_factors_for_p_2_at_a_large_q_3_mod_4(capsys):

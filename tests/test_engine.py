@@ -19,7 +19,6 @@ from idemforge import (
     CyclicRingElement,
     InvariantViolation,
     Poly,
-    UnsupportedInstanceError,
     UsageError,
     all_idempotents_euclid,
     dispatch,
@@ -557,13 +556,14 @@ def test_split_case_p2_allowed_when_q_1_mod_4():
     assert sets_equal(recs, all_idempotents_euclid(inst))
 
 
-def test_split_case_p2_rejected_when_q_3_mod_4():
+def test_general_case_p2_served_when_q_3_mod_4():
+    # x^4 + 1 splits into two quadratics over F_3: the closed form takes
+    # its roots in F_9, and its records are the oracle's
     inst = instance_parameters(3, 2, 3)
-    with pytest.raises(UnsupportedInstanceError):
-        dispatch(inst)
-    # the oracle path has no such restriction: x^4 + 1 splits in two
-    recs = dispatch(inst, "euclid")
-    assert len(recs) == 5
+    assert inst.root_field == (2, 3)
+    recs = dispatch(inst)
+    assert recs.method == "general-case" and len(recs) == 5
+    assert sets_equal(recs, dispatch(inst, "euclid"))
 
 
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 31, 43])
@@ -609,11 +609,13 @@ def test_general_case_orbit_equivalent_indices_coincide():
 
 def test_the_closed_form_names_its_case_by_t_and_takes_no_forced_case(capsys):
     # split-case and general-case are no longer --method values, but the
-    # records and documents still name the case that t selects
+    # records and documents still name the case that T of `root_field`
+    # selects: T = t, but for p = 2 with q = 3 mod 4 and k >= 3
     from idemforge.cli import main
 
     assert dispatch(instance_parameters(7, 3, 2)).method == "split-case"  # t = 1
     assert dispatch(instance_parameters(2, 7, 1)).method == "general-case"  # t = 3
+    assert dispatch(instance_parameters(3, 2, 3)).method == "general-case"  # t = 1, T = 2
     for q in (3, 7):  # q = 3 mod 4 at k = 0: the single e_0 = 1 of the split case
         system = dispatch(instance_parameters(q, 2, 0))
         assert system.method == "split-case" and system.coeffs.tolist() == [[1]]
@@ -749,10 +751,29 @@ def test_one_unit_orbit_builds_no_extension_field(q, p, k, monkeypatch, fresh_ca
     monkeypatch.setattr(fields, "_extension_field", forbidden)
     monkeypatch.setattr(fields, "_root_search", forbidden)
     inst = instance_parameters(q, p, k)
-    assert (inst.t, inst.effective_m) == (p - 1, 1)
+    assert inst.root_field == (p - 1, 1)
     system = dispatch(inst)
     assert len(factor_xn_minus_1(inst)) == len(system) == k + 1
     assert sets_equal(system, all_idempotents_euclid(inst))
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19])
+def test_p_2_at_k_2_builds_no_extension_field(q, monkeypatch, fresh_caches):
+    # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) for q = 3 mod 4: x^2 + 1 is x + 1
+    # inflated by x -> x^2, so both routes and the verifier stay in F_q
+    from idemforge import verify_system
+
+    def forbidden(*args):
+        raise AssertionError("an extension field was asked for")
+
+    monkeypatch.setattr(structure, "get_extension_field", forbidden)
+    monkeypatch.setattr(fields, "get_extension_field", forbidden)
+    inst = instance_parameters(q, 2, 2)
+    assert [f.degree for _, f in factor_xn_minus_1(inst)] == [1, 1, 2]
+    system = dispatch(inst)
+    assert system.method == "split-case"
+    assert verify_system(system, inst, against_oracle=True).passed
+    assert inst.root_field == (1, 1)
 
 
 def test_algebraic_system_properties_on_samples():
@@ -787,14 +808,14 @@ def test_third_type_census():
 # its second choice needs no second modulus of F_4 and gives the first
 # choice's records.
 PINNED_INSTANCES = ((19, 7, 2), (2, 3, 5), (3, 5, 3), (3, 2, 5), (7, 2, 6), (17, 13, 2))
-PINNED_DIGEST = "4a9cece1d5e5e9c3ca3ff2740ac176d170b85c75878d5eacfea9733921bac6d4"
+PINNED_DIGEST = "dc80c3f3485fc3cd0a480fc908274d89f8db89bffd58346a42381a045946431b"
 
 
 def test_factor_lists_and_closed_forms_keep_their_bytes(second_choice):
     def closed_form(inst) -> bytes:
         try:
             records = dispatch(inst)
-        except UsageError as exc:  # p = 2 with q = 3 mod 4, or no second choice
+        except UsageError as exc:  # no second choice
             return type(exc).__name__.encode()
         return repr([(r.label, r.value.int_coeffs()) for r in records]).encode()
 
@@ -832,9 +853,10 @@ def test_closed_form_systems_keep_their_digest():
         digest.update(repr((system.method, system.labels, system.kinds, system.params)).encode())
         digest.update(system.coeffs.tobytes())
     assert digest.hexdigest() == SYSTEM_DIGEST
-    for k in (3, 4):  # p = 2 with q = 3 mod 4 is still refused once k >= 3
-        with pytest.raises(UnsupportedInstanceError, match="q = 3 \\(mod 4\\) is unsupported"):
-            dispatch(instance_parameters(3, 2, k))
+    for k in (3, 4):  # p = 2 with q = 3 mod 4 is served once k >= 3, in F_9
+        inst = instance_parameters(3, 2, k)
+        system = dispatch(inst)
+        assert system.method == "general-case" and sets_equal(system, all_idempotents_euclid(inst))
 
 
 def test_tables_shared_across_k_are_built_once_and_read_only():
@@ -890,7 +912,7 @@ def test_closed_forms_check_the_exact_order_of_their_root(q, p, k, monkeypatch, 
     search = fields._root_search
     monkeypatch.setattr(fields, "_root_search", lambda field, order: ref_element_pow(search(field, order), p))
     inst = instance_parameters(q, p, k)
-    assert inst.effective_m == 2
+    assert inst.root_field[1] == 2
     with pytest.raises(InvariantViolation, match="not primitive"):
         dispatch(inst)
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: t = 1, t > 1, k = 0 and p = 2
-INSTANCES = ((7, 3, 2), (2, 7, 1), (5, 3, 0), (5, 2, 3))
+#: t = 1, t > 1, k = 0, p = 2, and p = 2 in the root field F_{q^2}
+INSTANCES = ((7, 3, 2), (2, 7, 1), (5, 3, 0), (5, 2, 3), (3, 2, 3))
 CODES = ((2, 7, 1, "e_j:1"), (2, 13, 1, "e_j:1"), (7, 3, 2, "e_{s,l}:2,1"), (5, 3, 0, "e_0"))
 
 #: qualified name -> why it stays although no run here enters it

@@ -20,7 +20,7 @@ from idemforge import (
 )
 from idemforge import structure
 from idemforge.cli import main
-from idemforge.structure import _berlekamp_massey, _minimal_polynomials, euler_phi_prime_power
+from idemforge.structure import _berlekamp_massey, _minimal_polynomials, euler_phi_prime_power, p_adic_valuation
 
 
 def test_multiplicative_order_examples():
@@ -328,8 +328,9 @@ def test_expected_count_matches_cosets_on_samples():
 
 
 def test_expected_count_holds_for_every_p_2_instance():
-    # q = 3 (mod 4) takes its roots of unity in F_{q^2}: (T, M) = (2, v_2(q^2 - 1))
-    # from k = 2 on, and the count 1 + 2^(m'-1) + (k-m')*2^(M-2)
+    # q = 3 (mod 4) takes its roots of unity in F_{q^2} from k = 3 on:
+    # (T, m') = (2, min(v_2(q^2 - 1), k)), and the count
+    # 1 + 2^(m'-1) + (k-m')*phi(2^m')/T
     for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for k in range(11):
             inst = instance_parameters(q, 2, k)
@@ -337,9 +338,10 @@ def test_expected_count_holds_for_every_p_2_instance():
                 euler_phi_prime_power(2, s) // multiplicative_order(q, 2**s) for s in range(k + 1)
             )
             assert expected_idempotent_count(inst) == len(cyclotomic_cosets(q, inst.n).cosets) == levels
-            big_t, big_m = inst.root_field
-            assert (q**big_t - 1) % 2**big_m == 0 and (q**big_t - 1) % 2 ** (big_m + 1)
-            assert big_t == (2 if q % 4 == 3 and k >= 2 else 1)
+            big_t, m_eff = inst.root_field
+            assert big_t == (2 if q % 4 == 3 and k >= 3 else 1)
+            assert (q**big_t - 1) % 2**m_eff == 0
+            assert m_eff == min(p_adic_valuation(q**big_t - 1, 2), k)
 
 
 def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch, fresh_caches):
@@ -369,5 +371,5 @@ def test_the_pipeline_factors_only_prime_powers_up_to_n(monkeypatch, fresh_cache
                     factor_xn_minus_1(inst)
                     all_idempotents_euclid(inst)
                     assert all(n <= inst.n and len(factor(n)) == 1 for n in factored)
-                    one_orbit = inst.t == p - 1 and inst.effective_m == 1
+                    one_orbit = inst.root_field == (p - 1, 1)
                     assert bool(factored) == (k > 0 and not one_orbit)
